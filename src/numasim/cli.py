@@ -31,8 +31,7 @@ OUT_ENV_VAR = "NUMASIM_OUT"
 
 MACHINE_KEYS = {
     "nodes", "cores_per_node", "smt", "local_latency", "remote_factor",
-    "node_bandwidth", "link_bandwidth", "memory_pages", "link_factors",
-    "tlb_entries", "arity",
+    "node_bandwidth", "link_bandwidth", "link_factors", "tlb_entries", "arity",
 }
 TOP_KEYS = {"name", "machine", "workloads", "policy", "run"}
 WORKLOAD_KEYS = {"preset", "spec", "start", "start_quantum", "priority",

@@ -19,10 +19,10 @@ from typing import Dict, List, Optional, Tuple
 
 from . import metrics, pagetable, sched, workload
 from .mmu import Mmu
-from .pagetable import (AddressSpace, PROT_READ, PROT_RW, add_replica,
-                        clear_access_hint, create_address_space, map_page,
-                        migrate_tables, protect_range, set_access_hint,
-                        set_frame_node, unmap_page)
+from .pagetable import (AddressSpace, PROT_READ, add_replica,
+                        clear_access_hint, map_page, migrate_tables,
+                        protect_range, set_access_hint, set_frame_node,
+                        unmap_page)
 from .sched import (Action, CoreSlot, NodeLoad, PmcSample, PolicyKind,
                     TaskState, estimate_bandwidth)
 from .topology import Topology, access_latency, build_topology
@@ -40,17 +40,14 @@ CONTENTION_CAP = 4.0
 @dataclass
 class ContentionState:
     """Per-node and per-link utilization from the previous quantum."""
-    knee: float = CONTENTION_KNEE
-    slope: float = CONTENTION_SLOPE
-    max_multiplier: float = CONTENTION_CAP
     u_node: Dict[int, float] = field(default_factory=dict)
     u_link: Dict[Tuple[int, int], float] = field(default_factory=dict)
 
     def multiplier(self, u: float) -> float:
-        if u <= self.knee:
+        if u <= CONTENTION_KNEE:
             return 1.0
-        m = 1.0 + self.slope * (u - self.knee) / (1.0 - self.knee)
-        return min(self.max_multiplier, m)
+        m = 1.0 + CONTENTION_SLOPE * (u - CONTENTION_KNEE) / (1.0 - CONTENTION_KNEE)
+        return min(CONTENTION_CAP, m)
 
     def node_multiplier(self, node_id: int) -> float:
         return self.multiplier(self.u_node.get(node_id, 0.0))
@@ -226,6 +223,9 @@ class Simulation:
         self.policy = scenario.policy
         self.topo = build_topology(scenario.machine)
         tlb_entries = int(scenario.machine.get("tlb_entries", 64))
+        if tlb_entries < 1:
+            raise ValueError(
+                f"machine.tlb_entries: must be at least 1, got {tlb_entries}")
         self.mmu = Mmu(self.topo, tlb_entries=tlb_entries)
         self.contention = ContentionState()
         self.cores = [CoreState(c.core_id, c.node_id, c.physical_core_id)
@@ -288,8 +288,8 @@ class Simulation:
         alloc = self.policy.alloc_policy or \
             (pagetable.HOME_NODE if self.policy.kind == "phoenix"
              else pagetable.FIRST_TOUCH)
-        space = create_address_space(self.topo, pid, home, alloc,
-                                     arity=int(self.scenario.machine.get("arity", 512)))
+        space = AddressSpace(self.topo, pid, home, alloc,
+                             arity=int(self.scenario.machine.get("arity", 512)))
         space.lock_mode = self.policy.lock_mode or \
             ("global" if self.policy.kind == "mitosis" else "per_table")
         proc.space = space
@@ -570,9 +570,6 @@ class Simulation:
 
     def _execute_action(self, task: SimTask, action: Action) -> None:
         if action.kind == "throttle":
-            loads = self._node_loads()
-            sched.mba_set_throttle(loads, action.node, action.process_id,
-                                   action.cap)
             self.mba_caps[(action.node, action.process_id)] = action.cap
         elif action.kind == "replicate":
             space = task.process.space
@@ -594,7 +591,7 @@ class Simulation:
         self.node_counters[node_id].add_delta(node_delta)
         task._snap = task.counters.snapshot()
 
-        sched.on_tick_sample(task.st, PmcSample(
+        task.st.pmc.add(PmcSample(
             window_total_cycles=delta["total_cycles"],
             window_pagewalk_cycles=delta["pagewalk_cycles"],
             window_stall_cycles=delta["stall_cycles"],
@@ -604,6 +601,18 @@ class Simulation:
         if task.ticks_in_window < self.policy.window:
             return
 
+        self._record_window(task)
+        if self.policy.kind == "phoenix":
+            loads = self._node_loads()
+            action = sched.phoenix_evaluate(
+                task.st, loads, task.process.space, self.policy,
+                CONTENTION_KNEE, self.cores[task.st.current_core].node_id)
+            self._execute_action(task, action)
+        task.last_window = replace(task.st.pmc)
+        task.st.pmc.reset()
+        task.ticks_in_window = 0
+
+    def _record_window(self, task: SimTask) -> None:
         pmc = task.st.pmc
         task.window_history.append({
             "quantum": self.quantum,
@@ -613,15 +622,6 @@ class Simulation:
             "dtlb_misses": pmc.window_dtlb_misses,
             "llc_misses": pmc.window_llc_misses,
             "pw_ratio": pmc.pw_ratio()})
-        if self.policy.kind == "phoenix":
-            loads = self._node_loads()
-            action = sched.phoenix_evaluate(
-                task.st, loads, task.process.space, self.policy,
-                self.contention.knee, self.cores[task.st.current_core].node_id)
-            self._execute_action(task, action)
-        task.last_window = replace(pmc)
-        sched.reset_window(task.st)
-        task.ticks_in_window = 0
 
     # -- rebalancing ------------------------------------------------------------------
 
@@ -726,16 +726,8 @@ class Simulation:
             self.step()
         for task in self.tasks:
             if task.ticks_in_window:
-                pmc = task.st.pmc
-                task.window_history.append({
-                    "quantum": self.quantum,
-                    "total_cycles": pmc.window_total_cycles,
-                    "pagewalk_cycles": pmc.window_pagewalk_cycles,
-                    "stall_cycles": pmc.window_stall_cycles,
-                    "dtlb_misses": pmc.window_dtlb_misses,
-                    "llc_misses": pmc.window_llc_misses,
-                    "pw_ratio": pmc.pw_ratio()})
-            sched.on_exit(task.st)
+                self._record_window(task)
+            task.st.current_core = None  # exit detaches the core; counters stay
         return SimResult(self.scenario, self.tasks, self.processes,
                          self.node_counters, self.actions,
                          self.scenario.duration_quanta)

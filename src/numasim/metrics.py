@@ -79,10 +79,6 @@ class MetricsReport:
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
-    @classmethod
-    def from_json(cls, text: str) -> "MetricsReport":
-        return cls.from_dict(json.loads(text))
-
     def to_csv(self) -> str:
         """One row per task and per node, plus a summary row, fixed columns."""
         buf = io.StringIO()

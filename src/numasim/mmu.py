@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from . import pagetable
@@ -63,33 +63,11 @@ class _LruCache:
 
 
 @dataclass
-class TlbState:
-    core_id: int
-    cache: _LruCache
-
-    @property
-    def capacity_entries(self) -> int:
-        return self.cache.capacity
-
-    @property
-    def partition_active(self) -> bool:
-        return self.cache.partition_active
-
-
-@dataclass
-class PwcState:
-    core_id: int
-    caches: Dict[Level, _LruCache]
-
-
-@dataclass
 class WalkResult:
-    pfn: Optional[int]
     cycles: int
     mem_accesses: int
     remote_accesses: int
-    faulted: bool
-    mapping: Optional[Mapping] = None
+    mapping: Optional[Mapping] = None  # None on a fault
     touched_nodes: Tuple[int, ...] = ()
 
 
@@ -103,29 +81,29 @@ class Mmu:
         self.ipi_cycles = ipi_cycles
         if pwc_entries is None:
             pwc_entries = DEFAULT_PWC_ENTRIES
-        self.tlbs: Dict[int, TlbState] = {}
-        self.pwcs: Dict[int, PwcState] = {}
+        # per core: the TLB, and one page-walk cache per cached level
+        self.tlbs: Dict[int, _LruCache] = {}
+        self.pwcs: Dict[int, Dict[Level, _LruCache]] = {}
         for core in topo.cores:
-            self.tlbs[core.core_id] = TlbState(core.core_id, _LruCache(tlb_entries))
-            self.pwcs[core.core_id] = PwcState(
-                core.core_id,
-                {lvl: _LruCache(cap) for lvl, cap in pwc_entries.items()})
+            self.tlbs[core.core_id] = _LruCache(tlb_entries)
+            self.pwcs[core.core_id] = {lvl: _LruCache(cap)
+                                       for lvl, cap in pwc_entries.items()}
 
     # -- TLB ------------------------------------------------------------------
 
     def tlb_lookup(self, core_id: int, vpn: int) -> Optional[Mapping]:
         """Hit returns the cached mapping and refreshes recency; cost 1 cycle."""
-        return self.tlbs[core_id].cache.get(vpn)
+        return self.tlbs[core_id].get(vpn)
 
     def set_partition(self, core_id: int, active: bool) -> None:
-        self.tlbs[core_id].cache.set_partition(active)
-        for cache in self.pwcs[core_id].caches.values():
+        self.tlbs[core_id].set_partition(active)
+        for cache in self.pwcs[core_id].values():
             cache.set_partition(active)
 
     def flush_core(self, core_id: int) -> None:
         """Context switch: translation state is not shared across tasks."""
-        self.tlbs[core_id].cache.clear()
-        for cache in self.pwcs[core_id].caches.values():
+        self.tlbs[core_id].clear()
+        for cache in self.pwcs[core_id].values():
             cache.clear()
 
     # -- walks ------------------------------------------------------------------
@@ -146,7 +124,7 @@ class Mmu:
         nothing is inserted into the TLB or PWC.
         """
         core_node = self.topo.node_of_core(core_id)
-        pwc = self.pwcs[core_id].caches
+        pwc = self.pwcs[core_id]
         prefixes = self._prefixes(space, vpn)
         mapping, touches = pagetable.translate(space, vpn, core_node)
 
@@ -166,14 +144,13 @@ class Mmu:
                 remote += 1
 
         if mapping is None:
-            return WalkResult(None, cycles, accesses, remote, True,
+            return WalkResult(cycles, accesses, remote,
                               touched_nodes=tuple(touched_nodes))
 
         for level, prefix in prefixes.items():
             pwc[level].put(prefix, True)
-        self.tlbs[core_id].cache.put(vpn, mapping)
-        return WalkResult(mapping.pfn, cycles, accesses, remote, False, mapping,
-                          tuple(touched_nodes))
+        self.tlbs[core_id].put(vpn, mapping)
+        return WalkResult(cycles, accesses, remote, mapping, tuple(touched_nodes))
 
     # -- shootdowns ---------------------------------------------------------------
 
@@ -187,12 +164,11 @@ class Mmu:
         """
         cycles = 0.0
         for core_id in core_ids:
-            tlb = self.tlbs[core_id]
-            tlb.cache.drop(vpn)
+            self.tlbs[core_id].drop(vpn)
             if space is not None:
                 prefixes = self._prefixes(space, vpn)
                 for level, prefix in prefixes.items():
-                    self.pwcs[core_id].caches[level].drop(prefix)
+                    self.pwcs[core_id][level].drop(prefix)
             target_node = self.topo.node_of_core(core_id)
             factor = self.topo.links[(initiator_node, target_node)].latency_factor \
                 if target_node != initiator_node else 1.0

@@ -14,15 +14,14 @@ an operation that touches a table page the previous operation also touched
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .topology import Topology, access_latency
 
 DEFAULT_ARITY = 512
 
-PROT_NONE = 0
 PROT_READ = 1
 PROT_RW = 3
 
@@ -87,9 +86,6 @@ class PageTableNode:
             if node is self:
                 return
 
-    def chain_length(self) -> int:
-        return sum(1 for _ in self.chain())
-
 
 @dataclass
 class PtOpCost:
@@ -123,8 +119,7 @@ class AddressSpace:
     """Per-process replicated page tables plus allocation bookkeeping."""
 
     def __init__(self, topo: Topology, process_id: int, home_node: int,
-                 alloc_policy: str = HOME_NODE, arity: int = DEFAULT_ARITY,
-                 requesting_node: Optional[int] = None):
+                 alloc_policy: str = HOME_NODE, arity: int = DEFAULT_ARITY):
         if alloc_policy not in ALLOC_POLICIES:
             raise ValueError(f"unknown allocation policy {alloc_policy!r}")
         if arity < 4:
@@ -139,9 +134,7 @@ class AddressSpace:
         self._interleave_rr = 0
         self._last_tables: Optional[frozenset] = None
         self._last_cycles = 0
-        if requesting_node is None:
-            requesting_node = home_node
-        pgd = PageTableNode(Level.PGD, self._alloc_node(home_node, requesting_node),
+        pgd = PageTableNode(Level.PGD, self._alloc_node(home_node, home_node),
                             home_node)
         self.replica_roots: Dict[int, PageTableNode] = {home_node: pgd}
 
@@ -162,20 +155,6 @@ class AddressSpace:
         node = node_ids[self._interleave_rr % len(node_ids)]
         self._interleave_rr += 1
         return node
-
-    # -- address arithmetic -------------------------------------------------
-
-    def indices(self, vpn: int) -> Tuple[int, int, int, int]:
-        a = self.arity
-        i3 = vpn % a
-        r = vpn // a
-        i2 = r % a
-        r //= a
-        i1 = r % a
-        r //= a
-        if r >= a:
-            raise ValueError(f"vpn {vpn} does not fit a four-level space of arity {a}")
-        return r, i1, i2, i3
 
     @property
     def replica_count(self) -> int:
@@ -205,13 +184,8 @@ class AddressSpace:
 
     def lookup(self, vpn: int) -> Optional[Mapping]:
         """Uncosted translation through the home replica."""
-        table = self.replica_roots[self.home_node]
-        i0, i1, i2, i3 = self.indices(vpn)
-        for idx in (i0, i1, i2):
-            table = table.entries.get(idx)
-            if table is None:
-                return None
-        return table.entries.get(i3)
+        pte = _pte_table(self, self.replica_roots[self.home_node], vpn)
+        return None if pte is None else pte.entries.get(vpn % self.arity)
 
     def iter_tables(self, root: Optional[PageTableNode] = None) -> Iterator[PageTableNode]:
         if root is None:
@@ -223,17 +197,6 @@ class AddressSpace:
             if table.level != Level.PTE:
                 for idx in sorted(table.entries, reverse=True):
                     stack.append(table.entries[idx])
-
-    def table_pages(self) -> int:
-        return sum(1 for _ in self.iter_tables())
-
-
-def create_address_space(topo: Topology, process_id: int, home_node: int,
-                         alloc_policy: str = HOME_NODE, arity: int = DEFAULT_ARITY,
-                         requesting_node: Optional[int] = None) -> AddressSpace:
-    """Fresh address space with a single replica registered under home_node."""
-    return AddressSpace(topo, process_id, home_node, alloc_policy, arity,
-                        requesting_node)
 
 
 # -- internal write machinery -------------------------------------------------
@@ -247,13 +210,16 @@ def _charge_write(space: AddressSpace, table: PageTableNode, updater_node: int,
     touched.add(id(table))
 
 
-def _alloc_children(space: AddressSpace, parent: PageTableNode, idx: int,
-                    child_level: Level, updater_node: int, contention,
-                    cost: PtOpCost, touched: set) -> None:
-    """Allocate the missing child table in every replica and ring-link them."""
+def _alloc_child(space: AddressSpace, parent: PageTableNode, idx: int,
+                 updater_node: int, contention, cost: PtOpCost,
+                 touched: set) -> PageTableNode:
+    """Allocate the missing child table in every replica and ring-link them.
+
+    Returns the new child of parent itself.
+    """
     children: List[PageTableNode] = []
     for par in parent.chain():
-        child = PageTableNode(child_level,
+        child = PageTableNode(Level(par.level + 1),
                               space._alloc_node(par.replica_key, updater_node),
                               par.replica_key)
         par.entries[idx] = child
@@ -261,31 +227,80 @@ def _alloc_children(space: AddressSpace, parent: PageTableNode, idx: int,
         children.append(child)
     for i, child in enumerate(children):
         child.next_replica = children[(i + 1) % len(children)]
+    return children[0]
 
 
 def _pte_table(space: AddressSpace, root: PageTableNode, vpn: int,
-               updater_node: int, contention, cost: Optional[PtOpCost],
-               touched: Optional[set], allocate: bool) -> Optional[PageTableNode]:
-    i0, i1, i2, _ = space.indices(vpn)
-    parent = root
-    for idx, child_level in ((i0, Level.PUD), (i1, Level.PMD), (i2, Level.PTE)):
-        child = parent.entries.get(idx)
+               touches: Optional[List[Tuple[Level, int]]] = None,
+               alloc: Optional[Callable[[PageTableNode, int], PageTableNode]] = None
+               ) -> Optional[PageTableNode]:
+    """The one descent of the tree: from root to the PTE table covering vpn.
+
+    touches, when given, collects (level, resident_node) for every table
+    visited, the PTE table included.  A missing table ends the descent with
+    None, unless alloc is given: then alloc(parent, idx) supplies the child.
+    The PTE entry index is vpn % arity.
+    """
+    a = space.arity
+    top = vpn // (a * a * a)
+    if top >= a:
+        raise ValueError(f"vpn {vpn} does not fit a four-level space of arity {a}")
+    table = root
+    for idx in (top, vpn // (a * a) % a, vpn // a % a):
+        if touches is not None:
+            touches.append((table.level, table.resident_node))
+        child = table.entries.get(idx)
         if child is None:
-            if not allocate:
+            if alloc is None:
                 return None
-            _alloc_children(space, parent, idx, child_level, updater_node,
-                            contention, cost, touched)
-            child = parent.entries[idx]
-        parent = child
-    return parent
+            child = alloc(table, idx)
+        table = child
+    if touches is not None:
+        touches.append((table.level, table.resident_node))
+    return table
 
 
-def _write_all_replicas(space: AddressSpace, pte: PageTableNode, write,
-                        updater_node: int, contention, cost: PtOpCost,
-                        touched: set) -> None:
-    for table in pte.chain():
-        write(table)
-        _charge_write(space, table, updater_node, contention, cost, touched)
+def _mutate_leaf(space: AddressSpace, vpns: Iterable[int], updater_node: int,
+                 contention, write: Callable[[Dict[int, object], int], None],
+                 shootdown: Optional[ShootdownFn] = None, shoots: bool = True,
+                 allocate: bool = False) -> PtOpCost:
+    """The one leaf-mutation path: write each vpn's leaf in every replica.
+
+    For each vpn, find its PTE table through the updater's replica, allocating
+    missing tables when allocate is set and rejecting an unmapped vpn
+    otherwise.  Apply write(entries, idx) to every replica on the ring and
+    charge each entry write; when shoots is set, count a shootdown and call
+    the hook.  A single lock wait covers every table the operation touched.
+    """
+    cost = PtOpCost()
+    touched: set = set()
+    alloc = None
+    if allocate:
+        def alloc(parent: PageTableNode, idx: int) -> PageTableNode:
+            return _alloc_child(space, parent, idx, updater_node, contention,
+                                cost, touched)
+    root = space.root_for(updater_node)
+    for vpn in vpns:
+        pte = _pte_table(space, root, vpn, alloc=alloc)
+        idx = vpn % space.arity
+        if not allocate and (pte is None or idx not in pte.entries):
+            raise NotMappedError(f"vpn {vpn} is not mapped")
+        for table in pte.chain():
+            write(table.entries, idx)
+            _charge_write(space, table, updater_node, contention, cost, touched)
+        if shoots:
+            cost.shootdowns_issued += 1
+            if shootdown is not None:
+                cost.shootdown_cycles += shootdown(vpn)
+    cost.lock_wait_cycles = space._lock_wait(touched, cost.cycles)
+    cost.cycles += cost.lock_wait_cycles
+    return cost
+
+
+def _set_field(name: str, value) -> Callable[[Dict[int, object], int], None]:
+    def write(entries: Dict[int, object], idx: int) -> None:
+        setattr(entries[idx], name, value)
+    return write
 
 
 # -- public operations --------------------------------------------------------
@@ -302,47 +317,25 @@ def map_page(space: AddressSpace, vpn: int, pfn: int, pfn_node: int,
     """
     if space.lookup(vpn) is not None:
         raise MappingExistsError(f"vpn {vpn} already mapped")
-    updater = space.topo.node_of_core(requesting_core)
-    cost = PtOpCost()
-    touched: set = set()
-    pte = _pte_table(space, space.root_for(updater), vpn, updater, contention,
-                     cost, touched, allocate=True)
-    idx = space.indices(vpn)[3]
 
-    def write(table: PageTableNode) -> None:
-        table.entries[idx] = Mapping(vpn, pfn, prot, pfn_node)
+    def install(entries: Dict[int, object], idx: int) -> None:
+        entries[idx] = Mapping(vpn, pfn, prot, pfn_node)
 
-    _write_all_replicas(space, pte, write, updater, contention, cost, touched)
+    cost = _mutate_leaf(space, (vpn,), space.topo.node_of_core(requesting_core),
+                        contention, install, shoots=False, allocate=True)
     space.mappings_count += 1
-    own = cost.cycles
-    cost.lock_wait_cycles = space._lock_wait(touched, own)
-    cost.cycles += cost.lock_wait_cycles
     return cost
 
 
 def unmap_page(space: AddressSpace, vpn: int, requesting_core: int,
                contention=None, shootdown: Optional[ShootdownFn] = None) -> PtOpCost:
     """Clear vpn in every replica and shoot down stale TLB entries."""
-    updater = space.topo.node_of_core(requesting_core)
-    cost = PtOpCost()
-    touched: set = set()
-    pte = _pte_table(space, space.root_for(updater), vpn, updater, contention,
-                     None, None, allocate=False)
-    idx = space.indices(vpn)[3]
-    if pte is None or idx not in pte.entries:
-        raise NotMappedError(f"vpn {vpn} is not mapped")
+    def clear(entries: Dict[int, object], idx: int) -> None:
+        del entries[idx]
 
-    def write(table: PageTableNode) -> None:
-        del table.entries[idx]
-
-    _write_all_replicas(space, pte, write, updater, contention, cost, touched)
+    cost = _mutate_leaf(space, (vpn,), space.topo.node_of_core(requesting_core),
+                        contention, clear, shootdown)
     space.mappings_count -= 1
-    cost.shootdowns_issued += 1
-    if shootdown is not None:
-        cost.shootdown_cycles += shootdown(vpn)
-    own = cost.cycles
-    cost.lock_wait_cycles = space._lock_wait(touched, own)
-    cost.cycles += cost.lock_wait_cycles
     return cost
 
 
@@ -354,29 +347,12 @@ def protect_range(space: AddressSpace, vpn_start: int, n_pages: int, prot: int,
     The whole range is validated before anything is written; a hole anywhere
     leaves the space untouched.
     """
-    missing = [v for v in range(vpn_start, vpn_start + n_pages)
-               if space.lookup(v) is None]
+    vpns = range(vpn_start, vpn_start + n_pages)
+    missing = [v for v in vpns if space.lookup(v) is None]
     if missing:
         raise NotMappedError(f"vpn {missing[0]} in protect range is not mapped")
-    updater = space.topo.node_of_core(requesting_core)
-    cost = PtOpCost()
-    touched: set = set()
-    for vpn in range(vpn_start, vpn_start + n_pages):
-        pte = _pte_table(space, space.root_for(updater), vpn, updater,
-                         contention, None, None, allocate=False)
-        idx = space.indices(vpn)[3]
-
-        def write(table: PageTableNode) -> None:
-            table.entries[idx].prot = prot
-
-        _write_all_replicas(space, pte, write, updater, contention, cost, touched)
-        cost.shootdowns_issued += 1
-        if shootdown is not None:
-            cost.shootdown_cycles += shootdown(vpn)
-    own = cost.cycles
-    cost.lock_wait_cycles = space._lock_wait(touched, own)
-    cost.cycles += cost.lock_wait_cycles
-    return cost
+    return _mutate_leaf(space, vpns, space.topo.node_of_core(requesting_core),
+                        contention, _set_field("prot", prot), shootdown)
 
 
 def set_access_hint(space: AddressSpace, vpn: int, requesting_node: int,
@@ -387,62 +363,23 @@ def set_access_hint(space: AddressSpace, vpn: int, requesting_node: int,
     Models the periodic page unmapping that locality sampling performs; the
     next touch takes a minor fault serviced by clear_access_hint.
     """
-    return _toggle_hint(space, vpn, requesting_node, True, contention, shootdown)
+    return _mutate_leaf(space, (vpn,), requesting_node, contention,
+                        _set_field("numa_hint", True), shootdown)
 
 
 def clear_access_hint(space: AddressSpace, vpn: int, requesting_node: int,
                       contention=None) -> PtOpCost:
     """Disarm a sampling hint after the fault; entry write per replica."""
-    return _toggle_hint(space, vpn, requesting_node, False, contention, None)
-
-
-def _toggle_hint(space: AddressSpace, vpn: int, requesting_node: int, value: bool,
-                 contention, shootdown: Optional[ShootdownFn]) -> PtOpCost:
-    cost = PtOpCost()
-    touched: set = set()
-    pte = _pte_table(space, space.root_for(requesting_node), vpn, requesting_node,
-                     contention, None, None, allocate=False)
-    idx = space.indices(vpn)[3]
-    if pte is None or idx not in pte.entries:
-        raise NotMappedError(f"vpn {vpn} is not mapped")
-
-    def write(table: PageTableNode) -> None:
-        table.entries[idx].numa_hint = value
-
-    _write_all_replicas(space, pte, write, requesting_node, contention, cost, touched)
-    if value:
-        cost.shootdowns_issued += 1
-        if shootdown is not None:
-            cost.shootdown_cycles += shootdown(vpn)
-    own = cost.cycles
-    cost.lock_wait_cycles = space._lock_wait(touched, own)
-    cost.cycles += cost.lock_wait_cycles
-    return cost
+    return _mutate_leaf(space, (vpn,), requesting_node, contention,
+                        _set_field("numa_hint", False), shoots=False)
 
 
 def set_frame_node(space: AddressSpace, vpn: int, new_node: int,
                    requesting_node: int, contention=None,
                    shootdown: Optional[ShootdownFn] = None) -> PtOpCost:
     """Point a mapping at a frame on new_node in every replica (data migration)."""
-    cost = PtOpCost()
-    touched: set = set()
-    pte = _pte_table(space, space.root_for(requesting_node), vpn, requesting_node,
-                     contention, None, None, allocate=False)
-    idx = space.indices(vpn)[3]
-    if pte is None or idx not in pte.entries:
-        raise NotMappedError(f"vpn {vpn} is not mapped")
-
-    def write(table: PageTableNode) -> None:
-        table.entries[idx].pfn_node = new_node
-
-    _write_all_replicas(space, pte, write, requesting_node, contention, cost, touched)
-    cost.shootdowns_issued += 1
-    if shootdown is not None:
-        cost.shootdown_cycles += shootdown(vpn)
-    own = cost.cycles
-    cost.lock_wait_cycles = space._lock_wait(touched, own)
-    cost.cycles += cost.lock_wait_cycles
-    return cost
+    return _mutate_leaf(space, (vpn,), requesting_node, contention,
+                        _set_field("pfn_node", new_node), shootdown)
 
 
 def add_replica(space: AddressSpace, target_node: int, contention=None) -> PtOpCost:
@@ -540,20 +477,6 @@ def translate(space: AddressSpace, vpn: int,
     Returns the mapping (None on fault) and the ordered list of
     (level, resident_node) table touches the walk performed.
     """
-    table = space.root_for(walker_node)
-    i0, i1, i2, i3 = space.indices(vpn)
     touches: List[Tuple[Level, int]] = []
-    for idx in (i0, i1, i2):
-        touches.append((table.level, table.resident_node))
-        nxt = table.entries.get(idx)
-        if nxt is None:
-            return None, touches
-        table = nxt
-    touches.append((table.level, table.resident_node))
-    mapping = table.entries.get(i3)
-    return mapping, touches
-
-
-def replica_root_for(space: AddressSpace, node_id: int) -> PageTableNode:
-    """Root a walker on node_id uses; falls back to the home replica."""
-    return space.root_for(node_id)
+    pte = _pte_table(space, space.root_for(walker_node), vpn, touches)
+    return (None if pte is None else pte.entries.get(vpn % space.arity)), touches

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .pagetable import AddressSpace
+from .pagetable import ALLOC_POLICIES, AddressSpace
 from .topology import Topology
 
 POLICY_KINDS = ("linux", "mitosis", "phoenix")
@@ -56,6 +56,8 @@ class PolicyKind:
             raise ValueError("scan_share must be in [0, 1]")
         if self.migrate_threshold < 1:
             raise ValueError("migrate_threshold must be positive")
+        if self.alloc_policy not in (None, *ALLOC_POLICIES):
+            raise ValueError(f"alloc_policy must be one of {ALLOC_POLICIES}")
 
 
 @dataclass
@@ -287,16 +289,6 @@ def rebalance(policy: PolicyKind, tasks: Sequence[TaskState],
     return moves
 
 
-def on_tick_sample(task: TaskState, delta: PmcSample) -> PmcSample:
-    """Fold one tick's counter deltas into the task's current window."""
-    task.pmc.add(delta)
-    return task.pmc
-
-
-def reset_window(task: TaskState) -> None:
-    task.pmc.reset()
-
-
 def estimate_bandwidth(pmc: PmcSample, cacheline: int = CACHELINE_BYTES) -> int:
     """Bandwidth proxy from counters: cache misses times line size."""
     return pmc.window_llc_misses * cacheline
@@ -344,15 +336,6 @@ def phoenix_evaluate(task: TaskState, loads: Dict[int, NodeLoad],
     return Action("already_handled")
 
 
-def mba_set_throttle(loads: Dict[int, NodeLoad], node_id: int, process_id: int,
-                     cap: float) -> None:
-    """Record a bandwidth cap; caps come in tenths from 0.1 to 1.0."""
-    steps = round(cap * 10)
-    if not 1 <= steps <= 10 or abs(cap * 10 - steps) > 1e-9:
-        raise ValueError(f"invalid mba cap {cap}")
-    loads[node_id].mba_caps[process_id] = cap
-
-
 def autonuma_step(space: AddressSpace, access_stats: Dict[int, Dict[int, int]],
                   policy: PolicyKind) -> List[Tuple[int, int]]:
     """Pick pages whose remote access counts justify moving the data.
@@ -374,8 +357,3 @@ def autonuma_step(space: AddressSpace, access_stats: Dict[int, Dict[int, int]],
         if dominant != mapping.pfn_node:
             migrations.append((vpn, dominant))
     return migrations
-
-
-def on_exit(task: TaskState) -> None:
-    """Detach the task from its core; counters stay for final reporting."""
-    task.current_core = None

@@ -8,14 +8,13 @@ latency factor and by the congestion multipliers supplied by the caller.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Tuple
 
 DEFAULT_LOCAL_LATENCY = 100
 DEFAULT_REMOTE_FACTOR = 1.3
 DEFAULT_NODE_BANDWIDTH = 128.0  # bytes per cycle per memory controller
 DEFAULT_LINK_BANDWIDTH = 128.0  # bytes per cycle per directed link
-DEFAULT_MEMORY_PAGES = 1 << 20
 
 
 class ConfigError(ValueError):
@@ -25,7 +24,6 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class NodeSpec:
     node_id: int
-    memory_capacity_pages: int = DEFAULT_MEMORY_PAGES
     bandwidth_capacity: float = DEFAULT_NODE_BANDWIDTH
 
 
@@ -50,28 +48,10 @@ class Topology:
     cores: List[CoreSpec]
     links: Dict[Tuple[int, int], LinkSpec]
     local_mem_latency: int = DEFAULT_LOCAL_LATENCY
-    _cores_by_node: Dict[int, List[CoreSpec]] = field(default_factory=dict, repr=False)
-
-    def __post_init__(self):
-        self._cores_by_node = {}
-        for core in self.cores:
-            self._cores_by_node.setdefault(core.node_id, []).append(core)
 
     @property
     def node_ids(self) -> List[int]:
         return [n.node_id for n in self.nodes]
-
-    def node(self, node_id: int) -> NodeSpec:
-        for n in self.nodes:
-            if n.node_id == node_id:
-                return n
-        raise ConfigError(f"unknown node {node_id}")
-
-    def core(self, core_id: int) -> CoreSpec:
-        return self.cores[core_id]
-
-    def cores_on(self, node_id: int) -> List[CoreSpec]:
-        return self._cores_by_node.get(node_id, [])
 
     def siblings(self, core_id: int) -> List[int]:
         phys = self.cores[core_id].physical_core_id
@@ -86,12 +66,13 @@ def build_topology(config: dict) -> Topology:
     """Construct a validated Topology from a machine description.
 
     Recognized keys: nodes, cores_per_node, smt, local_latency, remote_factor,
-    node_bandwidth, link_bandwidth, memory_pages, link_factors.  Every pair of
-    distinct nodes receives a link in each direction; self links always have a
-    latency factor of exactly 1.0.
+    node_bandwidth, link_bandwidth, link_factors.  Every pair of distinct
+    nodes receives a link in each direction; self links always have a latency
+    factor of exactly 1.0.  Core ids are unique and node-major by construction,
+    and with SMT each consecutive pair shares one physical core.
 
-    Raises ConfigError for duplicate core ids, a core referencing an unknown
-    node, a missing or out-of-range link factor, or nonsensical counts.
+    Raises ConfigError for a missing or out-of-range link factor or
+    nonsensical counts.
     """
     n_nodes = int(config.get("nodes", 1))
     cores_per_node = int(config.get("cores_per_node", 8))
@@ -100,7 +81,6 @@ def build_topology(config: dict) -> Topology:
     remote_factor = float(config.get("remote_factor", DEFAULT_REMOTE_FACTOR))
     node_bw = float(config.get("node_bandwidth", DEFAULT_NODE_BANDWIDTH))
     link_bw = float(config.get("link_bandwidth", DEFAULT_LINK_BANDWIDTH))
-    mem_pages = int(config.get("memory_pages", DEFAULT_MEMORY_PAGES))
     factors = config.get("link_factors")
 
     if n_nodes < 1:
@@ -112,7 +92,7 @@ def build_topology(config: dict) -> Topology:
     if local_latency < 1:
         raise ConfigError("local latency must be at least one cycle")
 
-    nodes = [NodeSpec(i, mem_pages, node_bw) for i in range(n_nodes)]
+    nodes = [NodeSpec(i, node_bw) for i in range(n_nodes)]
 
     cores = []
     core_id = 0
@@ -140,31 +120,7 @@ def build_topology(config: dict) -> Topology:
                 raise ConfigError(f"link factor {a}->{b} out of range: {factor}")
             links[(a, b)] = LinkSpec(a, b, factor, link_bw)
 
-    topo = Topology(nodes, cores, links, local_latency)
-    _validate(topo)
-    return topo
-
-
-def _validate(topo: Topology) -> None:
-    seen = set()
-    node_ids = set(topo.node_ids)
-    for core in topo.cores:
-        if core.core_id in seen:
-            raise ConfigError(f"duplicate core id {core.core_id}")
-        seen.add(core.core_id)
-        if core.node_id not in node_ids:
-            raise ConfigError(f"core {core.core_id} references unknown node {core.node_id}")
-    phys_width: Dict[int, int] = {}
-    for core in topo.cores:
-        phys_width[core.physical_core_id] = phys_width.get(core.physical_core_id, 0) + 1
-    if any(width > 2 for width in phys_width.values()):
-        raise ConfigError("more than two logical cores share a physical core")
-    for a in node_ids:
-        for b in node_ids:
-            if (a, b) not in topo.links:
-                raise ConfigError(f"missing link {a}->{b}")
-        if topo.links[(a, a)].latency_factor != 1.0:
-            raise ConfigError(f"self link of node {a} must have factor 1.0")
+    return Topology(nodes, cores, links, local_latency)
 
 
 def access_latency(topo: Topology, from_node: int, to_node: int,
@@ -186,16 +142,3 @@ def access_latency(topo: Topology, from_node: int, to_node: int,
             cycles *= contention.link_multiplier(from_node, to_node)
     return int(math.floor(cycles + 0.5))
 
-
-def fastest_neighbor(topo: Topology, node_id: int) -> int:
-    """Distinct node with the lowest outgoing latency factor, ties to lowest id."""
-    best: Optional[Tuple[float, int]] = None
-    for other in topo.node_ids:
-        if other == node_id:
-            continue
-        key = (topo.links[(node_id, other)].latency_factor, other)
-        if best is None or key < best:
-            best = key
-    if best is None:
-        raise ConfigError(f"node {node_id} has no neighbor on a single-node machine")
-    return best[1]

@@ -8,7 +8,7 @@ stays deterministic no matter how scheduling interleaves the tasks.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -71,7 +71,7 @@ class WorkloadSpec:
 
 @dataclass(frozen=True)
 class AccessEvent:
-    kind: str                     # read, write, or vm
+    kind: str                     # access or vm
     vpn: int
     thread_id: int
     vm_kind: Optional[str] = None
@@ -174,7 +174,7 @@ def _draw_vpns(spec: WorkloadSpec, rng: np.random.Generator,
 
 def generate_quantum_events(spec: WorkloadSpec, thread_id: int, rng_seed: int,
                             quantum_index: int) -> List[AccessEvent]:
-    """Event stream for one thread-quantum: reads/writes plus mixed VM ops."""
+    """Event stream for one thread-quantum: data accesses plus mixed VM ops."""
     spec.validate()
     rng = _rng(spec, rng_seed, quantum_index, thread_id)
     n = spec.accesses_per_quantum_per_thread
@@ -199,8 +199,7 @@ def generate_quantum_events(spec: WorkloadSpec, thread_id: int, rng_seed: int,
 
     events: List[AccessEvent] = []
     for i in range(n):
-        kind = "write" if i % 4 == 3 else "read"
-        events.append(AccessEvent(kind, int(vpns[i]), thread_id))
+        events.append(AccessEvent("access", int(vpns[i]), thread_id))
         if i in vm_at:
             vm_kind, start, length = vm_at[i]
             events.append(AccessEvent("vm", start, thread_id, vm_kind, length))

@@ -18,8 +18,8 @@ from numasim.mmu import Mmu
 from numasim.pagetable import (
     PROT_READ,
     PROT_RW,
+    AddressSpace,
     add_replica,
-    create_address_space,
     drop_replica,
     map_page,
     migrate_tables,
@@ -51,7 +51,7 @@ def process_row(report, pid):
 def test_criterion_01_coherence_oracle():
     t0 = time.monotonic()
     topo = build_topology({"nodes": 4, "cores_per_node": 2})
-    space = create_address_space(topo, 1, 0, arity=8)
+    space = AddressSpace(topo, 1, 0, arity=8)
     vspace = 8 ** 4
     rng = random.Random(20260814)
     shadow = {}            # vpn -> (pfn, prot, pfn_node)
@@ -308,7 +308,7 @@ def test_criterion_07_policy_ordering_under_interference():
 def test_criterion_08_walk_cost_model():
     topo = build_topology({"nodes": 2, "cores_per_node": 1,
                            "local_latency": 100, "remote_factor": 1.3})
-    space = create_address_space(topo, 1, 0)
+    space = AddressSpace(topo, 1, 0)
     map_page(space, 5, 77, 0, 0)
     mmu = Mmu(topo)
     local = mmu.page_walk(space, 5, 0, None)

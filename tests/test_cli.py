@@ -138,6 +138,18 @@ def test_validation_failures_name_the_offending_path(tmp_path, capsys):
     raw["telemetry"] = True
     assert cli.main(["run", str(write_scenario(tmp_path, raw, "d.json"))]) == 1
 
+    # memory_pages is not a model input, so a scenario may not set it
+    path = str(write_scenario(tmp_path, base_raw(), "e.json"))
+    assert cli.main(["run", path, "--set", "machine.memory_pages=4096"]) == 1
+    assert "machine: unknown key 'memory_pages'" in capsys.readouterr().err
+
+    # both are refused before the run starts
+    assert cli.main(["run", path, "--set", 'policy.alloc_policy="bogus"']) == 1
+    assert "scenario.policy: alloc_policy" in capsys.readouterr().err
+
+    assert cli.main(["run", path, "--set", "machine.tlb_entries=-1"]) == 1
+    assert "machine.tlb_entries" in capsys.readouterr().err
+
 
 def test_broken_input_exits_one_without_partial_outputs(tmp_path):
     path = tmp_path / "broken.json"

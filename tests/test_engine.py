@@ -1,5 +1,7 @@
 """Simulation engine: contention, throttling, charging, and policy behavior."""
 
+import pytest
+
 from numasim.engine import (
     ContentionState,
     Scenario,
@@ -38,8 +40,7 @@ def test_contention_curve():
     assert state.multiplier(0.6) == 1.0
     assert state.multiplier(0.9) == 3.25
     assert state.multiplier(1.0) == 4.0
-    gentle = ContentionState(knee=0.5, slope=1.0)
-    assert gentle.multiplier(0.75) == 1.5
+    assert state.multiplier(0.7) == pytest.approx(1.75)
 
 
 def test_compute_contention_normalizes_and_clamps():

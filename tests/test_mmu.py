@@ -2,9 +2,9 @@
 
 from numasim.mmu import Mmu
 from numasim.pagetable import (
+    AddressSpace,
     Level,
     add_replica,
-    create_address_space,
     map_page,
     set_frame_node,
 )
@@ -13,7 +13,7 @@ from conftest import make_topo
 
 
 def mapped_space(topo, vpns, home=0):
-    space = create_address_space(topo, 1, home)
+    space = AddressSpace(topo, 1, home)
     for i, vpn in enumerate(vpns):
         map_page(space, vpn, 100 + i, home, requesting_core=home)
     return space
@@ -26,8 +26,7 @@ def test_cold_local_walk_costs_four_local_accesses():
     assert walk.cycles == 400
     assert walk.mem_accesses == 4
     assert walk.remote_accesses == 0
-    assert not walk.faulted
-    assert walk.pfn == 100
+    assert walk.mapping.pfn == 100
     assert walk.touched_nodes == (0, 0, 0, 0)
 
 
@@ -93,12 +92,12 @@ def test_partition_halves_capacity_and_sheds_entries_eagerly():
         mmu.page_walk(space, vpn, 0)
     mmu.set_partition(0, True)
     assert mmu.tlbs[0].partition_active
-    assert len(mmu.tlbs[0].cache) == 4
+    assert len(mmu.tlbs[0]) == 4
     assert mmu.tlb_lookup(0, 3) is None   # older half evicted
     assert mmu.tlb_lookup(0, 7) is not None
     mmu.set_partition(0, False)
     assert not mmu.tlbs[0].partition_active
-    assert mmu.tlbs[0].cache.capacity == 8
+    assert mmu.tlbs[0].capacity == 8
 
 
 def test_fault_charges_the_walk_but_caches_nothing():
@@ -106,8 +105,7 @@ def test_fault_charges_the_walk_but_caches_nothing():
     space = mapped_space(topo, [0])
     mmu = Mmu(topo)
     walk = mmu.page_walk(space, 1, 0)  # PTE table exists, entry absent
-    assert walk.faulted
-    assert walk.pfn is None
+    assert walk.mapping is None
     assert walk.cycles == 400
     assert mmu.tlb_lookup(0, 1) is None
     # the fault primed no PWC levels, so a fresh walk pays in full
@@ -118,7 +116,7 @@ def test_fault_on_missing_subtree_stops_early():
     topo = make_topo(2, 1)
     space = mapped_space(topo, [0])
     walk = Mmu(topo).page_walk(space, 512 ** 2, 0)
-    assert walk.faulted
+    assert walk.mapping is None
     assert walk.mem_accesses == 2  # PGD and PUD reads reach the hole
     assert walk.cycles == 200
 

@@ -15,14 +15,13 @@ from numasim.pagetable import (
     MappingExistsError,
     NotMappedError,
     ReplicaExistsError,
+    AddressSpace,
     add_replica,
     clear_access_hint,
-    create_address_space,
     drop_replica,
     map_page,
     migrate_tables,
     protect_range,
-    replica_root_for,
     set_access_hint,
     set_frame_node,
     translate,
@@ -33,14 +32,18 @@ from conftest import StubContention, make_topo
 
 
 def space_on(topo, home=0, policy=HOME_NODE, arity=512):
-    return create_address_space(topo, process_id=1, home_node=home,
-                                alloc_policy=policy, arity=arity)
+    return AddressSpace(topo, process_id=1, home_node=home,
+                        alloc_policy=policy, arity=arity)
+
+
+def table_pages(space):
+    return sum(1 for _ in space.iter_tables())
 
 
 def test_fresh_space_has_one_replica_pgd_only():
     space = space_on(make_topo(2, 1))
     assert space.replica_count == 1
-    assert space.table_pages() == 1
+    assert table_pages(space) == 1
     assert space.lookup(0) is None
 
 
@@ -50,7 +53,7 @@ def test_first_map_allocates_full_path():
     # PUD, PMD, PTE allocations plus the entry itself, all local
     assert cost.writes_performed == 4
     assert cost.cycles == 400
-    assert space.table_pages() == 4
+    assert table_pages(space) == 4
     m = space.lookup(0)
     assert (m.pfn, m.prot, m.pfn_node) == (7, PROT_RW, 0)
 
@@ -155,12 +158,12 @@ def test_add_replica_copies_every_table_and_links_rings():
     space = space_on(make_topo(2, 1))
     map_page(space, 0, 10, 0, requesting_core=0)
     map_page(space, 512, 11, 0, requesting_core=0)  # second PTE table
-    pages = space.table_pages()
+    pages = table_pages(space)
     assert pages == 5
     cost = add_replica(space, 1)
     assert cost.pages_copied == pages
     for table in space.iter_tables():
-        assert table.chain_length() == 2
+        assert len(list(table.chain())) == 2
     m, touches = translate(space, 0, walker_node=1)
     assert m.pfn == 10
     assert all(node == 1 for _, node in touches)
@@ -192,7 +195,7 @@ def test_drop_replica_unlinks_and_frees():
     assert cost.cycles == 400  # one local write per freed table page
     assert space.replica_count == 1
     for table in space.iter_tables():
-        assert table.chain_length() == 1
+        assert len(list(table.chain())) == 1
     m, _ = translate(space, 0, walker_node=1)  # falls back to home replica
     assert m.pfn == 10
 
@@ -221,7 +224,7 @@ def test_migrate_single_replica_exempts_the_pgd():
     space = space_on(make_topo(2, 1))
     map_page(space, 0, 10, 0, requesting_core=0)
     map_page(space, 1, 11, 0, requesting_core=0)
-    pages = space.table_pages()
+    pages = table_pages(space)
     cost = migrate_tables(space, 0, 1)
     assert cost.pages_copied == pages - 1
     assert cost.pgd_pages_exempt == 1
@@ -231,14 +234,14 @@ def test_migrate_single_replica_exempts_the_pgd():
     assert m.pfn == 10
     assert all(node == 1 for _, node in touches)
     for table in space.iter_tables():
-        assert table.chain_length() == 1
+        assert len(list(table.chain())) == 1
 
 
 def test_migrate_with_other_replicas_pays_full_copy():
     space = space_on(make_topo(4, 1))
     map_page(space, 0, 10, 0, requesting_core=0)
     add_replica(space, 1)
-    pages = space.table_pages()
+    pages = table_pages(space)
     cost = migrate_tables(space, 1, 2)
     assert cost.pages_copied == pages
     assert cost.pgd_pages_exempt == 0
@@ -354,20 +357,20 @@ def test_access_hints_round_trip():
 
 def test_replica_root_fallback():
     space = space_on(make_topo(2, 1))
-    assert replica_root_for(space, 1) is space.replica_roots[0]
+    assert space.root_for(1) is space.replica_roots[0]
     add_replica(space, 1)
-    assert replica_root_for(space, 1) is space.replica_roots[1]
+    assert space.root_for(1) is space.replica_roots[1]
 
 
 def test_construction_validation():
     topo = make_topo(2, 1)
     with pytest.raises(ValueError):
-        create_address_space(topo, 1, 0, alloc_policy="random")
+        AddressSpace(topo, 1, 0, alloc_policy="random")
     with pytest.raises(ValueError):
-        create_address_space(topo, 1, 0, arity=2)
+        AddressSpace(topo, 1, 0, arity=2)
     space = space_on(topo, arity=8)
     with pytest.raises(ValueError):
-        space.indices(8 ** 4)  # beyond the four-level space
+        space.lookup(8 ** 4)  # beyond the four-level space
 
 
 def test_random_op_soup_keeps_rings_and_contents_coherent():

@@ -2,7 +2,8 @@
 
 import pytest
 
-from numasim.pagetable import add_replica, create_address_space, map_page
+from numasim.engine import Scenario, Simulation, WorkloadEntry
+from numasim.pagetable import AddressSpace, add_replica, map_page
 from numasim.sched import (
     CoreSlot,
     NodeLoad,
@@ -11,18 +12,19 @@ from numasim.sched import (
     TaskState,
     autonuma_step,
     estimate_bandwidth,
-    mba_set_throttle,
-    on_exit,
     on_fork,
-    on_tick_sample,
     phoenix_evaluate,
     place_process,
     place_thread,
     rebalance,
-    reset_window,
 )
+from numasim.workload import preset
 
 from conftest import make_topo
+
+
+def cores_on(topo, node_id):
+    return [c.core_id for c in topo.cores if c.node_id == node_id]
 
 
 def loads_for(**per_node):
@@ -50,6 +52,9 @@ def test_policy_kind_validation():
         PolicyKind("linux", force_replicas=0).validate()
     with pytest.raises(ValueError):
         PolicyKind("linux", scan_share=1.5).validate()
+    PolicyKind("linux", alloc_policy="interleave").validate()
+    with pytest.raises(ValueError):
+        PolicyKind("linux", alloc_policy="bogus").validate()
 
 
 def test_pmc_window_arithmetic():
@@ -184,7 +189,7 @@ def test_rebalance_moves_tasks_until_within_tolerance():
     tasks = []
     for i in range(24):
         node = 0 if i < 16 else 1
-        core = topo.cores_on(node)[i % 4].core_id
+        core = cores_on(topo, node)[i % 4]
         slots[core].occupancy += 1
         tasks.append(TaskState(i, 1, home_node=node, allowed_nodes=[node],
                                current_core=core))
@@ -202,7 +207,7 @@ def test_rebalance_leaves_tolerable_imbalance_alone():
     tasks = []
     for i in range(9):
         node = 0 if i < 5 else 1
-        core = topo.cores_on(node)[i % 4].core_id
+        core = cores_on(topo, node)[i % 4]
         slots[core].occupancy += 1
         tasks.append(TaskState(i, 1, current_core=core))
     assert rebalance(PolicyKind("linux"), tasks, slots) == []
@@ -213,7 +218,7 @@ def test_rebalance_phoenix_respects_allowed_nodes():
     slots = slots_for(topo)
     tasks = []
     for i in range(4):
-        core = topo.cores_on(0)[i].core_id
+        core = cores_on(topo, 0)[i]
         slots[core].occupancy += 1
         tasks.append(TaskState(i, 1, home_node=0, allowed_nodes=[0],
                                phoenix_enabled=True, current_core=core))
@@ -229,13 +234,11 @@ def test_rebalance_phoenix_respects_allowed_nodes():
 
 def test_window_sampling_accumulates_and_resets():
     task = TaskState(0, 1)
-    on_tick_sample(task, PmcSample(window_total_cycles=100,
-                                   window_pagewalk_cycles=30))
-    pmc = on_tick_sample(task, PmcSample(window_total_cycles=100,
-                                         window_pagewalk_cycles=30))
-    assert pmc.window_total_cycles == 200
-    assert pmc.pw_ratio() == 0.3
-    reset_window(task)
+    task.pmc.add(PmcSample(window_total_cycles=100, window_pagewalk_cycles=30))
+    task.pmc.add(PmcSample(window_total_cycles=100, window_pagewalk_cycles=30))
+    assert task.pmc.window_total_cycles == 200
+    assert task.pmc.pw_ratio() == 0.3
+    task.pmc.reset()
     assert task.pmc.window_total_cycles == 0
 
 
@@ -255,7 +258,7 @@ def breach_task(pid=1):
 
 def test_phoenix_evaluate_is_quiet_below_threshold():
     topo = make_topo(2, 1)
-    space = create_address_space(topo, 1, 0)
+    space = AddressSpace(topo, 1, 0)
     task = breach_task()
     task.pmc = PmcSample(window_total_cycles=1000, window_pagewalk_cycles=50)
     policy = PolicyKind("phoenix")
@@ -266,7 +269,7 @@ def test_phoenix_evaluate_is_quiet_below_threshold():
 
 def test_phoenix_evaluate_throttles_the_saturating_antagonist_first():
     topo = make_topo(2, 1)
-    space = create_address_space(topo, 1, 0)
+    space = AddressSpace(topo, 1, 0)
     policy = PolicyKind("phoenix")
     task = breach_task(pid=1)
     loads = {0: NodeLoad(0, utilization=0.95, process_stats={
@@ -281,7 +284,7 @@ def test_phoenix_evaluate_throttles_the_saturating_antagonist_first():
     assert action.cap == 0.1
 
     # the cap lands; the next window holds off while it takes effect
-    mba_set_throttle(loads, 0, 2, action.cap)
+    loads[0].mba_caps[2] = action.cap
     action = phoenix_evaluate(task, loads, space, policy, 0.6, current_node=0)
     assert action.kind == "already_handled"
 
@@ -295,7 +298,7 @@ def test_phoenix_evaluate_throttles_the_saturating_antagonist_first():
 
 def test_phoenix_evaluate_never_throttles_quiet_or_high_priority_peers():
     topo = make_topo(2, 1)
-    space = create_address_space(topo, 1, 0)
+    space = AddressSpace(topo, 1, 0)
     policy = PolicyKind("phoenix")
     task = breach_task(pid=1)
     calm = {0: NodeLoad(0, utilization=0.4, process_stats={2: (900_000, "low")})}
@@ -315,7 +318,7 @@ def test_phoenix_evaluate_never_throttles_quiet_or_high_priority_peers():
 
 def test_phoenix_evaluate_skips_replication_where_one_exists():
     topo = make_topo(2, 1)
-    space = create_address_space(topo, 1, 0)
+    space = AddressSpace(topo, 1, 0)
     add_replica(space, 1)
     policy = PolicyKind("phoenix", mba=False)
     task = breach_task()
@@ -327,7 +330,7 @@ def test_phoenix_evaluate_skips_replication_where_one_exists():
 
 def test_phoenix_evaluate_ignores_non_phoenix_tasks():
     topo = make_topo(2, 1)
-    space = create_address_space(topo, 1, 0)
+    space = AddressSpace(topo, 1, 0)
     task = breach_task()
     task.phoenix_enabled = False
     action = phoenix_evaluate(task, {0: NodeLoad(0)}, space,
@@ -335,20 +338,9 @@ def test_phoenix_evaluate_ignores_non_phoenix_tasks():
     assert action.kind == "none"
 
 
-def test_mba_caps_come_in_tenths():
-    loads = {0: NodeLoad(0)}
-    mba_set_throttle(loads, 0, 7, 0.1)
-    assert loads[0].mba_caps[7] == 0.1
-    mba_set_throttle(loads, 0, 7, 1.0)
-    with pytest.raises(ValueError):
-        mba_set_throttle(loads, 0, 7, 0.35)
-    with pytest.raises(ValueError):
-        mba_set_throttle(loads, 0, 7, 0.05)
-
-
 def test_autonuma_migrates_remote_heavy_pages():
     topo = make_topo(4, 1)
-    space = create_address_space(topo, 1, 0)
+    space = AddressSpace(topo, 1, 0)
     map_page(space, 0, 1, 0, requesting_core=0)
     map_page(space, 1, 2, 0, requesting_core=0)
     policy = PolicyKind("linux")  # migrate_threshold 4
@@ -365,6 +357,10 @@ def test_autonuma_migrates_remote_heavy_pages():
 
 
 def test_on_exit_detaches_the_core():
-    task = TaskState(0, 1, current_core=3)
-    on_exit(task)
-    assert task.current_core is None
+    spec = preset("gups_like", thread_count=2, footprint_pages=64)
+    scenario = Scenario(machine={"nodes": 2, "cores_per_node": 2},
+                        workloads=[WorkloadEntry(spec)],
+                        policy=PolicyKind("linux"), duration_quanta=3)
+    result = Simulation(scenario).run()
+    assert [t.st.current_core for t in result.tasks] == [None, None]
+    assert all(t.counters.events_issued for t in result.tasks)

@@ -6,7 +6,6 @@ from numasim.topology import (
     ConfigError,
     access_latency,
     build_topology,
-    fastest_neighbor,
 )
 
 from conftest import StubContention, make_topo
@@ -16,7 +15,7 @@ def test_default_two_node_shape():
     topo = make_topo(2, 4)
     assert topo.node_ids == [0, 1]
     assert len(topo.cores) == 8
-    assert [c.core_id for c in topo.cores_on(1)] == [4, 5, 6, 7]
+    assert [c.core_id for c in topo.cores if c.node_id == 1] == [4, 5, 6, 7]
     assert topo.node_of_core(5) == 1
     # ordered pairs including self links
     assert len(topo.links) == 4
@@ -40,13 +39,13 @@ def test_without_smt_each_core_has_own_pipeline():
 
 def test_smt_pairs_adjacent_cores():
     topo = make_topo(2, 4, smt=True)
-    assert topo.core(0).physical_core_id == topo.core(1).physical_core_id
-    assert topo.core(2).physical_core_id == topo.core(3).physical_core_id
-    assert topo.core(1).physical_core_id != topo.core(2).physical_core_id
+    assert topo.cores[0].physical_core_id == topo.cores[1].physical_core_id
+    assert topo.cores[2].physical_core_id == topo.cores[3].physical_core_id
+    assert topo.cores[1].physical_core_id != topo.cores[2].physical_core_id
     assert topo.siblings(0) == [1]
     assert topo.siblings(1) == [0]
     # pairs never straddle nodes
-    assert topo.core(4).physical_core_id == topo.core(5).physical_core_id
+    assert topo.cores[4].physical_core_id == topo.cores[5].physical_core_id
     assert topo.node_of_core(4) == 1
 
 
@@ -107,9 +106,6 @@ def test_explicit_link_matrix():
         for b in range(4):
             expected = int(100 * factors[a][b] + 0.5)
             assert access_latency(topo, a, b) == expected
-    assert fastest_neighbor(topo, 0) == 1
-    # 1 and 2 tie at 1.3; lowest id wins
-    assert fastest_neighbor(topo, 3) == 1
 
 
 def test_self_link_always_unit_factor():
@@ -117,17 +113,6 @@ def test_self_link_always_unit_factor():
     topo = make_topo(2, 1, link_factors=factors)
     assert topo.links[(0, 0)].latency_factor == 1.0
     assert topo.links[(1, 1)].latency_factor == 1.0
-
-
-def test_fastest_neighbor_uniform_factors_picks_lowest_id():
-    topo = make_topo(4, 1)
-    assert fastest_neighbor(topo, 2) == 0
-
-
-def test_fastest_neighbor_single_node_rejected():
-    topo = make_topo(1, 1)
-    with pytest.raises(ConfigError):
-        fastest_neighbor(topo, 0)
 
 
 def test_validation_rejects_bad_shapes():
@@ -161,4 +146,3 @@ def test_bandwidth_defaults():
     topo = make_topo()
     assert topo.nodes[0].bandwidth_capacity == 128.0
     assert topo.links[(0, 1)].bandwidth_capacity == 128.0
-    assert topo.nodes[0].memory_capacity_pages == 1 << 20

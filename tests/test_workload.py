@@ -51,15 +51,13 @@ def test_sequential_quanta_continue_the_stride():
     assert vpns[:4] == [2, 3, 4, 5]  # picks up where quantum 0 left off
 
 
-def test_every_fourth_access_is_a_write():
+def test_data_accesses_share_one_kind():
+    # the engine only tells VM operations apart from data accesses
     spec = spec_for("uniform_random", footprint=64, n=100)
     events = [e for e in generate_quantum_events(spec, 0, 1, 0)
               if e.kind != "vm"]
-    kinds = [e.kind for e in events]
     assert len(events) == 100
-    assert kinds.count("write") == 25
-    assert all(kinds[i] == "write" for i in range(3, 100, 4))
-    assert all(kinds[i] == "read" for i in range(0, 100, 4))
+    assert {e.kind for e in events} == {"access"}
 
 
 def test_uniform_draws_cover_the_footprint_evenly():
