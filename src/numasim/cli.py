@@ -25,7 +25,10 @@ from typing import Dict, List, Optional
 from . import __version__, metrics, workload
 from .engine import (DEFAULT_QUANTUM_CYCLES, Scenario, WorkloadEntry,
                      run_scenario)
+from .mmu import DEFAULT_TLB_ENTRIES
+from .pagetable import DEFAULT_ARITY
 from .sched import PolicyKind
+from .topology import ConfigError
 
 OUT_ENV_VAR = "NUMASIM_OUT"
 
@@ -70,6 +73,16 @@ def _reject_unknown(section: dict, allowed: set, where: str) -> None:
     for key in section:
         if key not in allowed:
             raise ValidationError(f"{where}: unknown key {key!r}")
+
+
+def _int_at_least(value, minimum: int, where: str) -> int:
+    try:
+        number = int(value)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{where}: expected an integer, got {value!r}") from None
+    if number < minimum:
+        raise ValidationError(f"{where}: must be at least {minimum}, got {number}")
+    return number
 
 
 def _spec_from_dict(data: dict, where: str) -> workload.WorkloadSpec:
@@ -133,12 +146,23 @@ def scenario_from_dict(raw: dict, source: str = "scenario") -> Scenario:
     if not isinstance(machine, dict):
         raise ValidationError(f"{source}.machine: expected an object")
     _reject_unknown(machine, MACHINE_KEYS, f"{source}.machine")
+    # the machine values the model reads outside topology.build_topology
+    _int_at_least(machine.get("tlb_entries", DEFAULT_TLB_ENTRIES), 1,
+                  f"{source}.machine.tlb_entries")
+    arity = _int_at_least(machine.get("arity", DEFAULT_ARITY), 4,
+                          f"{source}.machine.arity")
 
     workloads_raw = raw["workloads"]
     if not isinstance(workloads_raw, list) or not workloads_raw:
         raise ValidationError(f"{source}.workloads: expected a non-empty list")
     entries = [_workload_entry(item, f"{source}.workloads[{i}]")
                for i, item in enumerate(workloads_raw)]
+    for i, entry in enumerate(entries):
+        if entry.spec.footprint_pages > arity ** 4:
+            raise ValidationError(
+                f"{source}.workloads[{i}]: footprint_pages "
+                f"{entry.spec.footprint_pages} exceeds the {arity ** 4} pages "
+                f"a four-level table of arity {arity} maps")
 
     policy_raw = raw["policy"]
     if not isinstance(policy_raw, dict) or "kind" not in policy_raw:
@@ -161,10 +185,12 @@ def scenario_from_dict(raw: dict, source: str = "scenario") -> Scenario:
         machine=machine,
         workloads=entries,
         policy=policy,
-        duration_quanta=int(run_raw.get("duration_quanta", 100)),
-        rng_seed=int(run_raw.get("seed", 1)),
-        quantum_cycles=int(run_raw.get("quantum_cycles",
-                                       DEFAULT_QUANTUM_CYCLES)),
+        duration_quanta=_int_at_least(run_raw.get("duration_quanta", 100), 1,
+                                      f"{source}.run.duration_quanta"),
+        rng_seed=_int_at_least(run_raw.get("seed", 1), 0, f"{source}.run.seed"),
+        quantum_cycles=_int_at_least(
+            run_raw.get("quantum_cycles", DEFAULT_QUANTUM_CYCLES), 1,
+            f"{source}.run.quantum_cycles"),
         timeseries=bool(run_raw.get("timeseries", False)),
         prefault=bool(run_raw.get("prefault", False)),
         name=str(raw.get("name", "scenario")))
@@ -508,10 +534,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ValidationError, ValueError) as exc:
+    except (ValidationError, ConfigError) as exc:  # bad input
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except Exception as exc:  # simulation failures: distinct exit code
+    except Exception as exc:  # anything raised inside the run
         print(f"runtime error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

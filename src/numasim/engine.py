@@ -4,8 +4,10 @@ Each quantum every core runs the task at the head of its run queue, draws
 that task's deterministic event stream, and charges cycles for TLB lookups,
 page walks, data accesses, and VM operations.  Memory traffic recorded in one
 quantum sets the contention multipliers for the next, so interference always
-acts with a one-epoch lag.  All iteration is in fixed id order; a scenario
-and seed fully determine the output.
+acts with a one-epoch lag.  Prices are therefore fixed per quantum:
+`compute_contention` builds the quantum's latency table once, and every
+access reads its price from it.  All iteration is in fixed id order; a
+scenario and seed fully determine the output.
 """
 
 from __future__ import annotations
@@ -18,14 +20,14 @@ from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 from . import metrics, pagetable, sched, workload
-from .mmu import Mmu
+from .mmu import DEFAULT_TLB_ENTRIES, Mmu
 from .pagetable import (AddressSpace, PROT_READ, add_replica,
                         clear_access_hint, map_page, migrate_tables,
                         protect_range, set_access_hint, set_frame_node,
                         unmap_page)
 from .sched import (Action, CoreSlot, NodeLoad, PmcSample, PolicyKind,
                     TaskState, estimate_bandwidth)
-from .topology import Topology, access_latency, build_topology
+from .topology import Topology, access_latency, build_topology, latency_table
 
 PAGE_BYTES = 4096
 CACHELINE_BYTES = 64
@@ -39,9 +41,12 @@ CONTENTION_CAP = 4.0
 
 @dataclass
 class ContentionState:
-    """Per-node and per-link utilization from the previous quantum."""
+    """Per-node and per-link utilization from the previous quantum, and the
+    access prices they fix for this one."""
     u_node: Dict[int, float] = field(default_factory=dict)
     u_link: Dict[Tuple[int, int], float] = field(default_factory=dict)
+    # from_node -> to_node -> cycles, as topology.latency_table builds it
+    cycles: Dict[int, Dict[int, int]] = field(default_factory=dict)
 
     def multiplier(self, u: float) -> float:
         if u <= CONTENTION_KNEE:
@@ -59,7 +64,11 @@ class ContentionState:
 def compute_contention(topo: Topology, node_bytes: Dict[int, int],
                        link_bytes: Dict[Tuple[int, int], int],
                        quantum_cycles: int) -> ContentionState:
-    """Utilization is bytes moved over capacity times quantum length, clamped."""
+    """Utilization is bytes moved over capacity times quantum length, clamped.
+
+    The utilizations fix the next quantum's prices, so its latency table is
+    built here, once, and `access_latency` reads every price from it.
+    """
     state = ContentionState()
     for node in topo.nodes:
         cap = node.bandwidth_capacity * quantum_cycles
@@ -71,6 +80,7 @@ def compute_contention(topo: Topology, node_bytes: Dict[int, int],
         cap = link.bandwidth_capacity * quantum_cycles
         u = link_bytes.get((a, b), 0) / cap if cap else 0.0
         state.u_link[(a, b)] = min(1.0, max(0.0, u))
+    state.cycles = latency_table(topo, state)
     return state
 
 
@@ -222,12 +232,9 @@ class Simulation:
         self.scenario = scenario
         self.policy = scenario.policy
         self.topo = build_topology(scenario.machine)
-        tlb_entries = int(scenario.machine.get("tlb_entries", 64))
-        if tlb_entries < 1:
-            raise ValueError(
-                f"machine.tlb_entries: must be at least 1, got {tlb_entries}")
-        self.mmu = Mmu(self.topo, tlb_entries=tlb_entries)
-        self.contention = ContentionState()
+        self.mmu = Mmu(self.topo, tlb_entries=int(
+            scenario.machine.get("tlb_entries", DEFAULT_TLB_ENTRIES)))
+        self.contention = ContentionState(cycles=self.topo.cycles)
         self.cores = [CoreState(c.core_id, c.node_id, c.physical_core_id)
                       for c in self.topo.cores]
         self.tasks: List[SimTask] = []
@@ -288,8 +295,8 @@ class Simulation:
         alloc = self.policy.alloc_policy or \
             (pagetable.HOME_NODE if self.policy.kind == "phoenix"
              else pagetable.FIRST_TOUCH)
-        space = AddressSpace(self.topo, pid, home, alloc,
-                             arity=int(self.scenario.machine.get("arity", 512)))
+        arity = int(self.scenario.machine.get("arity", pagetable.DEFAULT_ARITY))
+        space = AddressSpace(self.topo, pid, home, alloc, arity=arity)
         space.lock_mode = self.policy.lock_mode or \
             ("global" if self.policy.kind == "mitosis" else "per_table")
         proc.space = space
@@ -380,67 +387,84 @@ class Simulation:
     # -- event execution -----------------------------------------------------------
 
     def _run_task(self, task: SimTask, core: CoreState) -> None:
+        """Issue the task's events for this quantum in one loop.
+
+        Contention, and so every price, is fixed for the quantum: what each
+        access needs is read once before the loop, and the integer counters
+        and traffic are added once after it.
+        """
         proc = task.process
         spec = proc.spec
         new_events = workload.generate_quantum_events(
             spec, task.thread_index, self.scenario.rng_seed, self.quantum)
-        task.backlog.extend(new_events)
+        backlog = task.backlog
+        backlog.extend(new_events)
         cap = self.mba_caps.get((core.node_id, proc.pid), 1.0)
-        issue = apply_mba(len(task.backlog), cap, len(new_events))
-        llc_rng = random.Random(
-            f"{self.scenario.rng_seed}:llc:{task.task_id}:{self.quantum}")
+        issue = apply_mba(len(backlog), cap, len(new_events))
+        llc_random = random.Random(
+            f"{self.scenario.rng_seed}:llc:{task.task_id}:{self.quantum}").random
+
+        space = proc.space
+        topo = self.topo
+        contention = self.contention
+        tlb_lookup = self.mmu.tlb_lookup
+        node = core.node_id
+        core_id = core.core_id
+        llc_miss_rate = spec.llc_miss_rate
+        line_bytes = int(CACHELINE_BYTES * spec.bandwidth_intensity)
+        access_stats = proc.access_stats if self.policy.autonuma else None
+        bytes_to = [0] * len(topo.nodes)  # traffic by destination node
+        accesses = hits = llc_misses = stall = 0
+
         for _ in range(issue):
-            event = task.backlog.popleft()
+            event = backlog.popleft()
             if event.kind == "vm":
                 self._do_vm_op(task, core, event)
+                continue
+            vpn = event.vpn
+            accesses += 1
+            mapping = tlb_lookup(core_id, vpn)
+            if mapping is not None:
+                hits += 1
             else:
-                self._do_access(task, core, event, llc_rng)
+                mapping = self._walk(task, core, vpn, bytes_to)
+                if mapping is None:
+                    # first touch: install the page, then complete the walk
+                    pfn_node = self._data_node(proc, node)
+                    cost = map_page(space, vpn, self._alloc_pfn(), pfn_node,
+                                    core_id, contention=contention)
+                    self._charge_pt_cost(task, cost)
+                    mapping = self._walk(task, core, vpn, bytes_to)
 
-    def _do_access(self, task: SimTask, core: CoreState,
-                   event: workload.AccessEvent, llc_rng: random.Random) -> None:
-        proc = task.process
-        spec = proc.spec
-        space = proc.space
-        c = task.counters
-        node = core.node_id
-        vpn = event.vpn
-        c.events_issued += 1
-        c.total_cycles += COMPUTE_CYCLES_PER_EVENT
-
-        mapping = self.mmu.tlb_lookup(core.core_id, vpn)
-        if mapping is not None:
-            c.tlb_hits += 1
-        else:
-            c.dtlb_misses += 1
-            mapping = self._walk(task, core, vpn)
-            if mapping is None:
-                # first touch: install the page, then complete the walk
-                pfn_node = self._data_node(proc, node)
-                cost = map_page(space, vpn, self._alloc_pfn(), pfn_node,
-                                core.core_id, contention=self.contention)
+            if mapping.numa_hint:
+                # access-sampling fault: repair the hint and note who touched it
+                cost = clear_access_hint(space, vpn, node, contention)
                 self._charge_pt_cost(task, cost)
-                mapping = self._walk(task, core, vpn)
 
-        if mapping.numa_hint:
-            # access-sampling fault: repair the hint and note who touched it
-            cost = clear_access_hint(space, vpn, node, self.contention)
-            self._charge_pt_cost(task, cost)
+            stall += access_latency(topo, node, mapping.pfn_node, contention)
+            if llc_random() < llc_miss_rate:
+                llc_misses += 1
+                bytes_to[mapping.pfn_node] += line_bytes
 
-        latency = access_latency(self.topo, node, mapping.pfn_node,
-                                 self.contention)
-        c.total_cycles += latency
-        c.stall_cycles += latency
+            if access_stats is not None:
+                stats = access_stats.setdefault(vpn, {})
+                stats[node] = stats.get(node, 0) + 1
 
-        if llc_rng.random() < spec.llc_miss_rate:
-            c.llc_misses += 1
-            nbytes = int(CACHELINE_BYTES * spec.bandwidth_intensity)
-            self._traffic(task, node, mapping.pfn_node, nbytes)
+        c = task.counters
+        c.events_issued += accesses
+        c.total_cycles += accesses * COMPUTE_CYCLES_PER_EVENT + stall
+        c.stall_cycles += stall
+        c.tlb_hits += hits
+        c.dtlb_misses += accesses - hits
+        c.llc_misses += llc_misses
+        for to_node, nbytes in enumerate(bytes_to):
+            if nbytes:
+                self._traffic(task, node, to_node, nbytes)
 
-        if self.policy.autonuma:
-            stats = proc.access_stats.setdefault(vpn, {})
-            stats[node] = stats.get(node, 0) + 1
-
-    def _walk(self, task: SimTask, core: CoreState, vpn: int):
+    def _walk(self, task: SimTask, core: CoreState, vpn: int,
+              bytes_to: List[int]):
+        """Walk for vpn, charge its cycles, and add a line of traffic per
+        table page it read to bytes_to, indexed by destination node."""
         result = self.mmu.page_walk(task.process.space, vpn, core.core_id,
                                     self.contention)
         c = task.counters
@@ -450,7 +474,7 @@ class Simulation:
         c.walk_mem_accesses += result.mem_accesses
         c.walk_remote_accesses += result.remote_accesses
         for touched in result.touched_nodes:
-            self._traffic(task, core.node_id, touched, CACHELINE_BYTES)
+            bytes_to[touched] += CACHELINE_BYTES
         return result.mapping
 
     def _do_vm_op(self, task: SimTask, core: CoreState,
@@ -478,10 +502,11 @@ class Simulation:
                                       self.contention, shootdown)
                     self._charge_pt_cost(task, cost)
         elif event.vm_kind == "protect":
+            # one protect_range per run of contiguous mapped pages
             run: List[int] = []
             for vpn in pages + [None]:
-                contiguous = vpn is not None and (not run or vpn == run[-1] + 1)
-                if contiguous and space.lookup(vpn) is not None:
+                mapped = vpn is not None and space.lookup(vpn) is not None
+                if mapped and (not run or vpn == run[-1] + 1):
                     run.append(vpn)
                     continue
                 if run:
@@ -489,7 +514,7 @@ class Simulation:
                                          core.core_id, self.contention,
                                          shootdown)
                     self._charge_pt_cost(task, cost)
-                run = [] if vpn is None or space.lookup(vpn) is None else [vpn]
+                run = [vpn] if mapped else []
         elif event.vm_kind == "remap":
             dest = (start + fp // 2) % fp
             for vpn in pages:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -15,39 +14,41 @@ DEFAULT_TLB_ENTRIES = 64
 DEFAULT_PWC_ENTRIES = {Level.PGD: 4, Level.PUD: 16, Level.PMD: 32}
 DEFAULT_IPI_CYCLES = 50
 TLB_HIT_CYCLES = 1
+_CACHED_LEVELS = (Level.PGD, Level.PUD, Level.PMD)
 
 
 class _LruCache:
-    """Bounded LRU map.  Capacity halves while the SMT sibling is busy."""
+    """Bounded LRU map over an insertion-ordered dict, oldest entry first.
+
+    Capacity halves while the SMT sibling is busy.
+    """
 
     def __init__(self, capacity: int):
         self.capacity = capacity
         self.partition_active = False
-        self.entries: "OrderedDict[int, object]" = OrderedDict()
-
-    def effective_capacity(self) -> int:
-        return max(1, self.capacity // 2) if self.partition_active else self.capacity
+        self.limit = capacity  # effective capacity, set with the partition
+        self.entries: Dict[int, object] = {}
 
     def set_partition(self, active: bool) -> None:
         self.partition_active = active
-        self._shrink()
-
-    def _shrink(self) -> None:
-        cap = self.effective_capacity()
-        while len(self.entries) > cap:
-            self.entries.popitem(last=False)
+        self.limit = max(1, self.capacity // 2) if active else self.capacity
+        entries = self.entries
+        while len(entries) > self.limit:
+            del entries[next(iter(entries))]
 
     def get(self, key: int):
-        value = self.entries.get(key)
+        """The value, made most recent; None when absent."""
+        value = self.entries.pop(key, None)
         if value is not None:
-            self.entries.move_to_end(key)
+            self.entries[key] = value
         return value
 
     def put(self, key: int, value) -> None:
-        if key in self.entries:
-            self.entries.move_to_end(key)
-        self.entries[key] = value
-        self._shrink()
+        entries = self.entries
+        entries.pop(key, None)
+        entries[key] = value
+        if len(entries) > self.limit:
+            del entries[next(iter(entries))]
 
     def drop(self, key: int) -> None:
         self.entries.pop(key, None)
@@ -108,11 +109,11 @@ class Mmu:
 
     # -- walks ------------------------------------------------------------------
 
-    def _prefixes(self, space: AddressSpace, vpn: int) -> Dict[Level, int]:
+    @staticmethod
+    def _prefixes(space: AddressSpace, vpn: int) -> Tuple[int, int, int]:
+        """The PWC keys of vpn, indexed by level: PGD, PUD, PMD."""
         a = space.arity
-        return {Level.PGD: vpn // (a * a * a),
-                Level.PUD: vpn // (a * a),
-                Level.PMD: vpn // a}
+        return vpn // (a * a * a), vpn // (a * a), vpn // a
 
     def page_walk(self, space: AddressSpace, vpn: int, core_id: int,
                   contention=None) -> WalkResult:
@@ -129,25 +130,23 @@ class Mmu:
         mapping, touches = pagetable.translate(space, vpn, core_node)
 
         cycles = 0
-        accesses = 0
         remote = 0
         touched_nodes: List[int] = []
         for level, resident in touches:
-            cached = level in pwc and prefixes.get(level) in pwc[level]
-            if cached:
-                pwc[level].get(prefixes[level])  # refresh recency
+            # a PWC hit refreshes the entry's recency
+            if level != Level.PTE and pwc[level].get(prefixes[level]) is not None:
                 continue
-            accesses += 1
             cycles += access_latency(self.topo, core_node, resident, contention)
             touched_nodes.append(resident)
             if resident != core_node:
                 remote += 1
 
+        accesses = len(touched_nodes)
         if mapping is None:
             return WalkResult(cycles, accesses, remote,
                               touched_nodes=tuple(touched_nodes))
 
-        for level, prefix in prefixes.items():
+        for level, prefix in zip(_CACHED_LEVELS, prefixes):
             pwc[level].put(prefix, True)
         self.tlbs[core_id].put(vpn, mapping)
         return WalkResult(cycles, accesses, remote, mapping, tuple(touched_nodes))
@@ -163,12 +162,12 @@ class Mmu:
         when the target sits on a different node than the initiator.
         """
         cycles = 0.0
+        prefixes = () if space is None else self._prefixes(space, vpn)
         for core_id in core_ids:
             self.tlbs[core_id].drop(vpn)
-            if space is not None:
-                prefixes = self._prefixes(space, vpn)
-                for level, prefix in prefixes.items():
-                    self.pwcs[core_id][level].drop(prefix)
+            pwc = self.pwcs[core_id]
+            for level, prefix in zip(_CACHED_LEVELS, prefixes):
+                pwc[level].drop(prefix)
             target_node = self.topo.node_of_core(core_id)
             factor = self.topo.links[(initiator_node, target_node)].latency_factor \
                 if target_node != initiator_node else 1.0

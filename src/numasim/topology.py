@@ -3,12 +3,14 @@
 The topology is static for the lifetime of a simulation.  Latency is expressed
 in cycles relative to a local DRAM access; remote accesses scale by the link's
 latency factor and by the congestion multipliers supplied by the caller.
+Prices are fixed per quantum, so they are computed once into a table
+(`latency_table`) and every access reads its price from there.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
 DEFAULT_LOCAL_LATENCY = 100
@@ -48,6 +50,11 @@ class Topology:
     cores: List[CoreSpec]
     links: Dict[Tuple[int, int], LinkSpec]
     local_mem_latency: int = DEFAULT_LOCAL_LATENCY
+    # uncontended price of every from->to access
+    cycles: Dict[int, Dict[int, int]] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.cycles = latency_table(self)
 
     @property
     def node_ids(self) -> List[int]:
@@ -123,22 +130,36 @@ def build_topology(config: dict) -> Topology:
     return Topology(nodes, cores, links, local_latency)
 
 
+def latency_table(topo: Topology, contention=None) -> Dict[int, Dict[int, int]]:
+    """Cycles for one memory access from a core on each node to memory on each.
+
+    latency = local latency * link factor * destination controller multiplier
+    * link multiplier, with both multipliers taken from contention (none when
+    it is None).  The link multiplier only applies to remote accesses.  Each
+    price is rounded half up to a whole cycle count and is never below the
+    uncontended local latency for a local access.
+    """
+    table: Dict[int, Dict[int, int]] = {}
+    for (a, b), link in topo.links.items():
+        cycles = topo.local_mem_latency * link.latency_factor
+        if contention is not None:
+            cycles *= contention.node_multiplier(b)
+            if a != b:
+                cycles *= contention.link_multiplier(a, b)
+        table.setdefault(a, {})[b] = int(math.floor(cycles + 0.5))
+    return table
+
+
 def access_latency(topo: Topology, from_node: int, to_node: int,
                    contention=None) -> int:
     """Cycles for one memory access from a core on from_node to memory on to_node.
 
-    latency = local latency * link factor * destination controller multiplier
-    * link multiplier.  The link multiplier only applies to remote accesses.
-    The result is rounded half up to a whole cycle count and is never below
-    the uncontended local latency for a local access.
+    Prices are fixed per quantum: this reads the table `latency_table` built,
+    the quantum's `contention.cycles` or, without contention, the topology's
+    uncontended `topo.cycles`.
     """
-    link = topo.links.get((from_node, to_node))
-    if link is None:
-        raise ConfigError(f"no link {from_node}->{to_node}")
-    cycles = topo.local_mem_latency * link.latency_factor
-    if contention is not None:
-        cycles *= contention.node_multiplier(to_node)
-        if from_node != to_node:
-            cycles *= contention.link_multiplier(from_node, to_node)
-    return int(math.floor(cycles + 0.5))
-
+    table = topo.cycles if contention is None else contention.cycles
+    try:
+        return table[from_node][to_node]
+    except KeyError:
+        raise ConfigError(f"no link {from_node}->{to_node}") from None

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -69,8 +69,7 @@ class WorkloadSpec:
             raise ValueError(f"data_policy must be one of {DATA_POLICIES}")
 
 
-@dataclass(frozen=True)
-class AccessEvent:
+class AccessEvent(NamedTuple):
     kind: str                     # access or vm
     vpn: int
     thread_id: int
@@ -197,10 +196,10 @@ def generate_quantum_events(spec: WorkloadSpec, thread_id: int, rng_seed: int,
                 length = int(min(length, spec.footprint_pages))
                 vm_at[int(slot)] = (kinds[int(k)], int(start), length)
 
-    events: List[AccessEvent] = []
-    for i in range(n):
-        events.append(AccessEvent("access", int(vpns[i]), thread_id))
-        if i in vm_at:
-            vm_kind, start, length = vm_at[i]
-            events.append(AccessEvent("vm", start, thread_id, vm_kind, length))
+    events = [AccessEvent("access", vpn, thread_id) for vpn in vpns.tolist()]
+    # each VM op follows the access in its slot; insert from the back so
+    # earlier slots keep their positions
+    for slot in sorted(vm_at, reverse=True):
+        vm_kind, start, length = vm_at[slot]
+        events.insert(slot + 1, AccessEvent("vm", start, thread_id, vm_kind, length))
     return events

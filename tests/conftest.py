@@ -2,7 +2,7 @@
 
 import re
 
-from numasim.topology import build_topology
+from numasim.topology import build_topology, latency_table
 
 _acceptance_outcomes = {}
 
@@ -32,11 +32,16 @@ def pytest_terminal_summary(terminalreporter):
 
 
 class StubContention:
-    """Fixed multipliers so latency math can be checked in isolation."""
+    """Fixed multipliers so latency math can be checked in isolation.
 
-    def __init__(self, node=1.0, link=1.0):
+    Like a quantum's ContentionState, it carries the latency table its
+    multipliers give on topo.
+    """
+
+    def __init__(self, topo, node=1.0, link=1.0):
         self._node = node
         self._link = link
+        self.cycles = latency_table(topo, self)
 
     def node_multiplier(self, node_id):
         return self._node

@@ -148,7 +148,27 @@ def test_validation_failures_name_the_offending_path(tmp_path, capsys):
     assert "scenario.policy: alloc_policy" in capsys.readouterr().err
 
     assert cli.main(["run", path, "--set", "machine.tlb_entries=-1"]) == 1
-    assert "machine.tlb_entries" in capsys.readouterr().err
+    assert "scenario.machine.tlb_entries: must be at least 1" \
+        in capsys.readouterr().err
+
+    # unchecked, quantum 0 turned contention off, a negative duration
+    # reported negative quanta, and a negative seed or arity 2 failed only
+    # once the run had started
+    for assignment, where in (("run.quantum=0", "run.quantum_cycles"),
+                              ("run.quantum=-3", "run.quantum_cycles"),
+                              ("run.duration=-5", "run.duration_quanta"),
+                              ("run.duration=0", "run.duration_quanta"),
+                              ("run.seed=-1", "run.seed"),
+                              ("machine.arity=2", "machine.arity"),
+                              ('machine.arity="wide"', "machine.arity")):
+        assert cli.main(["run", path, "--set", assignment]) == 1, assignment
+        assert f"scenario.{where}: " in capsys.readouterr().err, assignment
+
+    # 5**4 = 625 pages is all a four-level table of arity 5 maps
+    assert cli.main(["run", path, "--set", "machine.arity=5", "--set",
+                     "workloads.0.overrides.footprint_pages=626"]) == 1
+    assert "scenario.workloads[0]: footprint_pages 626 exceeds" \
+        in capsys.readouterr().err
 
 
 def test_broken_input_exits_one_without_partial_outputs(tmp_path):
@@ -173,6 +193,22 @@ def test_post_validation_failures_exit_two(tmp_path, capsys):
     path = write_scenario(tmp_path, raw)
     assert cli.main(["run", str(path)]) == 2
     assert "runtime error" in capsys.readouterr().err
+
+
+def test_internal_value_errors_exit_two(tmp_path, capsys, monkeypatch):
+    # NotMappedError is a ValueError, but raised inside the run it is a
+    # simulator fault, not bad input
+    from numasim import engine
+    from numasim.pagetable import NotMappedError
+
+    def broken_run(self):
+        raise NotMappedError("vpn 7 is not mapped")
+
+    monkeypatch.setattr(engine.Simulation, "run", broken_run)
+    path = write_scenario(tmp_path, base_raw())
+    assert cli.main(["run", str(path)]) == 2
+    assert "runtime error: NotMappedError: vpn 7 is not mapped" \
+        in capsys.readouterr().err
 
 
 def test_compare_runs_each_policy_and_reports_speedups(tmp_path, capsys):

@@ -1,8 +1,15 @@
 """Simulation engine: contention, throttling, charging, and policy behavior."""
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from numasim.engine import (
+    CONTENTION_CAP,
+    CONTENTION_KNEE,
+    CONTENTION_SLOPE,
     ContentionState,
     Scenario,
     Simulation,
@@ -12,6 +19,7 @@ from numasim.engine import (
     simulate,
 )
 from numasim.sched import PolicyKind
+from numasim.topology import access_latency, build_topology
 from numasim.workload import WorkloadSpec, preset
 
 from conftest import make_topo
@@ -52,6 +60,59 @@ def test_compute_contention_normalizes_and_clamps():
     assert (0, 0) not in state.u_link
     assert state.node_multiplier(0) == 3.25
     assert state.node_multiplier(1) == 1.0
+
+
+# exact binary fractions make some local * factor products land exactly on
+# .5 (100 * 1.125, 3 * 1.5), so the half-up rounding itself is exercised
+_FACTORS = st.one_of(st.sampled_from([1.0, 1.125, 1.0625, 1.5, 1.25, 2.5]),
+                     st.floats(1.0, 10.0))
+# quantum 1000 at 128 bytes/cycle: k * 1000 bytes is utilization k / 128,
+# from idle through the 0.6 knee to overdriven (clamped at 1)
+_BYTES = st.one_of(st.integers(0, 160).map(lambda k: k * 1000),
+                   st.integers(0, 200_000))
+
+
+def _direct_price(topo, node_bytes, link_bytes, a, b):
+    def mult(nbytes):
+        u = min(1.0, max(0.0, nbytes / (128.0 * 1000)))
+        if u <= CONTENTION_KNEE:
+            return 1.0
+        return min(CONTENTION_CAP, 1.0 + CONTENTION_SLOPE * (u - CONTENTION_KNEE)
+                   / (1.0 - CONTENTION_KNEE))
+    cycles = topo.local_mem_latency * topo.links[(a, b)].latency_factor
+    cycles *= mult(node_bytes.get(b, 0))
+    if a != b:
+        cycles *= mult(link_bytes.get((a, b), 0))
+    return math.floor(cycles + 0.5)
+
+
+@st.composite
+def _contended_machines(draw):
+    n = draw(st.integers(1, 8))
+    factors = [[draw(_FACTORS) for _ in range(n)] for _ in range(n)]
+    topo = build_topology({"nodes": n, "cores_per_node": 1,
+                           "local_latency": draw(st.sampled_from([1, 3, 4, 100, 101])
+                                                 | st.integers(1, 400)),
+                           "link_factors": factors})
+    node_bytes = {i: draw(_BYTES) for i in range(n)}
+    link_bytes = {(a, b): draw(_BYTES) for a in range(n) for b in range(n)
+                  if a != b}
+    return topo, node_bytes, link_bytes
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_contended_machines())
+def test_table_prices_match_the_direct_formula(machine):
+    topo, node_bytes, link_bytes = machine
+    state = compute_contention(topo, node_bytes, link_bytes, 1000)
+    idle = ContentionState(cycles=topo.cycles)
+    for a in topo.node_ids:
+        for b in topo.node_ids:
+            assert access_latency(topo, a, b, state) == \
+                _direct_price(topo, node_bytes, link_bytes, a, b)
+            uncontended = _direct_price(topo, {}, {}, a, b)
+            assert access_latency(topo, a, b) == uncontended
+            assert access_latency(topo, a, b, idle) == uncontended
 
 
 def test_apply_mba_budgets_against_fresh_volume():

@@ -1,6 +1,11 @@
 """TLB, page-walk cache, walk pricing, and shootdown behavior."""
 
-from numasim.mmu import Mmu
+from collections import OrderedDict
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from numasim.mmu import Mmu, _LruCache
 from numasim.pagetable import (
     AddressSpace,
     Level,
@@ -177,3 +182,58 @@ def test_tlb_entry_reflects_later_mapping_updates():
     mmu.page_walk(space, 0, 0)
     set_frame_node(space, 0, new_node=1, requesting_node=0)
     assert mmu.tlb_lookup(0, 0).pfn_node == 1
+
+
+class _ReferenceLru:
+    """The LRU semantics spelled out on an OrderedDict, oldest entry first."""
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self.partition_active = False
+        self.entries = OrderedDict()
+
+    def _shrink(self):
+        cap = max(1, self.capacity // 2) if self.partition_active else self.capacity
+        while len(self.entries) > cap:
+            self.entries.popitem(last=False)
+
+    def set_partition(self, active):
+        self.partition_active = active
+        self._shrink()
+
+    def get(self, key):
+        value = self.entries.get(key)
+        if value is not None:
+            self.entries.move_to_end(key)
+        return value
+
+    def put(self, key, value):
+        if key in self.entries:
+            self.entries.move_to_end(key)
+        self.entries[key] = value
+        self._shrink()
+
+    def drop(self, key):
+        self.entries.pop(key, None)
+
+    def clear(self):
+        self.entries.clear()
+
+
+_KEYS = st.integers(0, 11)
+_OPS = st.lists(st.one_of(
+    st.tuples(st.just("get"), _KEYS),
+    st.tuples(st.just("put"), _KEYS, st.integers(0, 99)),
+    st.tuples(st.just("drop"), _KEYS),
+    st.tuples(st.just("clear")),
+    st.tuples(st.just("set_partition"), st.booleans())), max_size=80)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.integers(1, 9), _OPS)
+def test_lru_cache_matches_the_ordered_dict_model(capacity, ops):
+    cache, model = _LruCache(capacity), _ReferenceLru(capacity)
+    for name, *args in ops:
+        assert getattr(cache, name)(*args) == getattr(model, name)(*args)
+        assert list(cache.entries.items()) == list(model.entries.items())
+        assert len(cache) == len(model.entries)

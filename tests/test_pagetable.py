@@ -82,11 +82,12 @@ def test_map_cost_on_four_replicas():
 
 
 def test_map_contention_scales_cost():
-    space = space_on(make_topo(2, 1))
+    topo = make_topo(2, 1)
+    space = space_on(topo)
     map_page(space, 0, 1, 0, requesting_core=0)
     space.begin_quantum()
     cost = map_page(space, 1, 2, 0, requesting_core=0,
-                    contention=StubContention(node=3.25))
+                    contention=StubContention(topo, node=3.25))
     assert cost.cycles == 325
 
 

@@ -69,7 +69,7 @@ def test_remote_access_scales_by_link_factor():
 def test_contended_remote_access():
     # 100 * 1.3 * 3.25 = 422.5, rounded half up
     topo = make_topo()
-    contended = StubContention(node=3.25)
+    contended = StubContention(topo, node=3.25)
     assert access_latency(topo, 0, 1, contended) == 423
 
 
@@ -83,7 +83,7 @@ def test_rounding_is_half_up():
 
 def test_link_contention_applies_only_off_node():
     topo = make_topo()
-    c = StubContention(link=2.0)
+    c = StubContention(topo, link=2.0)
     assert access_latency(topo, 0, 0, c) == 100
     assert access_latency(topo, 0, 1, c) == 260
 
