@@ -13,8 +13,10 @@ from __future__ import annotations
 
 import argparse
 import copy
+import csv
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import sys
@@ -36,6 +38,8 @@ MACHINE_KEYS = {
     "nodes", "cores_per_node", "smt", "local_latency", "remote_factor",
     "node_bandwidth", "link_bandwidth", "link_factors", "tlb_entries", "arity",
 }
+MACHINE_COUNTS = ("nodes", "cores_per_node", "local_latency")
+MACHINE_NUMBERS = ("remote_factor", "node_bandwidth", "link_bandwidth")
 TOP_KEYS = {"name", "machine", "workloads", "policy", "run"}
 WORKLOAD_KEYS = {"preset", "spec", "start", "start_quantum", "priority",
                  "overrides"}
@@ -76,13 +80,19 @@ def _reject_unknown(section: dict, allowed: set, where: str) -> None:
 
 
 def _int_at_least(value, minimum: int, where: str) -> int:
-    try:
-        number = int(value)
-    except (TypeError, ValueError):
-        raise ValidationError(f"{where}: expected an integer, got {value!r}") from None
+    integral = isinstance(value, int) or \
+        isinstance(value, float) and value.is_integer()
+    if isinstance(value, bool) or not integral:
+        raise ValidationError(f"{where}: expected an integer, got {value!r}")
+    number = int(value)
     if number < minimum:
         raise ValidationError(f"{where}: must be at least {minimum}, got {number}")
     return number
+
+
+def _check_number(value, where: str) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(f"{where}: expected a number, got {value!r}")
 
 
 def _spec_from_dict(data: dict, where: str) -> workload.WorkloadSpec:
@@ -146,6 +156,14 @@ def scenario_from_dict(raw: dict, source: str = "scenario") -> Scenario:
     if not isinstance(machine, dict):
         raise ValidationError(f"{source}.machine: expected an object")
     _reject_unknown(machine, MACHINE_KEYS, f"{source}.machine")
+    # typed here, so a bad value names its path; topology.build_topology
+    # still checks how the values fit together
+    for key in MACHINE_COUNTS:
+        if key in machine:
+            _int_at_least(machine[key], 1, f"{source}.machine.{key}")
+    for key in MACHINE_NUMBERS:
+        if key in machine:
+            _check_number(machine[key], f"{source}.machine.{key}")
     # the machine values the model reads outside topology.build_topology
     _int_at_least(machine.get("tlb_entries", DEFAULT_TLB_ENTRIES), 1,
                   f"{source}.machine.tlb_entries")
@@ -458,10 +476,8 @@ def cmd_sweep(args) -> int:
     scenario = scenario_from_dict(raws[0])
     base = _out_base(args, scenario)
     if base is not None:
-        import csv as _csv
-        import io as _io
-        buf = _io.StringIO()
-        writer = _csv.DictWriter(buf, fieldnames=list(rows[0].keys()),
+        buf = io.StringIO()
+        writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()),
                                  lineterminator="\n")
         writer.writeheader()
         for row in rows:

@@ -17,6 +17,7 @@ import json
 import random
 from collections import deque
 from dataclasses import asdict, dataclass, field, replace
+from operator import attrgetter
 from typing import Dict, List, Optional, Tuple
 
 from . import metrics, pagetable, sched, workload
@@ -90,6 +91,13 @@ def apply_mba(pending: int, cap: float, uncapped_volume: int) -> int:
     return min(pending, budget)
 
 
+# the counters a tick windows per task and adds to the task's node
+WINDOW_COUNTERS = ("total_cycles", "pagewalk_cycles", "stall_cycles",
+                   "dtlb_misses", "tlb_hits", "llc_misses",
+                   "replica_update_cycles", "shootdown_cycles", "bandwidth_bytes")
+_window_counters = attrgetter(*WINDOW_COUNTERS)
+
+
 @dataclass
 class CounterSet:
     events_issued: int = 0
@@ -110,17 +118,11 @@ class CounterSet:
     walk_remote_accesses: int = 0
 
     def snapshot(self) -> Tuple[int, ...]:
-        return (self.total_cycles, self.pagewalk_cycles, self.stall_cycles,
-                self.dtlb_misses, self.tlb_hits, self.llc_misses,
-                self.replica_update_cycles, self.shootdown_cycles,
-                self.bandwidth_bytes)
+        return _window_counters(self)
 
     def delta_since(self, snap: Tuple[int, ...]) -> Dict[str, int]:
-        names = ("total_cycles", "pagewalk_cycles", "stall_cycles",
-                 "dtlb_misses", "tlb_hits", "llc_misses",
-                 "replica_update_cycles", "shootdown_cycles", "bandwidth_bytes")
-        now = self.snapshot()
-        return {name: now[i] - snap[i] for i, name in enumerate(names)}
+        return {name: now - then for name, now, then
+                in zip(WINDOW_COUNTERS, self.snapshot(), snap)}
 
     def add_delta(self, delta: Dict[str, int]) -> None:
         for name, value in delta.items():
@@ -525,21 +527,13 @@ class Simulation:
                 cost = unmap_page(space, vpn, core.core_id, self.contention,
                                   shootdown)
                 self._charge_pt_cost(task, cost)
-                target = self._next_free_vpn(space, dest, fp)
+                target = space.next_free_vpn(dest, fp)
                 if target is None:
                     continue
                 dest = (target + 1) % fp
                 cost = map_page(space, target, pfn, pfn_node, core.core_id,
                                 prot=prot, contention=self.contention)
                 self._charge_pt_cost(task, cost)
-
-    @staticmethod
-    def _next_free_vpn(space: AddressSpace, start: int, fp: int) -> Optional[int]:
-        for i in range(fp):
-            vpn = (start + i) % fp
-            if space.lookup(vpn) is None:
-                return vpn
-        return None
 
     # -- locality scanning -----------------------------------------------------------
 
@@ -559,14 +553,25 @@ class Simulation:
             rng = random.Random(
                 f"{self.scenario.rng_seed}:scan:{proc.pid}:{self.quantum}")
             sample = rng.sample(mapped, count)
-            for vpn in sample:
-                # a single scanner thread arms hints; it never races itself
-                space.begin_quantum()
-                task = self._charge_task(proc)
+            # sample entry k is charged to task (charge_rr + k) % n, which
+            # arms its entries in one call; a single scanner thread arms
+            # every hint, so it never races itself
+            tasks = proc.tasks
+            n = len(tasks)
+            targets = [t.st.current_core for t in tasks
+                       if t.st.current_core is not None]
+            for k in range(min(count, n)):
+                task = tasks[(proc.charge_rr + k) % n]
                 node = self.cores[task.st.current_core].node_id
-                shoot = self._shootdown_fn(proc, None, node)
-                cost = set_access_hint(space, vpn, node, self.contention, shoot)
+                price = self.mmu.shootdown_price(node, targets)
+                space.begin_quantum()
+                cost = set_access_hint(space, sample[k::n], node, self.contention,
+                                       lambda vpn, price=price: price)
                 self._charge_pt_cost(task, cost)
+            proc.charge_rr += count
+            # nothing refills a TLB or PWC during the scan, so each target
+            # core is invalidated once for the whole sample
+            self.mmu.invalidate(space, sample, targets)
             space.begin_quantum()
 
         for vpn, to_node in sched.autonuma_step(space, proc.access_stats,

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import pagetable
 from .pagetable import AddressSpace, Level, Mapping
@@ -15,6 +15,7 @@ DEFAULT_PWC_ENTRIES = {Level.PGD: 4, Level.PUD: 16, Level.PMD: 32}
 DEFAULT_IPI_CYCLES = 50
 TLB_HIT_CYCLES = 1
 _CACHED_LEVELS = (Level.PGD, Level.PUD, Level.PMD)
+_PTE = int(Level.PTE)
 
 
 class _LruCache:
@@ -82,13 +83,13 @@ class Mmu:
         self.ipi_cycles = ipi_cycles
         if pwc_entries is None:
             pwc_entries = DEFAULT_PWC_ENTRIES
-        # per core: the TLB, and one page-walk cache per cached level
+        # per core: the TLB, and the page-walk caches indexed by level
         self.tlbs: Dict[int, _LruCache] = {}
-        self.pwcs: Dict[int, Dict[Level, _LruCache]] = {}
+        self.pwcs: Dict[int, List[_LruCache]] = {}
         for core in topo.cores:
             self.tlbs[core.core_id] = _LruCache(tlb_entries)
-            self.pwcs[core.core_id] = {lvl: _LruCache(cap)
-                                       for lvl, cap in pwc_entries.items()}
+            self.pwcs[core.core_id] = [_LruCache(pwc_entries[lvl])
+                                       for lvl in _CACHED_LEVELS]
 
     # -- TLB ------------------------------------------------------------------
 
@@ -98,22 +99,16 @@ class Mmu:
 
     def set_partition(self, core_id: int, active: bool) -> None:
         self.tlbs[core_id].set_partition(active)
-        for cache in self.pwcs[core_id].values():
+        for cache in self.pwcs[core_id]:
             cache.set_partition(active)
 
     def flush_core(self, core_id: int) -> None:
         """Context switch: translation state is not shared across tasks."""
         self.tlbs[core_id].clear()
-        for cache in self.pwcs[core_id].values():
+        for cache in self.pwcs[core_id]:
             cache.clear()
 
     # -- walks ------------------------------------------------------------------
-
-    @staticmethod
-    def _prefixes(space: AddressSpace, vpn: int) -> Tuple[int, int, int]:
-        """The PWC keys of vpn, indexed by level: PGD, PUD, PMD."""
-        a = space.arity
-        return vpn // (a * a * a), vpn // (a * a), vpn // a
 
     def page_walk(self, space: AddressSpace, vpn: int, core_id: int,
                   contention=None) -> WalkResult:
@@ -122,21 +117,28 @@ class Mmu:
         Each level not served by the PWC is one memory access priced from the
         walker's node to the node holding that table page.  A hole in the
         tree is a fault: the cycles spent reaching it are still charged and
-        nothing is inserted into the TLB or PWC.
+        nothing is inserted into the TLB or PWC.  On success only the levels
+        that missed are inserted: a hit's lookup already made it most recent.
         """
-        core_node = self.topo.node_of_core(core_id)
+        topo = self.topo
+        core_node = topo.node_of_core(core_id)
         pwc = self.pwcs[core_id]
-        prefixes = self._prefixes(space, vpn)
+        a = space.arity
+        # the PWC keys of vpn, by level: PGD, PUD, PMD
+        prefixes = (vpn // (a * a * a), vpn // (a * a), vpn // a)
         mapping, touches = pagetable.translate(space, vpn, core_node)
 
         cycles = 0
         remote = 0
         touched_nodes: List[int] = []
-        for level, resident in touches:
-            # a PWC hit refreshes the entry's recency
-            if level != Level.PTE and pwc[level].get(prefixes[level]) is not None:
-                continue
-            cycles += access_latency(self.topo, core_node, resident, contention)
+        missed: List[int] = []
+        # touches run from the PGD down, so a touch's position is its level
+        for level, (_, resident) in enumerate(touches):
+            if level < _PTE:
+                if pwc[level].get(prefixes[level]) is not None:
+                    continue
+                missed.append(level)
+            cycles += access_latency(topo, core_node, resident, contention)
             touched_nodes.append(resident)
             if resident != core_node:
                 remote += 1
@@ -146,30 +148,63 @@ class Mmu:
             return WalkResult(cycles, accesses, remote,
                               touched_nodes=tuple(touched_nodes))
 
-        for level, prefix in zip(_CACHED_LEVELS, prefixes):
-            pwc[level].put(prefix, True)
+        for level in missed:
+            pwc[level].put(prefixes[level], True)
         self.tlbs[core_id].put(vpn, mapping)
         return WalkResult(cycles, accesses, remote, mapping, tuple(touched_nodes))
 
     # -- shootdowns ---------------------------------------------------------------
 
-    def tlb_shootdown(self, vpn: int, initiator_node: int,
-                      core_ids: Iterable[int], space: Optional[AddressSpace] = None,
-                      contention=None) -> int:
-        """Invalidate vpn on the given cores; returns the IPI cycle cost.
+    def shootdown_price(self, initiator_node: int, core_ids: Iterable[int]) -> int:
+        """IPI cycles of one shootdown sent to core_ids.
 
         Each target costs the base IPI latency, scaled by the link factor
         when the target sits on a different node than the initiator.
         """
         cycles = 0.0
-        prefixes = () if space is None else self._prefixes(space, vpn)
         for core_id in core_ids:
-            self.tlbs[core_id].drop(vpn)
-            pwc = self.pwcs[core_id]
-            for level, prefix in zip(_CACHED_LEVELS, prefixes):
-                pwc[level].drop(prefix)
             target_node = self.topo.node_of_core(core_id)
             factor = self.topo.links[(initiator_node, target_node)].latency_factor \
                 if target_node != initiator_node else 1.0
             cycles += self.ipi_cycles * factor
         return int(cycles + 0.5)
+
+    def tlb_shootdown(self, vpn: int, initiator_node: int,
+                      core_ids: Sequence[int], space: Optional[AddressSpace] = None,
+                      contention=None) -> int:
+        """Invalidate vpn on the given cores; returns the IPI cycle cost.
+
+        With space given, the PWC entries covering vpn go too.
+        """
+        prefixes: Tuple[int, ...] = ()
+        if space is not None:
+            a = space.arity
+            prefixes = (vpn // (a * a * a), vpn // (a * a), vpn // a)
+        for core_id in core_ids:
+            self.tlbs[core_id].drop(vpn)
+            for cache, prefix in zip(self.pwcs[core_id], prefixes):
+                cache.drop(prefix)
+        return self.shootdown_price(initiator_node, core_ids)
+
+    def invalidate(self, space: AddressSpace, vpns: Sequence[int],
+                   core_ids: Iterable[int]) -> None:
+        """Drop vpns, and the PWC entries covering them, on the given cores.
+
+        One pass over each core's caches: the same entries go, and the
+        survivors keep their order, as with one tlb_shootdown per vpn.
+        """
+        cores = set(core_ids)
+        # the TLBs are far smaller than a scan's sample: intersect with them
+        cached = set().union(*(self.tlbs[core].entries for core in cores))
+        a = space.arity
+        # each level's prefixes from the level below: vpn // a**2 is
+        # (vpn // a) // a, so only the PMD set is built from every vpn
+        pmd = {vpn // a for vpn in vpns}
+        pud = {prefix // a for prefix in pmd}
+        doomed = (cached.intersection(vpns), {prefix // a for prefix in pud},
+                  pud, pmd)
+        for core in cores:
+            for cache, keys in zip((self.tlbs[core], *self.pwcs[core]), doomed):
+                entries = cache.entries
+                for key in [k for k in entries if k in keys]:
+                    del entries[key]

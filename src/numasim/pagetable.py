@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .topology import Topology, access_latency
 
@@ -187,6 +187,30 @@ class AddressSpace:
         pte = _pte_table(self, self.replica_roots[self.home_node], vpn)
         return None if pte is None else pte.entries.get(vpn % self.arity)
 
+    def next_free_vpn(self, start: int, limit: int) -> Optional[int]:
+        """The first unmapped vpn of start, start + 1, ..., wrapping at limit.
+
+        None when all limit pages are mapped.  Uncosted, through the home
+        replica, with one descent per PTE table rather than per page.
+        """
+        a = self.arity
+        root = self.replica_roots[self.home_node]
+        vpn, left = start, limit
+        while left:
+            # the candidates up to the end of this PTE table, the wrap or the
+            # last unchecked page, whichever comes first
+            end = min((vpn // a + 1) * a, limit, vpn + left)
+            pte = _pte_table(self, root, vpn)
+            if pte is None:
+                return vpn
+            entries = pte.entries
+            for candidate in range(vpn, end):
+                if candidate % a not in entries:
+                    return candidate
+            left -= end - vpn
+            vpn = end % limit
+        return None
+
     def iter_tables(self, root: Optional[PageTableNode] = None) -> Iterator[PageTableNode]:
         if root is None:
             root = self.replica_roots[self.home_node]
@@ -260,16 +284,19 @@ def _pte_table(space: AddressSpace, root: PageTableNode, vpn: int,
     return table
 
 
-def _mutate_leaf(space: AddressSpace, vpns: Iterable[int], updater_node: int,
+def _mutate_leaf(space: AddressSpace, vpns: Sequence[int], updater_node: int,
                  contention, write: Callable[[Dict[int, object], int], None],
                  shootdown: Optional[ShootdownFn] = None, shoots: bool = True,
                  allocate: bool = False) -> PtOpCost:
     """The one leaf-mutation path: write each vpn's leaf in every replica.
 
-    For each vpn, find its PTE table through the updater's replica, allocating
-    missing tables when allocate is set and rejecting an unmapped vpn
-    otherwise.  Apply write(entries, idx) to every replica on the ring and
-    charge each entry write; when shoots is set, count a shootdown and call
+    Each PTE table is found once per call, through the updater's replica,
+    allocating missing tables when allocate is set; its replica ring is
+    priced then, one price read per ring member, and every vpn in the table
+    is charged that sum.  All vpns are checked before anything is written:
+    with allocate each must be unmapped (MappingExistsError), otherwise
+    mapped (NotMappedError).  write(entries, idx) is applied to every replica
+    on the ring; when shoots is set, each vpn counts a shootdown and calls
     the hook.  A single lock wait covers every table the operation touched.
     """
     cost = PtOpCost()
@@ -279,18 +306,40 @@ def _mutate_leaf(space: AddressSpace, vpns: Iterable[int], updater_node: int,
         def alloc(parent: PageTableNode, idx: int) -> PageTableNode:
             return _alloc_child(space, parent, idx, updater_node, contention,
                                 cost, touched)
+    topo = space.topo
     root = space.root_for(updater_node)
+    a = space.arity
+    # vpn // arity -> (entries of every replica's PTE table, price of the ring)
+    rings: Dict[int, Tuple[List[Dict[int, object]], int]] = {}
     for vpn in vpns:
-        pte = _pte_table(space, root, vpn, alloc=alloc)
-        idx = vpn % space.arity
-        if not allocate and (pte is None or idx not in pte.entries):
+        ring = rings.get(vpn // a)
+        if ring is None:
+            pte = _pte_table(space, root, vpn, alloc=alloc)
+            if pte is None:
+                raise NotMappedError(f"vpn {vpn} is not mapped")
+            entries, price = [], 0
+            for table in pte.chain():
+                entries.append(table.entries)
+                price += access_latency(topo, updater_node, table.resident_node,
+                                        contention)
+                touched.add(id(table))
+            ring = rings[vpn // a] = (entries, price)
+        if (vpn % a in ring[0][0]) == allocate:
+            if allocate:
+                raise MappingExistsError(f"vpn {vpn} already mapped")
             raise NotMappedError(f"vpn {vpn} is not mapped")
-        for table in pte.chain():
-            write(table.entries, idx)
-            _charge_write(space, table, updater_node, contention, cost, touched)
-        if shoots:
-            cost.shootdowns_issued += 1
-            if shootdown is not None:
+
+    for vpn in vpns:
+        entries, price = rings[vpn // a]
+        idx = vpn % a
+        for table_entries in entries:
+            write(table_entries, idx)
+        cost.writes_performed += len(entries)
+        cost.cycles += price
+    if shoots:
+        cost.shootdowns_issued += len(vpns)
+        if shootdown is not None:
+            for vpn in vpns:
                 cost.shootdown_cycles += shootdown(vpn)
     cost.lock_wait_cycles = space._lock_wait(touched, cost.cycles)
     cost.cycles += cost.lock_wait_cycles
@@ -311,13 +360,11 @@ def map_page(space: AddressSpace, vpn: int, pfn: int, pfn_node: int,
              contention=None) -> PtOpCost:
     """Install vpn->pfn in every replica, allocating missing tables.
 
-    Cost: one entry write per replica (plus one write per allocated table
-    page), each priced as an access from the requester's node to the node
-    holding the written table page.
+    Raises MappingExistsError, before any write, when vpn is mapped.  Cost:
+    one entry write per replica (plus one write per allocated table page),
+    each priced as an access from the requester's node to the node holding
+    the written table page.
     """
-    if space.lookup(vpn) is not None:
-        raise MappingExistsError(f"vpn {vpn} already mapped")
-
     def install(entries: Dict[int, object], idx: int) -> None:
         entries[idx] = Mapping(vpn, pfn, prot, pfn_node)
 
@@ -347,23 +394,22 @@ def protect_range(space: AddressSpace, vpn_start: int, n_pages: int, prot: int,
     The whole range is validated before anything is written; a hole anywhere
     leaves the space untouched.
     """
-    vpns = range(vpn_start, vpn_start + n_pages)
-    missing = [v for v in vpns if space.lookup(v) is None]
-    if missing:
-        raise NotMappedError(f"vpn {missing[0]} in protect range is not mapped")
-    return _mutate_leaf(space, vpns, space.topo.node_of_core(requesting_core),
-                        contention, _set_field("prot", prot), shootdown)
+    return _mutate_leaf(space, range(vpn_start, vpn_start + n_pages),
+                        space.topo.node_of_core(requesting_core), contention,
+                        _set_field("prot", prot), shootdown)
 
 
-def set_access_hint(space: AddressSpace, vpn: int, requesting_node: int,
-                    contention=None,
+def set_access_hint(space: AddressSpace, vpns: Sequence[int],
+                    requesting_node: int, contention=None,
                     shootdown: Optional[ShootdownFn] = None) -> PtOpCost:
-    """Arm an access-sampling hint: entry write per replica plus a shootdown.
+    """Arm access-sampling hints: per vpn, an entry write per replica plus a
+    shootdown.
 
     Models the periodic page unmapping that locality sampling performs; the
-    next touch takes a minor fault serviced by clear_access_hint.
+    next touch takes a minor fault serviced by clear_access_hint.  Like
+    protect_range, every vpn is validated before anything is written.
     """
-    return _mutate_leaf(space, (vpn,), requesting_node, contention,
+    return _mutate_leaf(space, vpns, requesting_node, contention,
                         _set_field("numa_hint", True), shootdown)
 
 

@@ -164,6 +164,23 @@ def test_validation_failures_name_the_offending_path(tmp_path, capsys):
         assert cli.main(["run", path, "--set", assignment]) == 1, assignment
         assert f"scenario.{where}: " in capsys.readouterr().err, assignment
 
+    # untyped, "two" failed inside build_topology with exit 2 and 2.5 ran
+    # as 2 cores
+    for assignment, where, expected in (
+            ('machine.nodes="two"', "machine.nodes", "an integer"),
+            ("machine.cores_per_node=2.5", "machine.cores_per_node",
+             "an integer"),
+            ("machine.local_latency=true", "machine.local_latency",
+             "an integer"),
+            ('machine.remote_factor="far"', "machine.remote_factor",
+             "a number"),
+            ("machine.node_bandwidth=[1]", "machine.node_bandwidth", "a number"),
+            ("machine.link_bandwidth=null", "machine.link_bandwidth",
+             "a number")):
+        assert cli.main(["run", path, "--set", assignment]) == 1, assignment
+        assert f"scenario.{where}: expected {expected}" \
+            in capsys.readouterr().err, assignment
+
     # 5**4 = 625 pages is all a four-level table of arity 5 maps
     assert cli.main(["run", path, "--set", "machine.arity=5", "--set",
                      "workloads.0.overrides.footprint_pages=626"]) == 1
@@ -187,12 +204,20 @@ def test_usage_errors_exit_one(capsys):
     capsys.readouterr()
 
 
-def test_post_validation_failures_exit_two(tmp_path, capsys):
-    raw = base_raw()
-    raw["machine"]["nodes"] = [2]  # passes key checks, breaks the builder
-    path = write_scenario(tmp_path, raw)
+def test_post_validation_failures_exit_two(tmp_path, capsys, monkeypatch):
+    # a machine that passed validation but breaks the builder; nodes=[2]
+    # did that until machine values were typed in scenario_from_dict
+    from numasim import engine
+
+    def broken_builder(config):
+        raise TypeError("int() argument must be a number, not 'list'")
+
+    monkeypatch.setattr(engine, "build_topology", broken_builder)
+    path = write_scenario(tmp_path, base_raw())
     assert cli.main(["run", str(path)]) == 2
     assert "runtime error" in capsys.readouterr().err
+    assert cli.main(["run", str(path), "--set", "machine.nodes=[2]"]) == 1
+    assert "scenario.machine.nodes: expected an integer" in capsys.readouterr().err
 
 
 def test_internal_value_errors_exit_two(tmp_path, capsys, monkeypatch):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from numasim.mmu import Mmu, _LruCache
 from numasim.pagetable import (
+    FIRST_TOUCH,
     AddressSpace,
     Level,
     add_replica,
@@ -237,3 +238,51 @@ def test_lru_cache_matches_the_ordered_dict_model(capacity, ops):
         assert getattr(cache, name)(*args) == getattr(model, name)(*args)
         assert list(cache.entries.items()) == list(model.entries.items())
         assert len(cache) == len(model.entries)
+
+
+def _cache_states(mmu):
+    """Every core's TLB and PWC contents, in recency order."""
+    return {core: [list(cache.entries.items())
+                   for cache in (mmu.tlbs[core], *mmu.pwcs[core])]
+            for core in mmu.tlbs}
+
+
+@st.composite
+def _scans(draw):
+    """A replicated space of arity 8, walks that fill small TLBs and PWCs,
+    and a scan sample with its target cores."""
+    replicas = draw(st.integers(1, 4))
+    mapped = sorted(draw(st.sets(st.integers(0, 300), min_size=1, max_size=60)))
+    # half the walks hit mapped pages, the rest mostly fault
+    walks = draw(st.lists(st.tuples(st.integers(0, 3),
+                                    st.sampled_from(mapped) | st.integers(0, 300)),
+                          min_size=10, max_size=120))
+    sample = draw(st.lists(st.sampled_from(mapped), min_size=1, unique=True))
+    targets = draw(st.lists(st.integers(0, 3), min_size=1, max_size=6))
+    sizes = draw(st.tuples(*[st.integers(1, 6)] * 4))
+    return replicas, mapped, walks, sample, targets, sizes
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_scans())
+def test_batched_invalidation_matches_per_vpn_shootdowns(scan):
+    replicas, mapped, walks, sample, targets, sizes = scan
+    topo = make_topo(4, 1)
+    space = AddressSpace(topo, 1, 0, alloc_policy=FIRST_TOUCH, arity=8)
+    for vpn in mapped:
+        map_page(space, vpn, vpn, 0, requesting_core=vpn % 4)
+    for node in range(1, replicas):
+        add_replica(space, node)
+    tlb, *pwc = sizes
+    batched, single = (Mmu(topo, tlb_entries=tlb,
+                           pwc_entries=dict(zip(Level, pwc)))
+                       for _ in range(2))
+    for mmu in (batched, single):
+        for core, vpn in walks:  # faults included
+            mmu.page_walk(space, vpn, core)
+    assert _cache_states(batched) == _cache_states(single)
+
+    batched.invalidate(space, sample, targets)
+    for vpn in sample:
+        single.tlb_shootdown(vpn, 0, targets, space)
+    assert _cache_states(batched) == _cache_states(single)

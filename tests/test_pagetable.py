@@ -1,8 +1,11 @@
 """Replicated page tables: structure, op costs, locking, replica lifecycle."""
 
+import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from numasim.pagetable import (
     FIRST_TOUCH,
@@ -14,6 +17,7 @@ from numasim.pagetable import (
     Level,
     MappingExistsError,
     NotMappedError,
+    PtOpCost,
     ReplicaExistsError,
     AddressSpace,
     add_replica,
@@ -344,7 +348,7 @@ def test_access_hints_round_trip():
     map_page(space, 0, 10, 0, requesting_core=0)
     add_replica(space, 1)
     space.begin_quantum()
-    cost = set_access_hint(space, 0, requesting_node=0, shootdown=lambda v: 50)
+    cost = set_access_hint(space, [0], requesting_node=0, shootdown=lambda v: 50)
     assert cost.writes_performed == 2
     assert cost.shootdowns_issued == 1
     assert cost.shootdown_cycles == 50
@@ -372,6 +376,21 @@ def test_construction_validation():
     space = space_on(topo, arity=8)
     with pytest.raises(ValueError):
         space.lookup(8 ** 4)  # beyond the four-level space
+
+
+def test_next_free_vpn_matches_a_page_by_page_scan():
+    rng = random.Random(404)
+    for trial in range(20):
+        space = space_on(make_topo(2, 1), arity=8)
+        limit = rng.randrange(1, 200)
+        full = trial % 4 == 0  # every page mapped: the search must end
+        for vpn in rng.sample(range(limit),
+                              limit if full else rng.randrange(limit + 1)):
+            map_page(space, vpn, vpn, 0, requesting_core=0)
+        for start in range(limit):
+            expected = next(((start + i) % limit for i in range(limit)
+                             if space.lookup((start + i) % limit) is None), None)
+            assert space.next_free_vpn(start, limit) == expected
 
 
 def test_random_op_soup_keeps_rings_and_contents_coherent():
@@ -419,3 +438,76 @@ def test_random_op_soup_keeps_rings_and_contents_coherent():
             if vpn not in shadow:
                 m, _ = translate(space, vpn, walker_node=walker)
                 assert m is None
+
+
+def leaves(space):
+    """Every replica's leaf entries, by replica node."""
+    return {node: sorted(dataclasses.astuple(m)
+                         for table in space.iter_tables(root)
+                         if table.level == Level.PTE
+                         for m in table.entries.values())
+            for node, root in space.replica_roots.items()}
+
+
+@st.composite
+def _batches(draw):
+    """A space spec: replicas, mapped vpns over several PTE tables of arity 8,
+    a contiguous block among them, and a hint sample and protect range."""
+    replicas = draw(st.integers(1, 4))
+    block_start = draw(st.integers(0, 150))
+    block = range(block_start, block_start + draw(st.integers(1, 40)))
+    mapped = sorted(set(block) | draw(st.sets(st.integers(0, 200), max_size=40)))
+    sample = draw(st.lists(st.sampled_from(mapped), min_size=1, unique=True))
+    lo = draw(st.sampled_from(block))
+    hi = draw(st.integers(lo + 1, block.stop))
+    multipliers = draw(st.sampled_from([None, (1.0, 1.0), (1.7, 1.25)]))
+    return replicas, mapped, sample, range(lo, hi), draw(st.integers(0, 3)), \
+        multipliers
+
+
+def _build(replicas, mapped):
+    topo = make_topo(4, 1)
+    space = space_on(topo, policy=FIRST_TOUCH, arity=8)
+    for vpn in mapped:  # first touch from every node spreads the tables
+        map_page(space, vpn, 1000 + vpn, vpn % 4, requesting_core=vpn % 4)
+    for node in range(1, replicas):
+        add_replica(space, node)
+    return topo, space
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_batches())
+def test_batched_leaf_writes_match_per_vpn_calls(batch):
+    replicas, mapped, sample, protect, node, multipliers = batch
+    topo, batched = _build(replicas, mapped)
+    _, single = _build(replicas, mapped)
+    contention = None if multipliers is None \
+        else StubContention(topo, *multipliers)
+
+    def shootdown(vpn):
+        return 40 + vpn % 7
+
+    batched.begin_quantum()
+    hint = set_access_hint(batched, sample, node, contention, shootdown)
+    batched.begin_quantum()
+    prot = protect_range(batched, protect.start, len(protect), PROT_READ,
+                         requesting_core=node, contention=contention,
+                         shootdown=shootdown)
+
+    hint_sum, prot_sum = PtOpCost(), PtOpCost()
+    for vpn in sample:
+        single.begin_quantum()
+        hint_sum.merge(set_access_hint(single, [vpn], node, contention,
+                                       shootdown))
+    for vpn in protect:
+        single.begin_quantum()
+        prot_sum.merge(protect_range(single, vpn, 1, PROT_READ,
+                                     requesting_core=node,
+                                     contention=contention,
+                                     shootdown=shootdown))
+
+    assert dataclasses.astuple(hint) == dataclasses.astuple(hint_sum)
+    assert dataclasses.astuple(prot) == dataclasses.astuple(prot_sum)
+    assert hint.writes_performed == len(sample) * replicas
+    assert leaves(batched) == leaves(single)
+    assert len(set(map(tuple, leaves(batched).values()))) == 1  # coherent
