@@ -164,6 +164,20 @@ def scenario_from_dict(raw: dict, source: str = "scenario") -> Scenario:
     for key in MACHINE_NUMBERS:
         if key in machine:
             _check_number(machine[key], f"{source}.machine.{key}")
+    if "smt" in machine and not isinstance(machine["smt"], bool):
+        raise ValidationError(f"{source}.machine.smt: expected true or "
+                              f"false, got {machine['smt']!r}")
+    factors = machine.get("link_factors")
+    if factors is not None:
+        if not isinstance(factors, list):
+            raise ValidationError(
+                f"{source}.machine.link_factors: expected a list of rows")
+        for a, row in enumerate(factors):
+            where = f"{source}.machine.link_factors[{a}]"
+            if not isinstance(row, list):
+                raise ValidationError(f"{where}: expected a list")
+            for b, factor in enumerate(row):
+                _check_number(factor, f"{where}[{b}]")
     # the machine values the model reads outside topology.build_topology
     _int_at_least(machine.get("tlb_entries", DEFAULT_TLB_ENTRIES), 1,
                   f"{source}.machine.tlb_entries")

@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Tuple
 from . import metrics, pagetable, sched, workload
 from .mmu import DEFAULT_TLB_ENTRIES, Mmu
 from .pagetable import (AddressSpace, PROT_READ, add_replica,
-                        clear_access_hint, map_page, migrate_tables,
+                        clear_access_hint, map_page, map_pages, migrate_tables,
                         protect_range, set_access_hint, set_frame_node,
                         unmap_page)
 from .sched import (Action, CoreSlot, NodeLoad, PmcSample, PolicyKind,
@@ -182,7 +182,11 @@ class SimTask:
         self.process = process
         self.thread_index = thread_index
         self.counters = CounterSet()
+        # MBA's queue: generated, unissued events (at most one quantum's),
+        # then the indices of quanta owed but not yet generated
         self.backlog: deque = deque()
+        self.deferred: deque = deque()
+        self.deferred_events = 0
         self.ticks_in_window = 0
         self.window_history: List[Dict[str, int]] = []
         self.last_window: Optional[PmcSample] = None
@@ -191,6 +195,11 @@ class SimTask:
     @property
     def task_id(self) -> int:
         return self.st.task_id
+
+    @property
+    def pending(self) -> int:
+        """Events queued behind the MBA cap, generated or deferred."""
+        return len(self.backlog) + self.deferred_events
 
 
 class SimProcess:
@@ -332,14 +341,25 @@ class Simulation:
             self._prefault(proc)
 
     def _prefault(self, proc: SimProcess) -> None:
-        # warm start: install the whole footprint without charging anyone
-        for vpn in range(proc.spec.footprint_pages):
-            task = proc.tasks[vpn % len(proc.tasks)]
-            node = self.cores[task.st.current_core].node_id
-            pfn_node = self._data_node(proc, node)
-            map_page(proc.space, vpn, self._alloc_pfn(), pfn_node,
-                     task.st.current_core)
-        proc.space.begin_quantum()
+        """Warm start: install the whole footprint without charging anyone.
+
+        Page vpn is touched by task vpn % threads.  Each PTE table's pages
+        are mapped in one call on behalf of its first page's toucher, the
+        one that allocates the table when pages are mapped one at a time.
+        """
+        space = proc.space
+        tasks = proc.tasks
+        fp = proc.spec.footprint_pages
+        for first in range(0, fp, space.arity):
+            vpns = range(first, min(first + space.arity, fp))
+            pfns, pfn_nodes = [], []
+            for vpn in vpns:
+                core = self.cores[tasks[vpn % len(tasks)].st.current_core]
+                pfn_nodes.append(self._data_node(proc, core.node_id))
+                pfns.append(self._alloc_pfn())
+            map_pages(space, vpns, pfns, pfn_nodes,
+                      tasks[first % len(tasks)].st.current_core)
+        space.begin_quantum()
 
     def _alloc_pfn(self) -> int:
         pfn = self.next_pfn
@@ -394,17 +414,31 @@ class Simulation:
         Contention, and so every price, is fixed for the quantum: what each
         access needs is read once before the loop, and the integer counters
         and traffic are added once after it.
+
+        A task with events queued behind its MBA cap defers its new quantum
+        as an index; a deferred quantum is generated when its first event
+        issues, so the queue holds at most one quantum's event objects.
+        Issue order is that of generating every quantum at once.
         """
         proc = task.process
         spec = proc.spec
-        new_events = workload.generate_quantum_events(
-            spec, task.thread_index, self.scenario.rng_seed, self.quantum)
+        seed = self.scenario.rng_seed
+        thread_index = task.thread_index
         backlog = task.backlog
-        backlog.extend(new_events)
+        deferred = task.deferred
+        if task.pending:
+            volume = workload.quantum_volume(spec, thread_index, seed,
+                                             self.quantum)
+            deferred.append(self.quantum)
+            task.deferred_events += volume
+        else:
+            backlog.extend(workload.generate_quantum_events(
+                spec, thread_index, seed, self.quantum))
+            volume = len(backlog)
         cap = self.mba_caps.get((core.node_id, proc.pid), 1.0)
-        issue = apply_mba(len(backlog), cap, len(new_events))
+        issue = apply_mba(task.pending, cap, volume)
         llc_random = random.Random(
-            f"{self.scenario.rng_seed}:llc:{task.task_id}:{self.quantum}").random
+            f"{seed}:llc:{task.task_id}:{self.quantum}").random
 
         space = proc.space
         topo = self.topo
@@ -419,6 +453,10 @@ class Simulation:
         accesses = hits = llc_misses = stall = 0
 
         for _ in range(issue):
+            if not backlog:
+                backlog.extend(workload.generate_quantum_events(
+                    spec, thread_index, seed, deferred.popleft()))
+                task.deferred_events -= len(backlog)
             event = backlog.popleft()
             if event.kind == "vm":
                 self._do_vm_op(task, core, event)

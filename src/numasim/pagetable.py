@@ -31,6 +31,7 @@ HOME_NODE = "home_node"
 ALLOC_POLICIES = (FIRST_TOUCH, INTERLEAVE, HOME_NODE)
 
 ShootdownFn = Callable[[int], int]  # vpn -> cycles
+LeafWrite = Callable[[Dict[int, object], int, int], None]  # (entries, idx, vpn)
 
 
 class MappingExistsError(ValueError):
@@ -285,7 +286,7 @@ def _pte_table(space: AddressSpace, root: PageTableNode, vpn: int,
 
 
 def _mutate_leaf(space: AddressSpace, vpns: Sequence[int], updater_node: int,
-                 contention, write: Callable[[Dict[int, object], int], None],
+                 contention, write: LeafWrite,
                  shootdown: Optional[ShootdownFn] = None, shoots: bool = True,
                  allocate: bool = False) -> PtOpCost:
     """The one leaf-mutation path: write each vpn's leaf in every replica.
@@ -295,9 +296,10 @@ def _mutate_leaf(space: AddressSpace, vpns: Sequence[int], updater_node: int,
     priced then, one price read per ring member, and every vpn in the table
     is charged that sum.  All vpns are checked before anything is written:
     with allocate each must be unmapped (MappingExistsError), otherwise
-    mapped (NotMappedError).  write(entries, idx) is applied to every replica
-    on the ring; when shoots is set, each vpn counts a shootdown and calls
-    the hook.  A single lock wait covers every table the operation touched.
+    mapped (NotMappedError).  write(entries, idx, vpn) is applied to every
+    replica on the ring; when shoots is set, each vpn counts a shootdown and
+    calls the hook.  A single lock wait covers every table the operation
+    touched.
     """
     cost = PtOpCost()
     touched: set = set()
@@ -333,7 +335,7 @@ def _mutate_leaf(space: AddressSpace, vpns: Sequence[int], updater_node: int,
         entries, price = rings[vpn // a]
         idx = vpn % a
         for table_entries in entries:
-            write(table_entries, idx)
+            write(table_entries, idx, vpn)
         cost.writes_performed += len(entries)
         cost.cycles += price
     if shoots:
@@ -346,8 +348,8 @@ def _mutate_leaf(space: AddressSpace, vpns: Sequence[int], updater_node: int,
     return cost
 
 
-def _set_field(name: str, value) -> Callable[[Dict[int, object], int], None]:
-    def write(entries: Dict[int, object], idx: int) -> None:
+def _set_field(name: str, value) -> LeafWrite:
+    def write(entries: Dict[int, object], idx: int, vpn: int) -> None:
         setattr(entries[idx], name, value)
     return write
 
@@ -355,29 +357,41 @@ def _set_field(name: str, value) -> Callable[[Dict[int, object], int], None]:
 # -- public operations --------------------------------------------------------
 
 
+def map_pages(space: AddressSpace, vpns: Sequence[int], pfns: Sequence[int],
+              pfn_nodes: Sequence[int], requesting_core: int,
+              prot: int = PROT_RW, contention=None) -> PtOpCost:
+    """Install each vpns[i]->pfns[i] (on pfn_nodes[i]) in every replica,
+    allocating missing tables.
+
+    The vpns must be distinct.  Raises MappingExistsError, before any write,
+    when a vpn is mapped.  Cost: one entry write per replica (plus one write
+    per allocated table page), each priced as an access from the requester's
+    node to the node holding the written table page.
+    """
+    frames = dict(zip(vpns, zip(pfns, pfn_nodes)))
+
+    def install(entries: Dict[int, object], idx: int, vpn: int) -> None:
+        pfn, pfn_node = frames[vpn]
+        entries[idx] = Mapping(vpn, pfn, prot, pfn_node)
+
+    cost = _mutate_leaf(space, vpns, space.topo.node_of_core(requesting_core),
+                        contention, install, shoots=False, allocate=True)
+    space.mappings_count += len(vpns)
+    return cost
+
+
 def map_page(space: AddressSpace, vpn: int, pfn: int, pfn_node: int,
              requesting_core: int, prot: int = PROT_RW,
              contention=None) -> PtOpCost:
-    """Install vpn->pfn in every replica, allocating missing tables.
-
-    Raises MappingExistsError, before any write, when vpn is mapped.  Cost:
-    one entry write per replica (plus one write per allocated table page),
-    each priced as an access from the requester's node to the node holding
-    the written table page.
-    """
-    def install(entries: Dict[int, object], idx: int) -> None:
-        entries[idx] = Mapping(vpn, pfn, prot, pfn_node)
-
-    cost = _mutate_leaf(space, (vpn,), space.topo.node_of_core(requesting_core),
-                        contention, install, shoots=False, allocate=True)
-    space.mappings_count += 1
-    return cost
+    """Install vpn->pfn in every replica; map_pages for one page."""
+    return map_pages(space, (vpn,), (pfn,), (pfn_node,), requesting_core,
+                     prot, contention)
 
 
 def unmap_page(space: AddressSpace, vpn: int, requesting_core: int,
                contention=None, shootdown: Optional[ShootdownFn] = None) -> PtOpCost:
     """Clear vpn in every replica and shoot down stale TLB entries."""
-    def clear(entries: Dict[int, object], idx: int) -> None:
+    def clear(entries: Dict[int, object], idx: int, vpn: int) -> None:
         del entries[idx]
 
     cost = _mutate_leaf(space, (vpn,), space.topo.node_of_core(requesting_core),

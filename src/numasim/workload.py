@@ -171,15 +171,17 @@ def _draw_vpns(spec: WorkloadSpec, rng: np.random.Generator,
     return (start + np.arange(n)) % fp
 
 
-def generate_quantum_events(spec: WorkloadSpec, thread_id: int, rng_seed: int,
-                            quantum_index: int) -> List[AccessEvent]:
-    """Event stream for one thread-quantum: data accesses plus mixed VM ops."""
+def _quantum_draws(spec: WorkloadSpec, thread_id: int, rng_seed: int,
+                   quantum_index: int
+                   ) -> Tuple[np.ndarray, List[Tuple[int, str, int, int]]]:
+    """Every RNG draw of one thread-quantum: its access vpns and its VM ops
+    as (slot, kind, start, length), in slot order."""
     spec.validate()
     rng = _rng(spec, rng_seed, quantum_index, thread_id)
     n = spec.accesses_per_quantum_per_thread
     vpns = _draw_vpns(spec, rng, quantum_index, thread_id, n)
 
-    vm_at: Dict[int, Tuple[str, int, int]] = {}
+    vm_ops: List[Tuple[int, str, int, int]] = []
     if spec.vm_ops_per_kilo_access > 0:
         p = min(1.0, spec.vm_ops_per_kilo_access / 1000.0)
         count = int(rng.binomial(n, p))
@@ -193,13 +195,32 @@ def generate_quantum_events(spec: WorkloadSpec, thread_id: int, rng_seed: int,
             starts = rng.integers(0, spec.footprint_pages, size=count)
             lengths = rng.geometric(1.0 / spec.vm_range_mean_pages, size=count)
             for slot, k, start, length in zip(slots, chosen, starts, lengths):
-                length = int(min(length, spec.footprint_pages))
-                vm_at[int(slot)] = (kinds[int(k)], int(start), length)
+                vm_ops.append((int(slot), kinds[int(k)], int(start),
+                               int(min(length, spec.footprint_pages))))
+    return vpns, vm_ops
 
+
+def generate_quantum_events(spec: WorkloadSpec, thread_id: int, rng_seed: int,
+                            quantum_index: int) -> List[AccessEvent]:
+    """Event stream for one thread-quantum: data accesses plus mixed VM ops."""
+    vpns, vm_ops = _quantum_draws(spec, thread_id, rng_seed, quantum_index)
     events = [AccessEvent("access", vpn, thread_id) for vpn in vpns.tolist()]
     # each VM op follows the access in its slot; insert from the back so
     # earlier slots keep their positions
-    for slot in sorted(vm_at, reverse=True):
-        vm_kind, start, length = vm_at[slot]
+    for slot, vm_kind, start, length in reversed(vm_ops):
         events.insert(slot + 1, AccessEvent("vm", start, thread_id, vm_kind, length))
     return events
+
+
+def quantum_volume(spec: WorkloadSpec, thread_id: int, rng_seed: int,
+                   quantum_index: int) -> int:
+    """len(generate_quantum_events(...)), without building the events.
+
+    Without VM ops every quantum has accesses_per_quantum_per_thread events
+    and no draw is made.
+    """
+    if spec.vm_ops_per_kilo_access == 0:
+        spec.validate()
+        return spec.accesses_per_quantum_per_thread
+    _, vm_ops = _quantum_draws(spec, thread_id, rng_seed, quantum_index)
+    return spec.accesses_per_quantum_per_thread + len(vm_ops)

@@ -176,7 +176,12 @@ def test_validation_failures_name_the_offending_path(tmp_path, capsys):
              "a number"),
             ("machine.node_bandwidth=[1]", "machine.node_bandwidth", "a number"),
             ("machine.link_bandwidth=null", "machine.link_bandwidth",
-             "a number")):
+             "a number"),
+            # untyped, a non-numeric factor failed inside build_topology
+            # with exit 2 and "no" ran with SMT on
+            ('machine.link_factors=[[1,"x"],["x",1]]',
+             "machine.link_factors[0][1]", "a number"),
+            ('machine.smt="no"', "machine.smt", "true or false")):
         assert cli.main(["run", path, "--set", assignment]) == 1, assignment
         assert f"scenario.{where}: expected {expected}" \
             in capsys.readouterr().err, assignment

@@ -1,6 +1,7 @@
 """Simulation engine: contention, throttling, charging, and policy behavior."""
 
 import math
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +21,8 @@ from numasim.engine import (
 )
 from numasim.sched import PolicyKind
 from numasim.topology import access_latency, build_topology
-from numasim.workload import WorkloadSpec, preset
+from numasim.workload import (WorkloadSpec, generate_quantum_events, preset,
+                              quantum_volume)
 
 from conftest import make_topo
 
@@ -252,10 +254,60 @@ def test_bandwidth_cap_queues_events_and_clears_congestion():
     sim.mba_caps[(0, 0)] = 0.1
     sim.step()
     assert task.counters.events_issued - issued_before == 25  # 10% of 256
-    assert len(task.backlog) == 256 - 25
+    assert task.pending == 256 - 25
     assert sim.contention.u_node[0] < 0.6 < congested
     sim.step()
-    assert len(task.backlog) == 2 * (256 - 25)
+    assert task.pending == 2 * (256 - 25)
+
+
+def test_throttled_backlog_holds_at_most_one_generated_quantum():
+    spec = preset("stream_like", thread_count=1)
+    sim = Simulation(build([spec], nodes=1, cores=1, duration=5000,
+                           quantum=500))
+    sim.mba_caps[(0, 0)] = 0.1
+    volume = spec.accesses_per_quantum_per_thread
+    for q in range(5000):
+        sim.step()
+        task = sim.tasks[0]
+        assert len(task.backlog) <= volume
+        assert task.pending == (q + 1) * (volume - 25)
+    assert task.counters.events_issued == 5000 * 25
+
+
+# a one-core stream task whose mix has every VM op kind
+_CHURNING_STREAM = preset(
+    "stream_like", thread_count=1, accesses_per_quantum_per_thread=64,
+    vm_ops_per_kilo_access=60.0,
+    vm_op_mix=(("map", 0.3), ("unmap", 0.2), ("protect", 0.3),
+               ("remap", 0.2)), vm_range_mean_pages=3)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.lists(st.sampled_from([0.05, 0.1, 0.3, 0.5, 1.0]), min_size=1,
+                max_size=40),
+       st.integers(0, 1000))
+def test_lazy_backlog_issues_like_an_eager_queue(caps, seed):
+    spec = _CHURNING_STREAM
+    sim = Simulation(build([spec], nodes=1, cores=1, duration=len(caps),
+                           seed=seed, quantum=500))
+    # the reference generates every quantum at once and drains it with MBA
+    queue = deque()
+    for q, cap in enumerate(caps):
+        new = generate_quantum_events(spec, 0, seed, q)
+        queue.extend(new)
+        issue = apply_mba(len(queue), cap, len(new))
+        for _ in range(issue):
+            queue.popleft()
+
+        sim.mba_caps[(0, 0)] = cap
+        before = sim.tasks[0].counters.events_issued if sim.tasks else 0
+        sim.step()
+        task = sim.tasks[0]
+        assert task.counters.events_issued - before == issue, q
+        assert task.pending == len(queue)
+        assert list(task.backlog) == list(queue)[:len(task.backlog)]
+        assert task.deferred_events == sum(
+            quantum_volume(spec, 0, seed, d) for d in task.deferred)
 
 
 def test_phoenix_throttles_the_interfering_process():

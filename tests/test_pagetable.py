@@ -24,6 +24,7 @@ from numasim.pagetable import (
     clear_access_hint,
     drop_replica,
     map_page,
+    map_pages,
     migrate_tables,
     protect_range,
     set_access_hint,
@@ -93,6 +94,35 @@ def test_map_contention_scales_cost():
     cost = map_page(space, 1, 2, 0, requesting_core=0,
                     contention=StubContention(topo, node=3.25))
     assert cost.cycles == 325
+
+
+@pytest.mark.parametrize("replicas", [1, 3])
+def test_map_pages_matches_one_map_page_per_vpn(replicas):
+    topo = make_topo(4, 1)
+    contention = StubContention(topo, 1.5, 1.25)
+    batched, single = (space_on(topo, policy=INTERLEAVE, arity=8)
+                       for _ in range(2))
+    for space in (batched, single):
+        for node in range(1, replicas):
+            add_replica(space, node)
+    vpns = list(range(5, 21))  # three PTE tables, the first entered mid-table
+    batched.begin_quantum()
+    cost = map_pages(batched, vpns, [100 + v for v in vpns],
+                     [v % 4 for v in vpns], requesting_core=2,
+                     contention=contention)
+    total = PtOpCost()
+    for vpn in vpns:
+        single.begin_quantum()
+        total.merge(map_page(single, vpn, 100 + vpn, vpn % 4,
+                             requesting_core=2, contention=contention))
+    assert dataclasses.astuple(cost) == dataclasses.astuple(total)
+    assert leaves(batched) == leaves(single)
+    assert batched.mappings_count == single.mappings_count == len(vpns)
+    assert [t.resident_node for t in batched.iter_tables()] == \
+        [t.resident_node for t in single.iter_tables()]
+    with pytest.raises(MappingExistsError):
+        map_pages(batched, [30, 12], [1, 2], [0, 0], requesting_core=0)
+    assert batched.lookup(30) is None  # checked before anything is written
 
 
 def test_map_duplicate_rejected():

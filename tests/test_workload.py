@@ -3,12 +3,15 @@
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from numasim.workload import (
     PRESETS,
     WorkloadSpec,
     generate_quantum_events,
     preset,
+    quantum_volume,
 )
 
 
@@ -157,3 +160,18 @@ def test_spec_validation_rejects_bad_values():
     with pytest.raises(ValueError):
         WorkloadSpec(name="t", thread_count=0, footprint_pages=8,
                      pattern="sequential").validate()
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(PRESETS)), st.sampled_from([None, 40.0, 300.0]),
+       st.integers(0, 3), st.integers(0, 2**32), st.integers(0, 10_000))
+def test_quantum_volume_counts_the_generated_events(name, vm_rate, thread_id,
+                                                    seed, quantum):
+    if vm_rate is None:
+        spec = preset(name)
+    else:
+        spec = preset(name, vm_ops_per_kilo_access=vm_rate,
+                      vm_op_mix=(("map", 0.3), ("unmap", 0.2),
+                                 ("protect", 0.3), ("remap", 0.2)))
+    events = generate_quantum_events(spec, thread_id, seed, quantum)
+    assert quantum_volume(spec, thread_id, seed, quantum) == len(events)
