@@ -95,13 +95,19 @@ def _check_number(value, where: str) -> None:
         raise ValidationError(f"{where}: expected a number, got {value!r}")
 
 
+def _freeze_mix(fields: dict) -> dict:
+    """fields with a vm_op_mix object replaced by its sorted (kind, share)
+    tuple, the form WorkloadSpec holds."""
+    if isinstance(fields.get("vm_op_mix"), dict):
+        fields = dict(fields)
+        fields["vm_op_mix"] = tuple(sorted(fields["vm_op_mix"].items()))
+    return fields
+
+
 def _spec_from_dict(data: dict, where: str) -> workload.WorkloadSpec:
     _reject_unknown(data, _SPEC_FIELDS, where)
-    fields = dict(data)
-    if isinstance(fields.get("vm_op_mix"), dict):
-        fields["vm_op_mix"] = tuple(sorted(fields["vm_op_mix"].items()))
     try:
-        spec = workload.WorkloadSpec(**fields)
+        spec = workload.WorkloadSpec(**_freeze_mix(data))
         spec.validate()
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{where}: {exc}") from exc
@@ -121,11 +127,8 @@ def _workload_entry(data: dict, where: str) -> WorkloadEntry:
         raise ValidationError(f"{where}.overrides: expected an object")
     if has_preset:
         _reject_unknown(overrides, _SPEC_FIELDS, f"{where}.overrides")
-        if isinstance(overrides.get("vm_op_mix"), dict):
-            overrides = dict(overrides)
-            overrides["vm_op_mix"] = tuple(sorted(overrides["vm_op_mix"].items()))
         try:
-            spec = workload.preset(data["preset"], **overrides)
+            spec = workload.preset(data["preset"], **_freeze_mix(overrides))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"{where}: {exc}") from exc
     else:

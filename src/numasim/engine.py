@@ -177,9 +177,8 @@ class Scenario:
 class SimTask:
     """One schedulable thread plus its engine-side bookkeeping."""
 
-    def __init__(self, st: TaskState, process: "SimProcess", thread_index: int):
+    def __init__(self, st: TaskState, thread_index: int):
         self.st = st
-        self.process = process
         self.thread_index = thread_index
         self.counters = CounterSet()
         # MBA's queue: generated, unissued events (at most one quantum's),
@@ -283,8 +282,9 @@ class Simulation:
             pmc = task.last_window if task.last_window is not None else task.st.pmc
             bw = estimate_bandwidth(pmc)
             stats = loads[node_id].process_stats
-            prev = stats.get(task.process.pid, (0, task.process.priority))
-            stats[task.process.pid] = (prev[0] + bw, task.process.priority)
+            proc = self.processes[task.st.process_id]
+            prev = stats.get(proc.pid, (0, proc.priority))
+            stats[proc.pid] = (prev[0] + bw, proc.priority)
         return loads
 
     def _slots(self) -> List[CoreSlot]:
@@ -313,14 +313,14 @@ class Simulation:
         proc.space = space
 
         slots = self._slots()
-        main = SimTask(main_st, proc, 0)
+        main = SimTask(main_st, 0)
         self.tasks.append(main)
         proc.tasks.append(main)
         sched.place_thread(main_st, self.policy, loads, slots, self.topo)
         self.cores[main_st.current_core].runqueue.append(main)
         for i in range(1, entry.spec.thread_count):
             st = sched.on_fork(main_st, self.policy, len(self.tasks), pid, priority)
-            task = SimTask(st, proc, i)
+            task = SimTask(st, i)
             self.tasks.append(task)
             proc.tasks.append(task)
             sched.place_thread(st, self.policy, loads, slots, self.topo)
@@ -386,7 +386,7 @@ class Simulation:
 
     def _charge_pt_cost(self, task: SimTask, cost: pagetable.PtOpCost) -> None:
         c = task.counters
-        c.total_cycles += cost.cycles + cost.shootdown_cycles
+        c.total_cycles += cost.total_cycles
         c.stall_cycles += cost.cycles
         c.replica_update_cycles += cost.cycles
         c.shootdown_cycles += cost.shootdown_cycles
@@ -399,10 +399,10 @@ class Simulation:
                        if t.st.current_core is not None
                        and t.st.current_core != initiator_core]
             cycles = self.mmu.tlb_shootdown(vpn, initiator_node, targets,
-                                            proc.space, self.contention)
+                                            proc.space)
             if initiator_core is not None:
                 self.mmu.tlb_shootdown(vpn, initiator_node, [initiator_core],
-                                       proc.space, self.contention)
+                                       proc.space)
             return cycles
         return fire
 
@@ -420,7 +420,7 @@ class Simulation:
         issues, so the queue holds at most one quantum's event objects.
         Issue order is that of generating every quantum at once.
         """
-        proc = task.process
+        proc = self.processes[task.st.process_id]
         spec = proc.spec
         seed = self.scenario.rng_seed
         thread_index = task.thread_index
@@ -467,14 +467,14 @@ class Simulation:
             if mapping is not None:
                 hits += 1
             else:
-                mapping = self._walk(task, core, vpn, bytes_to)
+                mapping = self._walk(task, space, core, vpn, bytes_to)
                 if mapping is None:
                     # first touch: install the page, then complete the walk
                     pfn_node = self._data_node(proc, node)
                     cost = map_page(space, vpn, self._alloc_pfn(), pfn_node,
                                     core_id, contention=contention)
                     self._charge_pt_cost(task, cost)
-                    mapping = self._walk(task, core, vpn, bytes_to)
+                    mapping = self._walk(task, space, core, vpn, bytes_to)
 
             if mapping.numa_hint:
                 # access-sampling fault: repair the hint and note who touched it
@@ -501,12 +501,12 @@ class Simulation:
             if nbytes:
                 self._traffic(task, node, to_node, nbytes)
 
-    def _walk(self, task: SimTask, core: CoreState, vpn: int,
-              bytes_to: List[int]):
-        """Walk for vpn, charge its cycles, and add a line of traffic per
-        table page it read to bytes_to, indexed by destination node."""
-        result = self.mmu.page_walk(task.process.space, vpn, core.core_id,
-                                    self.contention)
+    def _walk(self, task: SimTask, space: AddressSpace, core: CoreState,
+              vpn: int, bytes_to: List[int]):
+        """Walk space for vpn, charge its cycles to task, and add a line of
+        traffic per table page it read to bytes_to, indexed by destination
+        node."""
+        result = self.mmu.page_walk(space, vpn, core.core_id, self.contention)
         c = task.counters
         c.total_cycles += result.cycles
         c.pagewalk_cycles += result.cycles
@@ -519,7 +519,7 @@ class Simulation:
 
     def _do_vm_op(self, task: SimTask, core: CoreState,
                   event: workload.AccessEvent) -> None:
-        proc = task.process
+        proc = self.processes[task.st.process_id]
         space = proc.space
         fp = proc.spec.footprint_pages
         start, length = event.vpn, event.vm_pages
@@ -640,14 +640,14 @@ class Simulation:
         if action.kind == "throttle":
             self.mba_caps[(action.node, action.process_id)] = action.cap
         elif action.kind == "replicate":
-            space = task.process.space
-            if action.node not in space.replica_roots:
+            space = self.processes[task.st.process_id].space
+            if action.node not in space.replicas:
                 cost = add_replica(space, action.node, self.contention)
                 self._charge_pt_cost(task, cost)
         if action.kind in ("throttle", "replicate"):
             self.actions.append({
                 "quantum": self.quantum, "task_id": task.task_id,
-                "process_id": task.process.pid, "kind": action.kind,
+                "process_id": task.st.process_id, "kind": action.kind,
                 "node": action.node, "target_process": action.process_id,
                 "cap": action.cap})
 
@@ -673,8 +673,9 @@ class Simulation:
         if self.policy.kind == "phoenix":
             loads = self._node_loads()
             action = sched.phoenix_evaluate(
-                task.st, loads, task.process.space, self.policy,
-                CONTENTION_KNEE, self.cores[task.st.current_core].node_id)
+                task.st, loads, self.processes[task.st.process_id].space,
+                self.policy, CONTENTION_KNEE,
+                self.cores[task.st.current_core].node_id)
             self._execute_action(task, action)
         task.last_window = replace(task.st.pmc)
         task.st.pmc.reset()
@@ -725,7 +726,7 @@ class Simulation:
             if not counts or counts.get(space.home_node, 0) > 0:
                 continue
             target = max(sorted(counts), key=lambda n: counts[n])
-            if space.replica_count == 1 and target not in space.replica_roots:
+            if space.replica_count == 1 and target not in space.replicas:
                 cost = migrate_tables(space, space.home_node, target,
                                       self.contention)
                 task = self._charge_task(proc)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List
 
 RATIO_DECIMALS = 4
@@ -28,17 +28,22 @@ TIMESERIES_COLUMNS = [
     "stall_cycles", "dtlb_misses", "llc_misses", "pw_ratio",
 ]
 
-_COUNTER_FIELDS = [
-    "events_issued", "total_cycles", "pagewalk_cycles", "stall_cycles", "dtlb_misses",
-    "tlb_hits", "llc_misses", "replica_update_cycles", "shootdown_cycles",
-    "lock_wait_cycles", "data_migrations", "table_pages_migrated",
-    "thread_migrations", "bandwidth_bytes", "walk_mem_accesses",
-    "walk_remote_accesses",
-]
-
 
 def _ratio(num: float, den: float) -> float:
     return round(num / den, RATIO_DECIMALS) if den else 0.0
+
+
+def _counter_row(counter_sets: List) -> Dict[str, float]:
+    """Every CounterSet field summed over counter_sets, plus pw_ratio and
+    remote_walk_fraction."""
+    from .engine import CounterSet  # engine imports this module
+    row: Dict[str, float] = {
+        f.name: sum(getattr(c, f.name) for c in counter_sets)
+        for f in fields(CounterSet)}
+    row["pw_ratio"] = _ratio(row["pagewalk_cycles"], row["total_cycles"])
+    row["remote_walk_fraction"] = _ratio(row["walk_remote_accesses"],
+                                         row["walk_mem_accesses"])
+    return row
 
 
 @dataclass
@@ -119,22 +124,15 @@ def finalize(result, scenario) -> MetricsReport:
         base_fingerprint=scenario.base_fingerprint(),
         actions=list(result.actions))
 
-    totals = {name: 0 for name in _COUNTER_FIELDS}
     for task in result.tasks:
-        c = task.counters
-        row = {"task_id": task.task_id, "process_id": task.process.pid,
-               "workload": task.process.spec.name,
-               "priority": task.process.priority,
+        proc = result.processes[task.st.process_id]
+        row = {"task_id": task.task_id, "process_id": proc.pid,
+               "workload": proc.spec.name,
+               "priority": proc.priority,
                "home_node": task.st.home_node,
-               "final_core": task.st.current_core}
-        for name in _COUNTER_FIELDS:
-            value = getattr(c, name)
-            row[name] = value
-            totals[name] += value
-        row["pw_ratio"] = _ratio(c.pagewalk_cycles, c.total_cycles)
-        row["remote_walk_fraction"] = _ratio(c.walk_remote_accesses,
-                                             c.walk_mem_accesses)
-        space = task.process.space
+               "final_core": task.st.current_core,
+               **_counter_row([task.counters])}
+        space = proc.space
         row["replica_count"] = space.replica_count if space is not None else 0
         report.per_task.append(row)
         if scenario.timeseries:
@@ -152,29 +150,17 @@ def finalize(result, scenario) -> MetricsReport:
             row["home_node"] = proc.space.home_node
             row["replica_count"] = proc.space.replica_count
             row["replica_nodes"] = "|".join(
-                str(n) for n in sorted(proc.space.replica_roots))
+                str(n) for n in sorted(proc.space.replicas))
             row["mapped_pages"] = proc.space.mappings_count
-        for name in _COUNTER_FIELDS:
-            row[name] = sum(getattr(t.counters, name) for t in proc.tasks)
-        row["pw_ratio"] = _ratio(row["pagewalk_cycles"], row["total_cycles"])
-        row["remote_walk_fraction"] = _ratio(row["walk_remote_accesses"],
-                                             row["walk_mem_accesses"])
+        row.update(_counter_row([t.counters for t in proc.tasks]))
         report.per_process.append(row)
 
     for node_id in sorted(result.node_counters):
-        c = result.node_counters[node_id]
-        row = {"node_id": node_id}
-        for name in _COUNTER_FIELDS:
-            row[name] = getattr(c, name)
-        row["pw_ratio"] = _ratio(c.pagewalk_cycles, c.total_cycles)
-        row["remote_walk_fraction"] = _ratio(c.walk_remote_accesses,
-                                             c.walk_mem_accesses)
-        report.per_node.append(row)
+        report.per_node.append(
+            {"node_id": node_id,
+             **_counter_row([result.node_counters[node_id]])})
 
-    totals["pw_ratio"] = _ratio(totals["pagewalk_cycles"],
-                                totals["total_cycles"])
-    totals["remote_walk_fraction"] = _ratio(totals["walk_remote_accesses"],
-                                            totals["walk_mem_accesses"])
+    totals = _counter_row([t.counters for t in result.tasks])
     totals["tasks"] = len(result.tasks)
     totals["processes"] = len(result.processes)
     totals["actions"] = len(result.actions)

@@ -170,8 +170,8 @@ class Mmu:
         return int(cycles + 0.5)
 
     def tlb_shootdown(self, vpn: int, initiator_node: int,
-                      core_ids: Sequence[int], space: Optional[AddressSpace] = None,
-                      contention=None) -> int:
+                      core_ids: Sequence[int],
+                      space: Optional[AddressSpace] = None) -> int:
         """Invalidate vpn on the given cores; returns the IPI cycle cost.
 
         With space given, the PWC entries covering vpn go too.

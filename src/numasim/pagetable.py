@@ -1,11 +1,11 @@
 """Replicated four-level radix page tables with cycle-cost accounting.
 
-An address space owns one radix tree per replica node.  Corresponding table
-pages across replicas are joined in a circular linked list (next_replica), so
-a mutation started on any replica reaches every copy by following the ring.
-Every entry write is priced as one memory access from the updating node to
-the node where the touched table page resides, which is what makes eager
-replication expensive on a busy machine.
+An address space owns one radix tree.  Every write reaches every replica, so
+the copies never differ; what replication changes is where each copy lives.
+Each table page therefore records, per replica, the node holding that
+replica's copy (resident).  Every entry write is priced as one memory access
+from the updating node to each node holding a copy of the touched table page,
+which is what makes eager replication expensive on a busy machine.
 
 Concurrent mutations inside one scheduling quantum are modeled as a queue:
 an operation that touches a table page the previous operation also touched
@@ -59,7 +59,7 @@ class Level(IntEnum):
 
 @dataclass
 class Mapping:
-    """Leaf translation entry.  Each replica holds its own copy."""
+    """Leaf translation entry, shared by every replica of its table."""
     vpn: int
     pfn: int
     prot: int
@@ -68,24 +68,15 @@ class Mapping:
 
 
 class PageTableNode:
-    """One table page.  entries maps a radix index to a child or a Mapping."""
+    """One table page.  entries maps a radix index to a child or a Mapping;
+    resident maps each replica to the node holding that replica's copy."""
 
-    __slots__ = ("level", "entries", "resident_node", "next_replica", "replica_key")
+    __slots__ = ("level", "entries", "resident")
 
-    def __init__(self, level: Level, resident_node: int, replica_key: int):
+    def __init__(self, level: Level, resident: Dict[int, int]):
         self.level = level
         self.entries: Dict[int, object] = {}
-        self.resident_node = resident_node
-        self.next_replica: "PageTableNode" = self
-        self.replica_key = replica_key
-
-    def chain(self) -> Iterator["PageTableNode"]:
-        node = self
-        while True:
-            yield node
-            node = node.next_replica
-            if node is self:
-                return
+        self.resident = resident
 
 
 @dataclass
@@ -135,9 +126,11 @@ class AddressSpace:
         self._interleave_rr = 0
         self._last_tables: Optional[frozenset] = None
         self._last_cycles = 0
-        pgd = PageTableNode(Level.PGD, self._alloc_node(home_node, home_node),
-                            home_node)
-        self.replica_roots: Dict[int, PageTableNode] = {home_node: pgd}
+        self.root = PageTableNode(
+            Level.PGD, {home_node: self._alloc_node(home_node, home_node)})
+        # the replicas in ring order: a new one goes right after the home
+        # replica, and allocation visits them from the updater's replica on
+        self.replicas: List[int] = [home_node]
 
     # -- allocation ---------------------------------------------------------
 
@@ -159,7 +152,7 @@ class AddressSpace:
 
     @property
     def replica_count(self) -> int:
-        return len(self.replica_roots)
+        return len(self.replicas)
 
     # -- quantum lock queue  --------------------------------------------------
 
@@ -180,28 +173,29 @@ class AddressSpace:
 
     # -- traversal helpers ----------------------------------------------------
 
-    def root_for(self, node_id: int) -> PageTableNode:
-        return self.replica_roots.get(node_id, self.replica_roots[self.home_node])
+    def replica_for(self, node_id: int) -> int:
+        """The replica a walker or updater on node_id uses: its own node's,
+        the home replica otherwise."""
+        return node_id if node_id in self.root.resident else self.home_node
 
     def lookup(self, vpn: int) -> Optional[Mapping]:
-        """Uncosted translation through the home replica."""
-        pte = _pte_table(self, self.replica_roots[self.home_node], vpn)
+        """Uncosted translation."""
+        pte = _pte_table(self, vpn)
         return None if pte is None else pte.entries.get(vpn % self.arity)
 
     def next_free_vpn(self, start: int, limit: int) -> Optional[int]:
         """The first unmapped vpn of start, start + 1, ..., wrapping at limit.
 
-        None when all limit pages are mapped.  Uncosted, through the home
-        replica, with one descent per PTE table rather than per page.
+        None when all limit pages are mapped.  Uncosted, with one descent
+        per PTE table rather than per page.
         """
         a = self.arity
-        root = self.replica_roots[self.home_node]
         vpn, left = start, limit
         while left:
             # the candidates up to the end of this PTE table, the wrap or the
             # last unchecked page, whichever comes first
             end = min((vpn // a + 1) * a, limit, vpn + left)
-            pte = _pte_table(self, root, vpn)
+            pte = _pte_table(self, vpn)
             if pte is None:
                 return vpn
             entries = pte.entries
@@ -212,10 +206,8 @@ class AddressSpace:
             vpn = end % limit
         return None
 
-    def iter_tables(self, root: Optional[PageTableNode] = None) -> Iterator[PageTableNode]:
-        if root is None:
-            root = self.replica_roots[self.home_node]
-        stack = [root]
+    def iter_tables(self) -> Iterator[PageTableNode]:
+        stack = [self.root]
         while stack:
             table = stack.pop()
             yield table
@@ -227,53 +219,49 @@ class AddressSpace:
 # -- internal write machinery -------------------------------------------------
 
 
-def _charge_write(space: AddressSpace, table: PageTableNode, updater_node: int,
-                  contention, cost: PtOpCost, touched: set) -> None:
-    cost.writes_performed += 1
-    cost.cycles += access_latency(space.topo, updater_node, table.resident_node,
-                                  contention)
-    touched.add(id(table))
-
-
 def _alloc_child(space: AddressSpace, parent: PageTableNode, idx: int,
                  updater_node: int, contention, cost: PtOpCost,
                  touched: set) -> PageTableNode:
-    """Allocate the missing child table in every replica and ring-link them.
+    """Allocate the missing child table with a copy in every replica.
 
-    Returns the new child of parent itself.
+    Copies are placed replica by replica in ring order from the updater's
+    replica, and each costs one entry write into that replica's copy of
+    parent.
     """
-    children: List[PageTableNode] = []
-    for par in parent.chain():
-        child = PageTableNode(Level(par.level + 1),
-                              space._alloc_node(par.replica_key, updater_node),
-                              par.replica_key)
-        par.entries[idx] = child
-        _charge_write(space, par, updater_node, contention, cost, touched)
-        children.append(child)
-    for i, child in enumerate(children):
-        child.next_replica = children[(i + 1) % len(children)]
-    return children[0]
+    replicas = space.replicas
+    first = replicas.index(space.replica_for(updater_node))
+    resident: Dict[int, int] = {}
+    for replica in replicas[first:] + replicas[:first]:
+        resident[replica] = space._alloc_node(replica, updater_node)
+        cost.writes_performed += 1
+        cost.cycles += access_latency(space.topo, updater_node,
+                                      parent.resident[replica], contention)
+    touched.add(id(parent))
+    child = PageTableNode(Level(parent.level + 1), resident)
+    parent.entries[idx] = child
+    return child
 
 
-def _pte_table(space: AddressSpace, root: PageTableNode, vpn: int,
+def _pte_table(space: AddressSpace, vpn: int,
                touches: Optional[List[Tuple[Level, int]]] = None,
+               replica: Optional[int] = None,
                alloc: Optional[Callable[[PageTableNode, int], PageTableNode]] = None
                ) -> Optional[PageTableNode]:
-    """The one descent of the tree: from root to the PTE table covering vpn.
+    """The one descent of the tree: from the root to the PTE table covering vpn.
 
-    touches, when given, collects (level, resident_node) for every table
-    visited, the PTE table included.  A missing table ends the descent with
-    None, unless alloc is given: then alloc(parent, idx) supplies the child.
-    The PTE entry index is vpn % arity.
+    touches, when given, collects (level, node holding replica's copy) for
+    every table visited, the PTE table included.  A missing table ends the
+    descent with None, unless alloc is given: then alloc(parent, idx)
+    supplies the child.  The PTE entry index is vpn % arity.
     """
     a = space.arity
     top = vpn // (a * a * a)
     if top >= a:
         raise ValueError(f"vpn {vpn} does not fit a four-level space of arity {a}")
-    table = root
+    table = space.root
     for idx in (top, vpn // (a * a) % a, vpn // a % a):
         if touches is not None:
-            touches.append((table.level, table.resident_node))
+            touches.append((table.level, table.resident[replica]))
         child = table.entries.get(idx)
         if child is None:
             if alloc is None:
@@ -281,7 +269,7 @@ def _pte_table(space: AddressSpace, root: PageTableNode, vpn: int,
             child = alloc(table, idx)
         table = child
     if touches is not None:
-        touches.append((table.level, table.resident_node))
+        touches.append((table.level, table.resident[replica]))
     return table
 
 
@@ -291,14 +279,14 @@ def _mutate_leaf(space: AddressSpace, vpns: Sequence[int], updater_node: int,
                  allocate: bool = False) -> PtOpCost:
     """The one leaf-mutation path: write each vpn's leaf in every replica.
 
-    Each PTE table is found once per call, through the updater's replica,
-    allocating missing tables when allocate is set; its replica ring is
-    priced then, one price read per ring member, and every vpn in the table
-    is charged that sum.  All vpns are checked before anything is written:
-    with allocate each must be unmapped (MappingExistsError), otherwise
-    mapped (NotMappedError).  write(entries, idx, vpn) is applied to every
-    replica on the ring; when shoots is set, each vpn counts a shootdown and
-    calls the hook.  A single lock wait covers every table the operation
+    Each PTE table is found once per call, allocating missing tables when
+    allocate is set; its copies are priced then, one price read per
+    replica, and every vpn in the table is charged that sum and one write
+    per replica.  All vpns are checked before anything is written: with
+    allocate each must be unmapped (MappingExistsError), otherwise mapped
+    (NotMappedError).  write(entries, idx, vpn) is applied once, to the leaf
+    every replica shares; when shoots is set, each vpn counts a shootdown
+    and calls the hook.  A single lock wait covers every table the operation
     touched.
     """
     cost = PtOpCost()
@@ -309,34 +297,28 @@ def _mutate_leaf(space: AddressSpace, vpns: Sequence[int], updater_node: int,
             return _alloc_child(space, parent, idx, updater_node, contention,
                                 cost, touched)
     topo = space.topo
-    root = space.root_for(updater_node)
     a = space.arity
-    # vpn // arity -> (entries of every replica's PTE table, price of the ring)
-    rings: Dict[int, Tuple[List[Dict[int, object]], int]] = {}
+    # vpn // arity -> (the PTE table's entries, its copies, their price)
+    tables: Dict[int, Tuple[Dict[int, object], int, int]] = {}
     for vpn in vpns:
-        ring = rings.get(vpn // a)
-        if ring is None:
-            pte = _pte_table(space, root, vpn, alloc=alloc)
+        table = tables.get(vpn // a)
+        if table is None:
+            pte = _pte_table(space, vpn, alloc=alloc)
             if pte is None:
                 raise NotMappedError(f"vpn {vpn} is not mapped")
-            entries, price = [], 0
-            for table in pte.chain():
-                entries.append(table.entries)
-                price += access_latency(topo, updater_node, table.resident_node,
-                                        contention)
-                touched.add(id(table))
-            ring = rings[vpn // a] = (entries, price)
-        if (vpn % a in ring[0][0]) == allocate:
+            price = sum(access_latency(topo, updater_node, node, contention)
+                        for node in pte.resident.values())
+            touched.add(id(pte))
+            table = tables[vpn // a] = (pte.entries, len(pte.resident), price)
+        if (vpn % a in table[0]) == allocate:
             if allocate:
                 raise MappingExistsError(f"vpn {vpn} already mapped")
             raise NotMappedError(f"vpn {vpn} is not mapped")
 
     for vpn in vpns:
-        entries, price = rings[vpn // a]
-        idx = vpn % a
-        for table_entries in entries:
-            write(table_entries, idx, vpn)
-        cost.writes_performed += len(entries)
+        entries, copies, price = tables[vpn // a]
+        write(entries, vpn % a, vpn)
+        cost.writes_performed += copies
         cost.cycles += price
     if shoots:
         cost.shootdowns_issued += len(vpns)
@@ -443,64 +425,47 @@ def set_frame_node(space: AddressSpace, vpn: int, new_node: int,
 
 
 def add_replica(space: AddressSpace, target_node: int, contention=None) -> PtOpCost:
-    """Deep-copy the tree onto target_node and splice it into every ring.
+    """Copy every table page onto target_node, a new replica after the home one.
 
-    Each copied table page costs one read at the source page's node plus one
-    write on target_node, both priced from the target (the copier runs there).
+    Each copied table page costs one read at the home replica's copy plus
+    one write on target_node, both priced from the target (the copier runs
+    there).
     """
-    if target_node in space.replica_roots:
+    if target_node in space.replicas:
         raise ReplicaExistsError(f"node {target_node} already holds a replica")
     cost = PtOpCost()
-    src_root = space.replica_roots[space.home_node]
-
-    def copy_table(src: PageTableNode) -> PageTableNode:
-        dst = PageTableNode(src.level, target_node, target_node)
+    home = space.home_node
+    write_cycles = access_latency(space.topo, target_node, target_node,
+                                  contention)
+    for table in space.iter_tables():
+        page_cycles = write_cycles + access_latency(
+            space.topo, target_node, table.resident[home], contention)
         cost.pages_copied += 1
         cost.writes_performed += 1
-        page_cycles = (access_latency(space.topo, target_node, src.resident_node,
-                                      contention)
-                       + access_latency(space.topo, target_node, target_node,
-                                        contention))
         cost.cycles += page_cycles
-        if src.level == Level.PGD:
+        if table.level == Level.PGD:
             cost.pgd_pages_exempt += 1
             cost.pgd_exempt_cycles += page_cycles
-        if src.level == Level.PTE:
-            for idx, m in src.entries.items():
-                dst.entries[idx] = Mapping(m.vpn, m.pfn, m.prot, m.pfn_node,
-                                           m.numa_hint)
-        else:
-            for idx, child in src.entries.items():
-                dst.entries[idx] = copy_table(child)
-        # splice the copy right after its source in the ring
-        dst.next_replica = src.next_replica
-        src.next_replica = dst
-        return dst
-
-    new_root = copy_table(src_root)
-    space.replica_roots[target_node] = new_root
+        table.resident[target_node] = target_node
+    space.replicas.insert(space.replicas.index(home) + 1, target_node)
     return cost
 
 
 def drop_replica(space: AddressSpace, node: int, contention=None) -> PtOpCost:
-    """Unlink one replica from every ring and free its table pages."""
-    if node not in space.replica_roots:
+    """Free one replica's copy of every table page."""
+    if node not in space.replicas:
         raise NotMappedError(f"node {node} holds no replica")
     if space.replica_count == 1:
         raise LastReplicaError("cannot drop the last replica")
     cost = PtOpCost()
-    root = space.replica_roots[node]
-    for table in list(space.iter_tables(root)):
-        pred = table
-        while pred.next_replica is not table:
-            pred = pred.next_replica
-        pred.next_replica = table.next_replica
-        table.next_replica = table
+    write_cycles = access_latency(space.topo, node, node, contention)
+    for table in space.iter_tables():
+        del table.resident[node]
         cost.writes_performed += 1
-        cost.cycles += access_latency(space.topo, node, node, contention)
-    del space.replica_roots[node]
+        cost.cycles += write_cycles
+    space.replicas.remove(node)
     if space.home_node == node:
-        space.home_node = min(space.replica_roots)
+        space.home_node = min(space.replicas)
     return cost
 
 
@@ -512,9 +477,9 @@ def migrate_tables(space: AddressSpace, from_node: int, to_node: int,
     from the migrated-page count and cycle total; the exempt amounts are
     reported separately.
     """
-    if from_node not in space.replica_roots:
+    if from_node not in space.replicas:
         raise NotMappedError(f"node {from_node} holds no replica")
-    if to_node in space.replica_roots:
+    if to_node in space.replicas:
         raise ReplicaExistsError(f"node {to_node} already holds a replica")
     single = space.replica_count == 1
     cost = add_replica(space, to_node, contention)
@@ -534,9 +499,9 @@ def translate(space: AddressSpace, vpn: int,
               walker_node: int) -> Tuple[Optional[Mapping], List[Tuple[Level, int]]]:
     """Walk the replica local to walker_node (home replica otherwise).
 
-    Returns the mapping (None on fault) and the ordered list of
-    (level, resident_node) table touches the walk performed.
+    Returns the mapping (None on fault) and the ordered list of (level, node
+    holding the walked replica's copy) table touches the walk performed.
     """
     touches: List[Tuple[Level, int]] = []
-    pte = _pte_table(space, space.root_for(walker_node), vpn, touches)
+    pte = _pte_table(space, vpn, touches, space.replica_for(walker_node))
     return (None if pte is None else pte.entries.get(vpn % space.arity)), touches

@@ -330,7 +330,7 @@ def phoenix_evaluate(task: TaskState, loads: Dict[int, NodeLoad],
         task.last_phoenix_action = "cooldown"
         return Action("already_handled")
     if current_node in task.allowed_nodes and \
-            current_node not in space.replica_roots:
+            current_node not in space.replicas:
         task.last_phoenix_action = "replicate"
         return Action("replicate", node=current_node)
     return Action("already_handled")

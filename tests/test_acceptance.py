@@ -133,16 +133,16 @@ def test_criterion_01_coherence_oracle():
             remember(dst, entry)
             touched = [src, dst]
         elif roll < 0.99:
-            absent = [n for n in topo.node_ids if n not in space.replica_roots]
+            absent = [n for n in topo.node_ids if n not in space.replicas]
             if absent:
                 add_replica(space, rng.choice(absent))
         elif roll < 0.995:
             if space.replica_count > 1:
-                drop_replica(space, rng.choice(list(space.replica_roots)))
+                drop_replica(space, rng.choice(space.replicas))
         else:
-            absent = [n for n in topo.node_ids if n not in space.replica_roots]
+            absent = [n for n in topo.node_ids if n not in space.replicas]
             if absent:
-                migrate_tables(space, rng.choice(list(space.replica_roots)),
+                migrate_tables(space, rng.choice(space.replicas),
                                rng.choice(absent))
 
         touched.append(rng.randrange(vspace))

@@ -1,12 +1,15 @@
 """Simulation engine: contention, throttling, charging, and policy behavior."""
 
+import gc
 import math
 from collections import deque
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from numasim.cli import load_scenario_file, scenario_from_dict
 from numasim.engine import (
     CONTENTION_CAP,
     CONTENTION_KNEE,
@@ -19,12 +22,15 @@ from numasim.engine import (
     compute_contention,
     simulate,
 )
+from numasim.metrics import finalize
 from numasim.sched import PolicyKind
 from numasim.topology import access_latency, build_topology
 from numasim.workload import (WorkloadSpec, generate_quantum_events, preset,
                               quantum_volume)
 
 from conftest import make_topo
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def build(workloads, nodes=2, cores=2, policy=None, duration=20, seed=1,
@@ -209,13 +215,33 @@ def test_forced_replica_count_is_honored():
     assert simulate(scenario).processes[0].space.replica_count == 3
 
 
+@pytest.mark.parametrize("policy", ["linux", "mitosis", "phoenix"])
+def test_a_finished_simulation_needs_no_cyclic_collection(policy):
+    # everything a run allocates is freed by reference counting alone
+    raw = load_scenario_file(SCENARIOS / "ondemand.json")
+    raw["policy"] = {"kind": policy}
+    raw["run"]["duration"] = 30
+    scenario = scenario_from_dict(raw)
+    gc.collect()
+    gc.disable()
+    try:
+        sim = Simulation(scenario)
+        report = finalize(sim.run(), scenario)
+        del sim
+        unreachable = gc.collect()
+    finally:
+        gc.enable()
+    assert report.totals["events_issued"] > 0
+    assert unreachable == 0
+
+
 def test_antagonist_never_speeds_up_the_victim():
     victim = preset("gups_like", thread_count=2, footprint_pages=2048)
     alone = simulate(build([victim], duration=30, quantum=1000))
     paired = simulate(build([victim, preset("stream_like", thread_count=2)],
                             duration=30, quantum=1000))
-    victim_alone = total(alone, lambda t: t.process.pid == 0)
-    victim_paired = total(paired, lambda t: t.process.pid == 0)
+    victim_alone = total(alone, lambda t: t.st.process_id == 0)
+    victim_paired = total(paired, lambda t: t.st.process_id == 0)
     assert victim_paired > victim_alone
 
 
@@ -374,9 +400,9 @@ def test_late_starters_spawn_on_schedule():
     hog = preset("stream_like", thread_count=2)
     scenario = build([(victim, 0), (hog, 7)], nodes=2, cores=4, duration=12)
     result = simulate(scenario)
-    hog_tasks = [t for t in result.tasks if t.process.pid == 1]
+    hog_tasks = [t for t in result.tasks if t.st.process_id == 1]
     assert all(t.counters.events_issued == (12 - 7) * 256 for t in hog_tasks)
-    victim_tasks = [t for t in result.tasks if t.process.pid == 0]
+    victim_tasks = [t for t in result.tasks if t.st.process_id == 0]
     assert all(t.counters.events_issued == 12 * 100 for t in victim_tasks)
 
 

@@ -45,6 +45,11 @@ def table_pages(space):
     return sum(1 for _ in space.iter_tables())
 
 
+def assert_every_table_in_every_replica(space):
+    for table in space.iter_tables():
+        assert sorted(table.resident) == sorted(space.replicas)
+
+
 def test_fresh_space_has_one_replica_pgd_only():
     space = space_on(make_topo(2, 1))
     assert space.replica_count == 1
@@ -118,8 +123,9 @@ def test_map_pages_matches_one_map_page_per_vpn(replicas):
     assert dataclasses.astuple(cost) == dataclasses.astuple(total)
     assert leaves(batched) == leaves(single)
     assert batched.mappings_count == single.mappings_count == len(vpns)
-    assert [t.resident_node for t in batched.iter_tables()] == \
-        [t.resident_node for t in single.iter_tables()]
+    assert [t.resident for t in batched.iter_tables()] == \
+        [t.resident for t in single.iter_tables()]
+    assert_every_table_in_every_replica(batched)
     with pytest.raises(MappingExistsError):
         map_pages(batched, [30, 12], [1, 2], [0, 0], requesting_core=0)
     assert batched.lookup(30) is None  # checked before anything is written
@@ -189,7 +195,7 @@ def test_add_replica_on_empty_space_copies_just_the_pgd():
     assert space.replica_count == 2
 
 
-def test_add_replica_copies_every_table_and_links_rings():
+def test_add_replica_copies_every_table_and_adds_residencies():
     space = space_on(make_topo(2, 1))
     map_page(space, 0, 10, 0, requesting_core=0)
     map_page(space, 512, 11, 0, requesting_core=0)  # second PTE table
@@ -197,8 +203,9 @@ def test_add_replica_copies_every_table_and_links_rings():
     assert pages == 5
     cost = add_replica(space, 1)
     assert cost.pages_copied == pages
+    assert space.replicas == [0, 1]
     for table in space.iter_tables():
-        assert len(list(table.chain())) == 2
+        assert table.resident == {0: 0, 1: 1}
     m, touches = translate(space, 0, walker_node=1)
     assert m.pfn == 10
     assert all(node == 1 for _, node in touches)
@@ -221,7 +228,7 @@ def test_replica_updates_stay_coherent():
         assert m.pfn == 20
 
 
-def test_drop_replica_unlinks_and_frees():
+def test_drop_replica_frees_every_copy():
     space = space_on(make_topo(2, 1))
     map_page(space, 0, 10, 0, requesting_core=0)
     add_replica(space, 1)
@@ -229,8 +236,9 @@ def test_drop_replica_unlinks_and_frees():
     assert cost.writes_performed == 4
     assert cost.cycles == 400  # one local write per freed table page
     assert space.replica_count == 1
+    assert space.replicas == [0]
     for table in space.iter_tables():
-        assert len(list(table.chain())) == 1
+        assert table.resident == {0: 0}
     m, _ = translate(space, 0, walker_node=1)  # falls back to home replica
     assert m.pfn == 10
 
@@ -242,7 +250,8 @@ def test_drop_home_replica_reassigns_home():
     add_replica(space, 3)
     drop_replica(space, 0)
     assert space.home_node == 2
-    assert sorted(space.replica_roots) == [2, 3]
+    assert sorted(space.replicas) == [2, 3]
+    assert_every_table_in_every_replica(space)
     m, _ = translate(space, 0, walker_node=0)
     assert m.pfn == 10
 
@@ -264,12 +273,12 @@ def test_migrate_single_replica_exempts_the_pgd():
     assert cost.pages_copied == pages - 1
     assert cost.pgd_pages_exempt == 1
     assert space.home_node == 1
-    assert list(space.replica_roots) == [1]
+    assert space.replicas == [1]
     m, touches = translate(space, 0, walker_node=1)
     assert m.pfn == 10
     assert all(node == 1 for _, node in touches)
     for table in space.iter_tables():
-        assert len(list(table.chain())) == 1
+        assert table.resident == {1: 1}
 
 
 def test_migrate_with_other_replicas_pays_full_copy():
@@ -281,7 +290,8 @@ def test_migrate_with_other_replicas_pays_full_copy():
     assert cost.pages_copied == pages
     assert cost.pgd_pages_exempt == 0
     assert cost.pgd_exempt_cycles == 0
-    assert sorted(space.replica_roots) == [0, 2]
+    assert sorted(space.replicas) == [0, 2]
+    assert_every_table_in_every_replica(space)
 
 
 def test_home_node_alloc_keeps_walks_replica_local():
@@ -309,6 +319,41 @@ def test_interleave_alloc_round_robins_tables():
     map_page(space, 0, 10, 0, requesting_core=0)
     _, touches = translate(space, 0, walker_node=0)
     assert [node for _, node in touches] == [0, 1, 2, 3]
+
+
+def test_interleave_places_copies_in_ring_order_from_the_updater():
+    # a new replica goes right after the home one; a table allocated later
+    # gets its copies placed replica by replica from the updater's replica
+    # on (from the home replica when the updater's node holds none)
+    topo = make_topo(4, 1)
+    space = space_on(topo, policy=INTERLEAVE, arity=8)
+    map_page(space, 0, 100, 0, requesting_core=0)
+    add_replica(space, 2)
+    add_replica(space, 3)
+    map_page(space, 8, 101, 0, requesting_core=2)     # new PTE table
+    map_page(space, 64, 102, 0, requesting_core=2)    # new PMD and PTE
+    map_page(space, 512, 103, 0, requesting_core=1)   # new PUD, PMD, PTE
+    add_replica(space, 1)
+    map_pages(space, [520, 600], [104, 105], [0, 0], requesting_core=3)
+    assert space.replicas == [0, 1, 3, 2]
+    expected = [
+        (Level.PGD, {0: 0, 1: 1, 3: 3, 2: 2}),
+        (Level.PUD, {0: 1, 1: 1, 3: 3, 2: 2}),
+        (Level.PMD, {0: 2, 1: 1, 3: 3, 2: 2}),
+        (Level.PTE, {0: 3, 1: 1, 3: 3, 2: 2}),
+        (Level.PTE, {0: 1, 1: 1, 3: 2, 2: 0}),
+        (Level.PMD, {0: 0, 1: 1, 3: 1, 2: 3}),
+        (Level.PTE, {0: 3, 1: 1, 3: 0, 2: 2}),
+        (Level.PUD, {0: 1, 1: 1, 3: 2, 2: 3}),
+        (Level.PMD, {0: 0, 1: 1, 3: 1, 2: 2}),
+        (Level.PTE, {0: 3, 1: 1, 3: 0, 2: 1}),
+        (Level.PTE, {0: 0, 1: 1, 3: 2, 2: 3}),
+        (Level.PMD, {0: 0, 1: 1, 3: 2, 2: 3}),
+        (Level.PTE, {0: 0, 1: 1, 3: 2, 2: 3}),
+    ]
+    assert [(t.level, t.resident) for t in space.iter_tables()] == expected
+    assert sum(len(t.entries) for t in space.iter_tables()
+               if t.level == Level.PTE) == space.mappings_count == 6
 
 
 def test_translate_reports_partial_touches_on_fault():
@@ -392,9 +437,9 @@ def test_access_hints_round_trip():
 
 def test_replica_root_fallback():
     space = space_on(make_topo(2, 1))
-    assert space.root_for(1) is space.replica_roots[0]
+    assert space.replica_for(1) == 0
     add_replica(space, 1)
-    assert space.root_for(1) is space.replica_roots[1]
+    assert space.replica_for(1) == 1
 
 
 def test_construction_validation():
@@ -423,7 +468,7 @@ def test_next_free_vpn_matches_a_page_by_page_scan():
             assert space.next_free_vpn(start, limit) == expected
 
 
-def test_random_op_soup_keeps_rings_and_contents_coherent():
+def test_random_op_soup_keeps_residencies_and_contents_coherent():
     topo = make_topo(4, 1)
     space = space_on(topo, arity=8)
     rng = random.Random(1001)
@@ -445,20 +490,16 @@ def test_random_op_soup_keeps_rings_and_contents_coherent():
             unmap_page(space, vpn, requesting_core=rng.randrange(4))
             del shadow[vpn]
         elif roll < 0.80 and space.replica_count < 4:
-            node = min(set(range(4)) - set(space.replica_roots))
+            node = min(set(range(4)) - set(space.replicas))
             add_replica(space, node)
         elif roll < 0.90 and space.replica_count > 1:
-            node = max(space.replica_roots)
+            node = max(space.replicas)
             drop_replica(space, node)
         elif shadow:
             vpn = rng.choice(list(shadow))
             set_frame_node(space, vpn, rng.randrange(4), requesting_node=0)
-    assert space.mappings_count == len(shadow)
-    replicas = set(space.replica_roots)
-    for table in space.iter_tables():
-        chain = list(table.chain())
-        assert len(chain) == len(replicas)
-        assert {t.replica_key for t in chain} == replicas
+    assert space.mappings_count == len(shadow) == len(leaves(space))
+    assert_every_table_in_every_replica(space)
     for vpn, pfn in shadow.items():
         for walker in range(4):
             m, _ = translate(space, vpn, walker_node=walker)
@@ -471,12 +512,10 @@ def test_random_op_soup_keeps_rings_and_contents_coherent():
 
 
 def leaves(space):
-    """Every replica's leaf entries, by replica node."""
-    return {node: sorted(dataclasses.astuple(m)
-                         for table in space.iter_tables(root)
-                         if table.level == Level.PTE
-                         for m in table.entries.values())
-            for node, root in space.replica_roots.items()}
+    """The leaf entries every replica shares, sorted."""
+    return sorted(dataclasses.astuple(m)
+                  for table in space.iter_tables() if table.level == Level.PTE
+                  for m in table.entries.values())
 
 
 @st.composite
@@ -540,4 +579,6 @@ def test_batched_leaf_writes_match_per_vpn_calls(batch):
     assert dataclasses.astuple(prot) == dataclasses.astuple(prot_sum)
     assert hint.writes_performed == len(sample) * replicas
     assert leaves(batched) == leaves(single)
-    assert len(set(map(tuple, leaves(batched).values()))) == 1  # coherent
+    assert [t.resident for t in batched.iter_tables()] == \
+        [t.resident for t in single.iter_tables()]
+    assert_every_table_in_every_replica(batched)
