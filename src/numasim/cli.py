@@ -3,10 +3,13 @@
 Three subcommands: `run` executes one scenario under one policy, `compare`
 runs the same scenario under several policies and reports speedups, and
 `sweep` varies one scenario knob across a list of values.  Scenario files
-are validated strictly; an unknown key anywhere is an error that names the
-full path to the offending entry.  Every file written is listed with its
-sha256 in a manifest next to the outputs, so runs can be audited and
-reproduced byte for byte.
+are validated before any run starts: `topology.build_topology` checks the
+machine block, `PolicyKind.validate` and `WorkloadSpec.validate` the policy
+and workload specs, and this module the keys and the run block.  Any bad
+input raises `topology.ConfigError` naming the full path to the offending
+entry and exits 1; a failure inside a run exits 2.  Every file written is
+listed with its sha256 in a manifest next to the outputs, so runs can be
+audited and reproduced byte for byte.
 """
 
 from __future__ import annotations
@@ -27,19 +30,12 @@ from typing import Dict, List, Optional
 from . import __version__, metrics, workload
 from .engine import (DEFAULT_QUANTUM_CYCLES, Scenario, WorkloadEntry,
                      run_scenario)
-from .mmu import DEFAULT_TLB_ENTRIES
-from .pagetable import DEFAULT_ARITY
 from .sched import PolicyKind
-from .topology import ConfigError
+from .topology import (MACHINE_KEYS, ConfigError, build_topology, expect,
+                       int_at_least)
 
 OUT_ENV_VAR = "NUMASIM_OUT"
 
-MACHINE_KEYS = {
-    "nodes", "cores_per_node", "smt", "local_latency", "remote_factor",
-    "node_bandwidth", "link_bandwidth", "link_factors", "tlb_entries", "arity",
-}
-MACHINE_COUNTS = ("nodes", "cores_per_node", "local_latency")
-MACHINE_NUMBERS = ("remote_factor", "node_bandwidth", "link_bandwidth")
 TOP_KEYS = {"name", "machine", "workloads", "policy", "run"}
 WORKLOAD_KEYS = {"preset", "spec", "start", "start_quantum", "priority",
                  "overrides"}
@@ -63,36 +59,19 @@ def _dealias(section: dict, aliases: Dict[str, str], where: str) -> dict:
     for short, full in aliases.items():
         if short in out:
             if full in out:
-                raise ValidationError(
+                raise ConfigError(
                     f"{where}: give either {short!r} or {full!r}, not both")
             out[full] = out.pop(short)
     return out
 
 
-class ValidationError(Exception):
-    pass
-
-
 def _reject_unknown(section: dict, allowed: set, where: str) -> None:
+    """Refuse a section that is not an object or has a key outside allowed."""
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where}: expected an object")
     for key in section:
         if key not in allowed:
-            raise ValidationError(f"{where}: unknown key {key!r}")
-
-
-def _int_at_least(value, minimum: int, where: str) -> int:
-    integral = isinstance(value, int) or \
-        isinstance(value, float) and value.is_integer()
-    if isinstance(value, bool) or not integral:
-        raise ValidationError(f"{where}: expected an integer, got {value!r}")
-    number = int(value)
-    if number < minimum:
-        raise ValidationError(f"{where}: must be at least {minimum}, got {number}")
-    return number
-
-
-def _check_number(value, where: str) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"{where}: expected a number, got {value!r}")
+            raise ConfigError(f"{where}: unknown key {key!r}")
 
 
 def _freeze_mix(fields: dict) -> dict:
@@ -104,115 +83,76 @@ def _freeze_mix(fields: dict) -> dict:
     return fields
 
 
-def _spec_from_dict(data: dict, where: str) -> workload.WorkloadSpec:
-    _reject_unknown(data, _SPEC_FIELDS, where)
-    try:
-        spec = workload.WorkloadSpec(**_freeze_mix(data))
-        spec.validate()
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{where}: {exc}") from exc
-    return spec
-
-
 def _workload_entry(data: dict, where: str) -> WorkloadEntry:
-    if not isinstance(data, dict):
-        raise ValidationError(f"{where}: expected an object")
     _reject_unknown(data, WORKLOAD_KEYS, where)
     has_preset = "preset" in data
     has_spec = "spec" in data
     if has_preset == has_spec:
-        raise ValidationError(f"{where}: give exactly one of 'preset' or 'spec'")
+        raise ConfigError(f"{where}: give exactly one of 'preset' or 'spec'")
     overrides = data.get("overrides", {})
-    if not isinstance(overrides, dict):
-        raise ValidationError(f"{where}.overrides: expected an object")
+    _reject_unknown(overrides, _SPEC_FIELDS, f"{where}.overrides")
     if has_preset:
-        _reject_unknown(overrides, _SPEC_FIELDS, f"{where}.overrides")
         try:
             spec = workload.preset(data["preset"], **_freeze_mix(overrides))
         except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(f"{where}: {exc}") from exc
+            raise ConfigError(f"{where}: {exc}") from exc
     else:
         if overrides:
-            raise ValidationError(
+            raise ConfigError(
                 f"{where}: 'overrides' only applies to presets; edit 'spec'")
-        spec = _spec_from_dict(data["spec"], f"{where}.spec")
+        _reject_unknown(data["spec"], _SPEC_FIELDS, f"{where}.spec")
+        try:
+            spec = workload.WorkloadSpec(**_freeze_mix(data["spec"]))
+            spec.validate()
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{where}.spec: {exc}") from exc
     data = _dealias(data, {"start": "start_quantum"}, where)
-    start = data.get("start_quantum", 0)
-    if not isinstance(start, int) or start < 0:
-        raise ValidationError(f"{where}.start_quantum: expected int >= 0")
+    start = int_at_least(data.get("start_quantum", 0), 0,
+                         f"{where}.start_quantum")
     priority = data.get("priority")
     if priority is not None and priority not in workload.PRIORITIES:
-        raise ValidationError(
+        raise ConfigError(
             f"{where}.priority: must be one of {workload.PRIORITIES}")
     return WorkloadEntry(spec=spec, start_quantum=start, priority=priority)
 
 
 def scenario_from_dict(raw: dict, source: str = "scenario") -> Scenario:
-    if not isinstance(raw, dict):
-        raise ValidationError(f"{source}: expected a JSON object")
     _reject_unknown(raw, TOP_KEYS, source)
     for required in ("machine", "workloads", "policy"):
         if required not in raw:
-            raise ValidationError(f"{source}: missing required key {required!r}")
+            raise ConfigError(f"{source}: missing required key {required!r}")
 
     machine = raw["machine"]
-    if not isinstance(machine, dict):
-        raise ValidationError(f"{source}.machine: expected an object")
     _reject_unknown(machine, MACHINE_KEYS, f"{source}.machine")
-    # typed here, so a bad value names its path; topology.build_topology
-    # still checks how the values fit together
-    for key in MACHINE_COUNTS:
-        if key in machine:
-            _int_at_least(machine[key], 1, f"{source}.machine.{key}")
-    for key in MACHINE_NUMBERS:
-        if key in machine:
-            _check_number(machine[key], f"{source}.machine.{key}")
-    if "smt" in machine and not isinstance(machine["smt"], bool):
-        raise ValidationError(f"{source}.machine.smt: expected true or "
-                              f"false, got {machine['smt']!r}")
-    factors = machine.get("link_factors")
-    if factors is not None:
-        if not isinstance(factors, list):
-            raise ValidationError(
-                f"{source}.machine.link_factors: expected a list of rows")
-        for a, row in enumerate(factors):
-            where = f"{source}.machine.link_factors[{a}]"
-            if not isinstance(row, list):
-                raise ValidationError(f"{where}: expected a list")
-            for b, factor in enumerate(row):
-                _check_number(factor, f"{where}[{b}]")
-    # the machine values the model reads outside topology.build_topology
-    _int_at_least(machine.get("tlb_entries", DEFAULT_TLB_ENTRIES), 1,
-                  f"{source}.machine.tlb_entries")
-    arity = _int_at_least(machine.get("arity", DEFAULT_ARITY), 4,
-                          f"{source}.machine.arity")
+    try:
+        arity = build_topology(machine).arity
+    except ConfigError as exc:
+        raise ConfigError(f"{source}.machine.{exc}") from exc
 
     workloads_raw = raw["workloads"]
     if not isinstance(workloads_raw, list) or not workloads_raw:
-        raise ValidationError(f"{source}.workloads: expected a non-empty list")
+        raise ConfigError(f"{source}.workloads: expected a non-empty list")
     entries = [_workload_entry(item, f"{source}.workloads[{i}]")
                for i, item in enumerate(workloads_raw)]
     for i, entry in enumerate(entries):
         if entry.spec.footprint_pages > arity ** 4:
-            raise ValidationError(
+            raise ConfigError(
                 f"{source}.workloads[{i}]: footprint_pages "
                 f"{entry.spec.footprint_pages} exceeds the {arity ** 4} pages "
                 f"a four-level table of arity {arity} maps")
 
     policy_raw = raw["policy"]
     if not isinstance(policy_raw, dict) or "kind" not in policy_raw:
-        raise ValidationError(f"{source}.policy: expected an object with 'kind'")
+        raise ConfigError(f"{source}.policy: expected an object with 'kind'")
     policy_raw = _dealias(policy_raw, POLICY_ALIASES, f"{source}.policy")
     _reject_unknown(policy_raw, _POLICY_FIELDS, f"{source}.policy")
     try:
         policy = PolicyKind(**policy_raw)
         policy.validate()
     except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{source}.policy: {exc}") from exc
+        raise ConfigError(f"{source}.policy: {exc}") from exc
 
     run_raw = raw.get("run", {})
-    if not isinstance(run_raw, dict):
-        raise ValidationError(f"{source}.run: expected an object")
     _reject_unknown(run_raw, RUN_KEYS, f"{source}.run")
     run_raw = _dealias(run_raw, RUN_ALIASES, f"{source}.run")
 
@@ -220,14 +160,16 @@ def scenario_from_dict(raw: dict, source: str = "scenario") -> Scenario:
         machine=machine,
         workloads=entries,
         policy=policy,
-        duration_quanta=_int_at_least(run_raw.get("duration_quanta", 100), 1,
-                                      f"{source}.run.duration_quanta"),
-        rng_seed=_int_at_least(run_raw.get("seed", 1), 0, f"{source}.run.seed"),
-        quantum_cycles=_int_at_least(
+        duration_quanta=int_at_least(run_raw.get("duration_quanta", 100), 1,
+                                     f"{source}.run.duration_quanta"),
+        rng_seed=int_at_least(run_raw.get("seed", 1), 0, f"{source}.run.seed"),
+        quantum_cycles=int_at_least(
             run_raw.get("quantum_cycles", DEFAULT_QUANTUM_CYCLES), 1,
             f"{source}.run.quantum_cycles"),
-        timeseries=bool(run_raw.get("timeseries", False)),
-        prefault=bool(run_raw.get("prefault", False)),
+        timeseries=expect(run_raw.get("timeseries", False), bool,
+                          f"{source}.run.timeseries"),
+        prefault=expect(run_raw.get("prefault", False), bool,
+                        f"{source}.run.prefault"),
         name=str(raw.get("name", "scenario")))
 
 
@@ -236,9 +178,9 @@ def load_scenario_file(path: str) -> dict:
         with open(path) as fh:
             raw = json.load(fh)
     except OSError as exc:
-        raise ValidationError(f"{path}: {exc}") from exc
+        raise ConfigError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: not valid JSON: {exc}") from exc
+        raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
     if isinstance(raw, dict) and "name" not in raw:
         raw["name"] = Path(path).stem
     return raw
@@ -247,7 +189,7 @@ def load_scenario_file(path: str) -> dict:
 def apply_set(raw: dict, assignment: str) -> None:
     """Apply one --set override of the form dotted.path=json_value."""
     if "=" not in assignment:
-        raise ValidationError(f"--set {assignment!r}: expected path=value")
+        raise ConfigError(f"--set {assignment!r}: expected path=value")
     path, _, text = assignment.partition("=")
     try:
         value = json.loads(text)
@@ -260,18 +202,18 @@ def apply_set(raw: dict, assignment: str) -> None:
         try:
             node = node[key]
         except (KeyError, IndexError, TypeError):
-            raise ValidationError(
+            raise ConfigError(
                 f"--set {assignment!r}: no such path element {part!r}")
     last = parts[-1]
     if isinstance(node, list):
         if not last.lstrip("-").isdigit():
-            raise ValidationError(
+            raise ConfigError(
                 f"--set {assignment!r}: list index expected, got {last!r}")
         node[int(last)] = value
     elif isinstance(node, dict):
         node[last] = value
     else:
-        raise ValidationError(
+        raise ConfigError(
             f"--set {assignment!r}: cannot assign into {type(node).__name__}")
 
 
@@ -385,7 +327,7 @@ def cmd_compare(args) -> int:
     raw = _prepare_raw(args)
     policies = [p.strip() for p in args.policies.split(",") if p.strip()]
     if len(policies) < 2:
-        raise ValidationError("--policies needs at least two policy kinds")
+        raise ConfigError("--policies needs at least two policy kinds")
     raws = []
     for kind in policies:
         variant = copy.deepcopy(raw)
@@ -436,30 +378,27 @@ def _sweep_apply(variant: dict, name: str, value) -> None:
     elif name == "antagonist_threads":
         entries = variant.get("workloads", [])
         if not entries:
-            raise ValidationError("antagonist_threads: scenario has no workloads")
+            raise ConfigError("antagonist_threads: scenario has no workloads")
         lows = [i for i, e in enumerate(entries) if _entry_priority(e) == "low"]
         entry = entries[lows[-1] if lows else -1]
         if "preset" in entry:
             entry.setdefault("overrides", {})["thread_count"] = value
         else:
             entry.setdefault("spec", {})["thread_count"] = value
-    else:
-        raise ValidationError(
-            f"unknown parameter {name!r}; choose from {', '.join(SWEEP_PARAMS)}")
 
 
 def cmd_sweep(args) -> int:
     raw = _prepare_raw(args)
     if args.param not in SWEEP_PARAMS:
-        raise ValidationError(
+        raise ConfigError(
             f"unknown parameter {args.param!r}; choose from "
             f"{', '.join(SWEEP_PARAMS)}")
     try:
         values = [json.loads(v) for v in args.values.split(",") if v.strip()]
     except json.JSONDecodeError as exc:
-        raise ValidationError(f"--values: not valid JSON: {exc}") from exc
+        raise ConfigError(f"--values: not valid JSON: {exc}") from exc
     if not values:
-        raise ValidationError("--values: empty value list")
+        raise ConfigError("--values: empty value list")
     policies = [p.strip() for p in (args.policies or "").split(",") if p.strip()]
     if not policies:
         policies = [raw.get("policy", {}).get("kind", "linux")]
@@ -567,7 +506,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ValidationError, ConfigError) as exc:  # bad input
+    except ConfigError as exc:  # bad input
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # anything raised inside the run

@@ -15,13 +15,13 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from collections import deque
+from collections import Counter, deque
 from dataclasses import asdict, dataclass, field, replace
 from operator import attrgetter
 from typing import Dict, List, Optional, Tuple
 
 from . import metrics, pagetable, sched, workload
-from .mmu import DEFAULT_TLB_ENTRIES, Mmu
+from .mmu import Mmu
 from .pagetable import (AddressSpace, PROT_READ, add_replica,
                         clear_access_hint, map_page, map_pages, migrate_tables,
                         protect_range, set_access_hint, set_frame_node,
@@ -202,12 +202,12 @@ class SimTask:
 
 
 class SimProcess:
-    def __init__(self, pid: int, entry: WorkloadEntry, priority: str):
+    def __init__(self, pid: int, entry: WorkloadEntry, priority: str,
+                 space: AddressSpace):
         self.pid = pid
-        self.entry = entry
         self.spec = entry.spec
         self.priority = priority
-        self.space: Optional[AddressSpace] = None
+        self.space = space
         self.tasks: List[SimTask] = []
         self.data_rr = 0
         self.charge_rr = 0
@@ -242,8 +242,7 @@ class Simulation:
         self.scenario = scenario
         self.policy = scenario.policy
         self.topo = build_topology(scenario.machine)
-        self.mmu = Mmu(self.topo, tlb_entries=int(
-            scenario.machine.get("tlb_entries", DEFAULT_TLB_ENTRIES)))
+        self.mmu = Mmu(self.topo, tlb_entries=self.topo.tlb_entries)
         self.contention = ContentionState(cycles=self.topo.cycles)
         self.cores = [CoreState(c.core_id, c.node_id, c.physical_core_id)
                       for c in self.topo.cores]
@@ -276,8 +275,6 @@ class Simulation:
         for (node_id, pid), cap in self.mba_caps.items():
             loads[node_id].mba_caps[pid] = cap
         for task in self.tasks:
-            if task.st.current_core is None:
-                continue
             node_id = self.cores[task.st.current_core].node_id
             pmc = task.last_window if task.last_window is not None else task.st.pmc
             bw = estimate_bandwidth(pmc)
@@ -296,9 +293,6 @@ class Simulation:
     def _spawn(self, entry: WorkloadEntry) -> None:
         pid = len(self.processes)
         priority = entry.priority or entry.spec.priority
-        proc = SimProcess(pid, entry, priority)
-        self.processes.append(proc)
-
         main_st = sched.on_fork(None, self.policy, len(self.tasks), pid, priority)
         loads = self._node_loads()
         home = sched.place_process(main_st, self.policy, loads)
@@ -306,11 +300,11 @@ class Simulation:
         alloc = self.policy.alloc_policy or \
             (pagetable.HOME_NODE if self.policy.kind == "phoenix"
              else pagetable.FIRST_TOUCH)
-        arity = int(self.scenario.machine.get("arity", pagetable.DEFAULT_ARITY))
-        space = AddressSpace(self.topo, pid, home, alloc, arity=arity)
+        space = AddressSpace(self.topo, pid, home, alloc, arity=self.topo.arity)
         space.lock_mode = self.policy.lock_mode or \
             ("global" if self.policy.kind == "mitosis" else "per_table")
-        proc.space = space
+        proc = SimProcess(pid, entry, priority, space)
+        self.processes.append(proc)
 
         slots = self._slots()
         main = SimTask(main_st, 0)
@@ -396,8 +390,7 @@ class Simulation:
                       initiator_node: int):
         def fire(vpn: int) -> int:
             targets = [t.st.current_core for t in proc.tasks
-                       if t.st.current_core is not None
-                       and t.st.current_core != initiator_core]
+                       if t.st.current_core != initiator_core]
             cycles = self.mmu.tlb_shootdown(vpn, initiator_node, targets,
                                             proc.space)
             if initiator_core is not None:
@@ -596,8 +589,7 @@ class Simulation:
             # every hint, so it never races itself
             tasks = proc.tasks
             n = len(tasks)
-            targets = [t.st.current_core for t in tasks
-                       if t.st.current_core is not None]
+            targets = [t.st.current_core for t in tasks]
             for k in range(min(count, n)):
                 task = tasks[(proc.charge_rr + k) % n]
                 node = self.cores[task.st.current_core].node_id
@@ -651,13 +643,18 @@ class Simulation:
                 "node": action.node, "target_process": action.process_id,
                 "cap": action.cap})
 
-    def _tick(self, task: SimTask) -> None:
+    def _flush(self, task: SimTask) -> Dict[str, int]:
+        """Add task's counters since its last flush to its node; return them."""
         delta = task.counters.delta_since(task._snap)
         node_id = self.cores[task.st.current_core].node_id
         node_delta = dict(delta)
         node_delta.pop("bandwidth_bytes")  # nodes account traffic by destination
         self.node_counters[node_id].add_delta(node_delta)
         task._snap = task.counters.snapshot()
+        return delta
+
+    def _tick(self, task: SimTask) -> None:
+        delta = self._flush(task)
 
         task.st.pmc.add(PmcSample(
             window_total_cycles=delta["total_cycles"],
@@ -695,10 +692,9 @@ class Simulation:
     # -- rebalancing ------------------------------------------------------------------
 
     def _rebalance(self) -> None:
-        states = [t.st for t in self.tasks if t.st.current_core is not None]
         slots = self._slots()
         old_core = {t.task_id: t.st.current_core for t in self.tasks}
-        moves = sched.rebalance(self.policy, states, slots)
+        moves = sched.rebalance(self.policy, [t.st for t in self.tasks], slots)
         by_id = {t.task_id: t for t in self.tasks}
         for task_id, new_core in moves:
             task = by_id[task_id]
@@ -714,16 +710,10 @@ class Simulation:
     def _follow_tables(self) -> None:
         # page tables chase a process whose threads have all left the home node
         for proc in self.processes:
-            if proc.space is None or not proc.tasks:
-                continue
             space = proc.space
-            counts: Dict[int, int] = {}
-            for task in proc.tasks:
-                if task.st.current_core is None:
-                    continue
-                node = self.cores[task.st.current_core].node_id
-                counts[node] = counts.get(node, 0) + 1
-            if not counts or counts.get(space.home_node, 0) > 0:
+            counts = Counter(self.cores[t.st.current_core].node_id
+                             for t in proc.tasks)
+            if space.home_node in counts:
                 continue
             target = max(sorted(counts), key=lambda n: counts[n])
             if space.replica_count == 1 and target not in space.replicas:
@@ -741,8 +731,7 @@ class Simulation:
             self._spawn(self.scenario.workloads[self._pending.pop(0)])
 
         for proc in self.processes:
-            if proc.space is not None:
-                proc.space.begin_quantum()
+            proc.space.begin_quantum()
 
         running: List[Tuple[CoreState, SimTask]] = []
         for core in self.cores:
@@ -766,8 +755,7 @@ class Simulation:
         if self.policy.autonuma and self.quantum > 0 \
                 and self.quantum % self.policy.scan_period == 0:
             for proc in self.processes:
-                if proc.space is not None:
-                    self._numa_scan(proc)
+                self._numa_scan(proc)
 
         for core, task in running:
             self._run_task(task, core)
@@ -796,6 +784,7 @@ class Simulation:
         for task in self.tasks:
             if task.ticks_in_window:
                 self._record_window(task)
+            self._flush(task)  # charged since it last ran
             task.st.current_core = None  # exit detaches the core; counters stay
         return SimResult(self.scenario, self.tasks, self.processes,
                          self.node_counters, self.actions,

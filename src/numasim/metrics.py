@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from typing import Dict, List
 
 RATIO_DECIMALS = 4
@@ -62,20 +62,7 @@ class MetricsReport:
     timeseries: List[dict] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "scenario_name": self.scenario_name,
-            "policy_kind": self.policy_kind,
-            "seed": self.seed,
-            "quanta": self.quanta,
-            "fingerprint": self.fingerprint,
-            "base_fingerprint": self.base_fingerprint,
-            "per_task": self.per_task,
-            "per_process": self.per_process,
-            "per_node": self.per_node,
-            "totals": self.totals,
-            "actions": self.actions,
-            "timeseries": self.timeseries,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "MetricsReport":
@@ -131,9 +118,8 @@ def finalize(result, scenario) -> MetricsReport:
                "priority": proc.priority,
                "home_node": task.st.home_node,
                "final_core": task.st.current_core,
-               **_counter_row([task.counters])}
-        space = proc.space
-        row["replica_count"] = space.replica_count if space is not None else 0
+               **_counter_row([task.counters]),
+               "replica_count": proc.space.replica_count}
         report.per_task.append(row)
         if scenario.timeseries:
             for i, window in enumerate(task.window_history):
@@ -144,15 +130,14 @@ def finalize(result, scenario) -> MetricsReport:
                 report.timeseries.append(entry)
 
     for proc in result.processes:
+        space = proc.space
         row = {"process_id": proc.pid, "workload": proc.spec.name,
-               "priority": proc.priority, "threads": len(proc.tasks)}
-        if proc.space is not None:
-            row["home_node"] = proc.space.home_node
-            row["replica_count"] = proc.space.replica_count
-            row["replica_nodes"] = "|".join(
-                str(n) for n in sorted(proc.space.replicas))
-            row["mapped_pages"] = proc.space.mappings_count
-        row.update(_counter_row([t.counters for t in proc.tasks]))
+               "priority": proc.priority, "threads": len(proc.tasks),
+               "home_node": space.home_node,
+               "replica_count": space.replica_count,
+               "replica_nodes": "|".join(str(n) for n in sorted(space.replicas)),
+               "mapped_pages": space.mappings_count,
+               **_counter_row([t.counters for t in proc.tasks])}
         report.per_process.append(row)
 
     for node_id in sorted(result.node_counters):

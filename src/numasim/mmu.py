@@ -7,9 +7,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import pagetable
 from .pagetable import AddressSpace, Level, Mapping
-from .topology import Topology, access_latency
+from .topology import DEFAULT_TLB_ENTRIES, Topology, access_latency
 
-DEFAULT_TLB_ENTRIES = 64
 # PGD, PUD, PMD entry caches; the PTE level is never cached
 DEFAULT_PWC_ENTRIES = {Level.PGD: 4, Level.PUD: 16, Level.PMD: 32}
 DEFAULT_IPI_CYCLES = 50

@@ -18,9 +18,7 @@ from dataclasses import dataclass
 from enum import IntEnum
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .topology import Topology, access_latency
-
-DEFAULT_ARITY = 512
+from .topology import DEFAULT_ARITY, Topology, access_latency
 
 PROT_READ = 1
 PROT_RW = 3

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .pagetable import ALLOC_POLICIES, AddressSpace
-from .topology import Topology
+from .topology import Topology, check_field_types
 
 POLICY_KINDS = ("linux", "mitosis", "phoenix")
 CACHELINE_BYTES = 64
@@ -38,6 +38,7 @@ class PolicyKind:
     alloc_policy: Optional[str] = None
 
     def validate(self) -> None:
+        check_field_types(self)
         if self.kind not in POLICY_KINDS:
             raise ValueError(f"unknown policy kind {self.kind!r}")
         if not 0.0 < self.threshold_pw_ratio < 1.0:

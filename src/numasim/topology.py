@@ -10,6 +10,7 @@ Prices are fixed per quantum, so they are computed once into a table
 from __future__ import annotations
 
 import math
+import typing
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
@@ -17,10 +18,55 @@ DEFAULT_LOCAL_LATENCY = 100
 DEFAULT_REMOTE_FACTOR = 1.3
 DEFAULT_NODE_BANDWIDTH = 128.0  # bytes per cycle per memory controller
 DEFAULT_LINK_BANDWIDTH = 128.0  # bytes per cycle per directed link
+DEFAULT_TLB_ENTRIES = 64
+DEFAULT_ARITY = 512
+
+MACHINE_KEYS = {
+    "nodes", "cores_per_node", "smt", "local_latency", "remote_factor",
+    "node_bandwidth", "link_bandwidth", "link_factors", "tlb_entries", "arity",
+}
 
 
 class ConfigError(ValueError):
-    """Raised for an inconsistent or incomplete machine description."""
+    """Bad input: a scenario value, file or argument that fails validation.
+
+    The message starts with the offending key, e.g. ``cores_per_node: must
+    be even with smt, got 3``; a caller that knows the enclosing path
+    prefixes it.
+    """
+
+
+_EXPECTED = {bool: "true or false", int: "an integer", float: "a number",
+             str: "a string"}
+
+
+def expect(value, kind: type, where: str):
+    """value, if it has the JSON type kind (bool, int, float or str): a bool
+    is no number and an int is also a float, so true, 2.5 and "2" are not
+    integers.  Otherwise raises ConfigError naming where."""
+    if isinstance(value, bool) != (kind is bool) or not isinstance(
+            value, (int, float) if kind is float else kind):
+        raise ConfigError(f"{where}: expected {_EXPECTED[kind]}, got {value!r}")
+    return value
+
+
+def int_at_least(value, minimum: int, where: str) -> int:
+    """value, if it is an integer no smaller than minimum."""
+    if expect(value, int, where) < minimum:
+        raise ConfigError(f"{where}: must be at least {minimum}, got {value}")
+    return value
+
+
+def check_field_types(spec) -> None:
+    """`expect` each bool, int, float or str field of dataclass instance spec
+    to have its annotated type (an Optional one may also be None); other
+    annotations are left to the spec's own validate()."""
+    for name, kind in typing.get_type_hints(type(spec)).items():
+        value = getattr(spec, name)
+        if typing.get_origin(kind) is typing.Union:  # Optional[X]
+            kind = type(None) if value is None else typing.get_args(kind)[0]
+        if kind in _EXPECTED:
+            expect(value, kind, name)
 
 
 @dataclass(frozen=True)
@@ -50,6 +96,8 @@ class Topology:
     cores: List[CoreSpec]
     links: Dict[Tuple[int, int], LinkSpec]
     local_mem_latency: int = DEFAULT_LOCAL_LATENCY
+    tlb_entries: int = DEFAULT_TLB_ENTRIES
+    arity: int = DEFAULT_ARITY  # radix of each page-table level
     # uncontended price of every from->to access
     cycles: Dict[int, Dict[int, int]] = field(init=False, repr=False)
 
@@ -72,32 +120,46 @@ class Topology:
 def build_topology(config: dict) -> Topology:
     """Construct a validated Topology from a machine description.
 
-    Recognized keys: nodes, cores_per_node, smt, local_latency, remote_factor,
-    node_bandwidth, link_bandwidth, link_factors.  Every pair of distinct
-    nodes receives a link in each direction; self links always have a latency
-    factor of exactly 1.0.  Core ids are unique and node-major by construction,
-    and with SMT each consecutive pair shares one physical core.
-
-    Raises ConfigError for a missing or out-of-range link factor or
-    nonsensical counts.
+    The one reader of a scenario's machine block (`MACHINE_KEYS`): it gives
+    each key its default and checks its type and range, raising ConfigError
+    with a message that starts with the key.  Each pair of distinct nodes
+    gets a link each way whose factor, link_factors[a][b] or else
+    remote_factor, lies in [1, 10]; self links have factor 1.0 (the diagonal
+    is not read).  Core ids are node-major, and with smt each consecutive
+    pair shares one physical core, so cores_per_node must be even.
     """
-    n_nodes = int(config.get("nodes", 1))
-    cores_per_node = int(config.get("cores_per_node", 8))
-    smt = bool(config.get("smt", False))
-    local_latency = int(config.get("local_latency", DEFAULT_LOCAL_LATENCY))
-    remote_factor = float(config.get("remote_factor", DEFAULT_REMOTE_FACTOR))
-    node_bw = float(config.get("node_bandwidth", DEFAULT_NODE_BANDWIDTH))
-    link_bw = float(config.get("link_bandwidth", DEFAULT_LINK_BANDWIDTH))
+    def number(key: str, default: float) -> float:
+        return float(expect(config.get(key, default), float, key))
+
+    n_nodes = int_at_least(config.get("nodes", 1), 1, "nodes")
+    cores_per_node = int_at_least(config.get("cores_per_node", 8), 1,
+                                  "cores_per_node")
+    smt = expect(config.get("smt", False), bool, "smt")
+    local_latency = int_at_least(
+        config.get("local_latency", DEFAULT_LOCAL_LATENCY), 1, "local_latency")
+    remote_factor = number("remote_factor", DEFAULT_REMOTE_FACTOR)
+    node_bw = number("node_bandwidth", DEFAULT_NODE_BANDWIDTH)
+    link_bw = number("link_bandwidth", DEFAULT_LINK_BANDWIDTH)
+    tlb_entries = int_at_least(config.get("tlb_entries", DEFAULT_TLB_ENTRIES),
+                               1, "tlb_entries")
+    arity = int_at_least(config.get("arity", DEFAULT_ARITY), 4, "arity")
     factors = config.get("link_factors")
 
-    if n_nodes < 1:
-        raise ConfigError("machine needs at least one node")
-    if cores_per_node < 1:
-        raise ConfigError("machine needs at least one core per node")
     if smt and cores_per_node % 2:
-        raise ConfigError("smt machines need an even logical core count per node")
-    if local_latency < 1:
-        raise ConfigError("local latency must be at least one cycle")
+        raise ConfigError(
+            f"cores_per_node: must be even with smt, got {cores_per_node}")
+    if not 1.0 <= remote_factor <= 10.0:
+        raise ConfigError(
+            f"remote_factor: must be within [1, 10], got {remote_factor}")
+    if factors is not None:
+        if not isinstance(factors, list):
+            raise ConfigError(
+                f"link_factors: expected a list of rows, got {factors!r}")
+        for a, row in enumerate(factors):
+            if not isinstance(row, list):
+                raise ConfigError(f"link_factors[{a}]: expected a list, got {row!r}")
+            for b, factor in enumerate(row):
+                expect(factor, float, f"link_factors[{a}][{b}]")
 
     nodes = [NodeSpec(i, node_bw) for i in range(n_nodes)]
 
@@ -116,18 +178,20 @@ def build_topology(config: dict) -> Topology:
         for b in range(n_nodes):
             if a == b:
                 factor = 1.0
-            elif factors is not None:
-                try:
-                    factor = float(factors[a][b])
-                except (IndexError, KeyError, TypeError) as exc:
-                    raise ConfigError(f"missing link factor for {a}->{b}") from exc
-            else:
+            elif factors is None:
                 factor = remote_factor
-            if a != b and not 1.0 <= factor <= 10.0:
-                raise ConfigError(f"link factor {a}->{b} out of range: {factor}")
+            else:
+                where = f"link_factors[{a}][{b}]"
+                if a >= len(factors) or b >= len(factors[a]):
+                    raise ConfigError(
+                        f"{where}: missing, the machine has {n_nodes} nodes")
+                factor = float(factors[a][b])
+                if not 1.0 <= factor <= 10.0:
+                    raise ConfigError(
+                        f"{where}: must be within [1, 10], got {factor}")
             links[(a, b)] = LinkSpec(a, b, factor, link_bw)
 
-    return Topology(nodes, cores, links, local_latency)
+    return Topology(nodes, cores, links, local_latency, tlb_entries, arity)
 
 
 def latency_table(topo: Topology, contention=None) -> Dict[int, Dict[int, int]]:

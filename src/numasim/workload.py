@@ -13,6 +13,8 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
+from .topology import check_field_types
+
 PATTERNS = ("uniform_random", "zipfian", "sequential")
 VM_OP_KINDS = ("map", "unmap", "protect", "remap")
 PRIORITIES = ("high", "low")
@@ -36,6 +38,7 @@ class WorkloadSpec:
     data_policy: str = "first_touch"
 
     def validate(self) -> None:
+        check_field_types(self)
         if self.thread_count < 1:
             raise ValueError("thread_count must be positive")
         if self.footprint_pages < 1:
@@ -114,7 +117,7 @@ PRESETS: Dict[str, WorkloadSpec] = {
 }
 
 
-def preset(name: str, **overrides) -> WorkloadSpec:
+def preset(name: str, /, **overrides) -> WorkloadSpec:
     if name not in PRESETS:
         raise KeyError(f"unknown workload preset {name!r}")
     spec = replace(PRESETS[name], **overrides) if overrides else PRESETS[name]
@@ -176,7 +179,6 @@ def _quantum_draws(spec: WorkloadSpec, thread_id: int, rng_seed: int,
                    ) -> Tuple[np.ndarray, List[Tuple[int, str, int, int]]]:
     """Every RNG draw of one thread-quantum: its access vpns and its VM ops
     as (slot, kind, start, length), in slot order."""
-    spec.validate()
     rng = _rng(spec, rng_seed, quantum_index, thread_id)
     n = spec.accesses_per_quantum_per_thread
     vpns = _draw_vpns(spec, rng, quantum_index, thread_id, n)
@@ -220,7 +222,6 @@ def quantum_volume(spec: WorkloadSpec, thread_id: int, rng_seed: int,
     and no draw is made.
     """
     if spec.vm_ops_per_kilo_access == 0:
-        spec.validate()
         return spec.accesses_per_quantum_per_thread
     _, vm_ops = _quantum_draws(spec, thread_id, rng_seed, quantum_index)
     return spec.accesses_per_quantum_per_thread + len(vm_ops)

@@ -186,6 +186,57 @@ def test_validation_failures_name_the_offending_path(tmp_path, capsys):
         assert f"scenario.{where}: expected {expected}" \
             in capsys.readouterr().err, assignment
 
+    # consistency and range errors from build_topology name their key
+    for assignments, where in (
+            (["machine.smt=true", "machine.cores_per_node=3"],
+             "machine.cores_per_node: must be even with smt"),
+            (["machine.remote_factor=11"],
+             "machine.remote_factor: must be within [1, 10]"),
+            (["machine.link_factors=[[1,1.2]]"],
+             "machine.link_factors[1][0]: missing"),
+            (["machine.link_factors=[[1,1.2],[0.5,1]]"],
+             "machine.link_factors[1][0]: must be within [1, 10]")):
+        argv = ["run", path]
+        for assignment in assignments:
+            argv += ["--set", assignment]
+        assert cli.main(argv) == 1, assignments
+        assert f"scenario.{where}" in capsys.readouterr().err, assignments
+
+    # untyped, "no" and "false" ran as true, 2.5 threads failed mid-run with
+    # exit 2, and a numeric name failed inside the event generator
+    for assignment, where, expected in (
+            ('run.timeseries="no"', "run.timeseries", "true or false"),
+            ("run.prefault=1", "run.prefault", "true or false"),
+            ('policy.autonuma="yes"', "policy: autonuma", "true or false"),
+            ('policy.mba="false"', "policy: mba", "true or false"),
+            ("workloads.0.start=true", "workloads[0].start_quantum",
+             "an integer"),
+            ("workloads.0.start_quantum=2.5", "workloads[0].start_quantum",
+             "an integer"),
+            ('workloads.0.start="1"', "workloads[0].start_quantum",
+             "an integer"),
+            ("workloads.0.overrides.thread_count=2.5",
+             "workloads[0]: thread_count", "an integer"),
+            ("workloads.0.overrides.footprint_pages=true",
+             "workloads[0]: footprint_pages", "an integer"),
+            ('workloads.0.overrides.accesses_per_quantum_per_thread="9"',
+             "workloads[0]: accesses_per_quantum_per_thread", "an integer"),
+            ("workloads.0.overrides.vm_range_mean_pages=2.5",
+             "workloads[0]: vm_range_mean_pages", "an integer"),
+            ("workloads.0.overrides.name=7", "workloads[0]: name",
+             "a string"),
+            ("policy.window=2.5", "policy: window", "an integer"),
+            ("policy.rebalance_interval=true", "policy: rebalance_interval",
+             "an integer"),
+            ('policy.scan_period="5"', "policy: scan_period", "an integer"),
+            ("policy.migrate_threshold=1.5", "policy: migrate_threshold",
+             "an integer"),
+            ("policy.force_replicas=true", "policy: force_replicas",
+             "an integer")):
+        assert cli.main(["run", path, "--set", assignment]) == 1, assignment
+        assert f"scenario.{where}: expected {expected}" \
+            in capsys.readouterr().err, assignment
+
     # 5**4 = 625 pages is all a four-level table of arity 5 maps
     assert cli.main(["run", path, "--set", "machine.arity=5", "--set",
                      "workloads.0.overrides.footprint_pages=626"]) == 1

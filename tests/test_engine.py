@@ -14,6 +14,7 @@ from numasim.engine import (
     CONTENTION_CAP,
     CONTENTION_KNEE,
     CONTENTION_SLOPE,
+    WINDOW_COUNTERS,
     ContentionState,
     Scenario,
     Simulation,
@@ -424,3 +425,16 @@ def test_empty_scenario_runs_and_reports_zeros():
     assert result.tasks == []
     assert all(c.total_cycles == 0 for c in result.node_counters.values())
     assert result.quanta_run == 5
+
+
+def test_node_counters_keep_charges_made_after_a_task_last_ran():
+    # five threads on four cores: the scan at quantum 4 charges a task that
+    # does not run again, so only the end of the run can pass it to a node
+    specs = [preset("webserver_like", thread_count=3, footprint_pages=200,
+                    accesses_per_quantum_per_thread=30),
+             preset("stream_like", thread_count=2)]
+    policy = PolicyKind("linux", window=2, scan_period=2, rebalance_interval=2)
+    result = simulate(build(specs, policy=policy, duration=5, seed=3))
+    for name in WINDOW_COUNTERS:
+        assert sum(getattr(c, name) for c in result.node_counters.values()) \
+            == total(result, field=name), name

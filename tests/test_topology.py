@@ -146,3 +146,14 @@ def test_bandwidth_defaults():
     topo = make_topo()
     assert topo.nodes[0].bandwidth_capacity == 128.0
     assert topo.links[(0, 1)].bandwidth_capacity == 128.0
+
+
+def test_tlb_entries_and_arity_come_with_the_topology():
+    topo = make_topo()
+    assert (topo.tlb_entries, topo.arity) == (64, 512)
+    topo = make_topo(tlb_entries=8, arity=16)
+    assert (topo.tlb_entries, topo.arity) == (8, 16)
+    with pytest.raises(ConfigError, match="^tlb_entries: must be at least 1"):
+        make_topo(tlb_entries=0)
+    with pytest.raises(ConfigError, match="^arity: must be at least 4"):
+        make_topo(arity=2)
