@@ -2,14 +2,16 @@
 
 Three subcommands: `run` executes one scenario under one policy, `compare`
 runs the same scenario under several policies and reports speedups, and
-`sweep` varies one scenario knob across a list of values.  Scenario files
-are validated before any run starts: `topology.build_topology` checks the
-machine block, `PolicyKind.validate` and `WorkloadSpec.validate` the policy
-and workload specs, and this module the keys and the run block.  Any bad
-input raises `topology.ConfigError` naming the full path to the offending
-entry and exits 1; a failure inside a run exits 2.  Every file written is
-listed with its sha256 in a manifest next to the outputs, so runs can be
-audited and reproduced byte for byte.
+`sweep` varies one scenario knob across a list of values.  Each builds its
+variants as scenario dicts and shares one path from there: `_run_all`
+parses every variant before any simulation starts, then runs them, in a
+process pool with `--jobs`; `_write` puts the outputs and a manifest
+listing each file's sha256 under one base, so runs can be audited and
+reproduced byte for byte.  `topology.build_topology` checks the machine
+block, `PolicyKind.validate` and `WorkloadSpec.validate` the policy and
+workload specs, and this module the keys and the run block.  Any bad input
+raises `topology.ConfigError` naming the full path to the offending entry
+and exits 1; a failure inside a run exits 2.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from . import __version__, metrics, workload
 from .engine import (DEFAULT_QUANTUM_CYCLES, Scenario, WorkloadEntry,
@@ -238,32 +240,38 @@ def _sha256_file(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _out_base(args, scenario: Scenario) -> Optional[Path]:
+def _run_all(raws: List[dict], jobs: int = 1
+             ) -> Tuple[List[Scenario], List[metrics.MetricsReport]]:
+    """Parse every variant, then run each; one bad variant stops the command
+    before any simulation starts.  A forked pool starts all its workers at
+    once, so it gets no more than there are variants."""
+    int_at_least(jobs, 1, "--jobs")
+    scenarios = [scenario_from_dict(raw) for raw in raws]
+    jobs = min(jobs, len(scenarios))
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            return scenarios, list(pool.map(run_scenario, scenarios))
+    return scenarios, [run_scenario(s) for s in scenarios]
+
+
+def _write(args, scenario: Scenario, named: Dict[str, str]) -> None:
+    """Write each suffix's text next to the output base, --out or else
+    $NUMASIM_OUT/<name>-<policy>-s<seed>, then a manifest with every
+    file's sha256; without a base, write nothing."""
     if args.out:
-        return Path(args.out)
-    env = os.environ.get(OUT_ENV_VAR)
-    if env:
-        name = f"{scenario.name}-{scenario.policy.kind}-s{scenario.rng_seed}"
-        return Path(env) / name
-    return None
-
-
-def _write_outputs(base: Path, named: Dict[str, str], manifest: dict) -> List[Path]:
+        base = Path(args.out)
+    elif os.environ.get(OUT_ENV_VAR):
+        base = Path(os.environ[OUT_ENV_VAR]) / (
+            f"{scenario.name}-{scenario.policy.kind}-s{scenario.rng_seed}")
+    else:
+        return
     base.parent.mkdir(parents=True, exist_ok=True)
     written = []
     for suffix, text in named.items():
         path = base.with_name(base.name + suffix)
         path.write_text(text)
         written.append(path)
-    manifest["outputs"] = {str(p): _sha256_file(p) for p in written}
-    manifest_path = base.with_name(base.name + ".manifest.json")
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
-    written.append(manifest_path)
-    return written
-
-
-def _manifest(args, scenario: Scenario) -> dict:
-    return {
+    manifest = {
         "tool": f"numasim {__version__}",
         "argv": sys.argv[1:],
         "scenario_path": str(args.scenario),
@@ -272,7 +280,12 @@ def _manifest(args, scenario: Scenario) -> dict:
         "base_fingerprint": scenario.base_fingerprint(),
         "seed": scenario.rng_seed,
         "policy": scenario.policy.kind,
+        "outputs": {str(p): _sha256_file(p) for p in written},
     }
+    manifest_path = base.with_name(base.name + ".manifest.json")
+    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    written.append(manifest_path)
+    print("  wrote: " + ", ".join(str(p) for p in written))
 
 
 def _print_report(report: metrics.MetricsReport) -> None:
@@ -292,34 +305,19 @@ def _print_report(report: metrics.MetricsReport) -> None:
           f"actions={totals['actions']}")
 
 
-def _run_raw(raw_json: str) -> dict:
-    """Module-level worker so process pools can pickle the call."""
-    scenario = scenario_from_dict(json.loads(raw_json))
-    return run_scenario(scenario).to_dict()
-
-
-def _run_many(raws: List[dict], jobs: int) -> List[metrics.MetricsReport]:
-    payloads = [json.dumps(raw, sort_keys=True) for raw in raws]
-    if jobs > 1 and len(payloads) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            dicts = list(pool.map(_run_raw, payloads))
-    else:
-        dicts = [_run_raw(p) for p in payloads]
-    return [metrics.MetricsReport.from_dict(d) for d in dicts]
+def _with_policy(raw: dict, kind: str) -> dict:
+    variant = copy.deepcopy(raw)
+    variant.setdefault("policy", {})["kind"] = kind
+    return variant
 
 
 def cmd_run(args) -> int:
-    raw = _prepare_raw(args)
-    scenario = scenario_from_dict(raw)
-    report = run_scenario(scenario)
+    [scenario], [report] = _run_all([_prepare_raw(args)])
     _print_report(report)
-    base = _out_base(args, scenario)
-    if base is not None:
-        named = {".json": report.to_json() + "\n", ".csv": report.to_csv()}
-        if scenario.timeseries:
-            named[".timeseries.csv"] = report.timeseries_csv()
-        paths = _write_outputs(base, named, _manifest(args, scenario))
-        print("  wrote: " + ", ".join(str(p) for p in paths))
+    named = {".json": report.to_json() + "\n", ".csv": report.to_csv()}
+    if scenario.timeseries:
+        named[".timeseries.csv"] = report.timeseries_csv()
+    _write(args, scenario, named)
     return 0
 
 
@@ -328,12 +326,8 @@ def cmd_compare(args) -> int:
     policies = [p.strip() for p in args.policies.split(",") if p.strip()]
     if len(policies) < 2:
         raise ConfigError("--policies needs at least two policy kinds")
-    raws = []
-    for kind in policies:
-        variant = copy.deepcopy(raw)
-        variant.setdefault("policy", {})["kind"] = kind
-        raws.append(variant)
-    reports = _run_many(raws, args.jobs)
+    scenarios, reports = _run_all([_with_policy(raw, k) for k in policies],
+                                  args.jobs)
     comparison = metrics.compare(reports)
     print(f"scenario {comparison['scenario_name']!r} "
           f"baseline={comparison['baseline_policy']}")
@@ -341,30 +335,17 @@ def cmd_compare(args) -> int:
         print(f"  {row['policy']:>8}: cycles={row['total_cycles']} "
               f"pw_ratio={row['pw_ratio']:.4f} actions={row['actions']} "
               f"speedup={row['speedup']:.4f}")
-    scenario = scenario_from_dict(raws[0])
-    base = _out_base(args, scenario)
-    if base is not None:
-        named = {".compare.json": json.dumps(comparison, indent=2,
-                                             sort_keys=True) + "\n",
-                 ".compare.csv": metrics.compare_csv(comparison)}
-        for report in reports:
-            named[f".{report.policy_kind}.json"] = report.to_json() + "\n"
-            named[f".{report.policy_kind}.csv"] = report.to_csv()
-        paths = _write_outputs(base, named, _manifest(args, scenario))
-        print("  wrote: " + ", ".join(str(p) for p in paths))
+    named = {".compare.json": json.dumps(comparison, indent=2,
+                                         sort_keys=True) + "\n",
+             ".compare.csv": metrics.compare_csv(comparison)}
+    for report in reports:
+        named[f".{report.policy_kind}.json"] = report.to_json() + "\n"
+        named[f".{report.policy_kind}.csv"] = report.to_csv()
+    _write(args, scenarios[0], named)
     return 0
 
 
-def _entry_priority(entry: dict) -> str:
-    if entry.get("priority"):
-        return entry["priority"]
-    if "preset" in entry and entry["preset"] in workload.PRESETS:
-        prio = entry.get("overrides", {}).get("priority")
-        return prio or workload.PRESETS[entry["preset"]].priority
-    return entry.get("spec", {}).get("priority", "high")
-
-
-def _sweep_apply(variant: dict, name: str, value) -> None:
+def _sweep_apply(variant: dict, name: str, value, antagonist: int) -> None:
     if name == "nodes":
         variant.setdefault("machine", {})["nodes"] = value
     elif name == "remote_factor":
@@ -376,11 +357,7 @@ def _sweep_apply(variant: dict, name: str, value) -> None:
         policy.pop("threshold", None)
         policy["threshold_pw_ratio"] = value
     elif name == "antagonist_threads":
-        entries = variant.get("workloads", [])
-        if not entries:
-            raise ConfigError("antagonist_threads: scenario has no workloads")
-        lows = [i for i, e in enumerate(entries) if _entry_priority(e) == "low"]
-        entry = entries[lows[-1] if lows else -1]
+        entry = variant["workloads"][antagonist]
         if "preset" in entry:
             entry.setdefault("overrides", {})["thread_count"] = value
         else:
@@ -402,15 +379,19 @@ def cmd_sweep(args) -> int:
     policies = [p.strip() for p in (args.policies or "").split(",") if p.strip()]
     if not policies:
         policies = [raw.get("policy", {}).get("kind", "linux")]
+    antagonist = -1  # the last low-priority workload, else the last one
+    if args.param == "antagonist_threads":
+        for i, entry in enumerate(scenario_from_dict(raw).workloads):
+            if entry.process_priority == "low":
+                antagonist = i
     raws, labels = [], []
     for value in values:
         for kind in policies:
-            variant = copy.deepcopy(raw)
-            _sweep_apply(variant, args.param, value)
-            variant.setdefault("policy", {})["kind"] = kind
+            variant = _with_policy(raw, kind)
+            _sweep_apply(variant, args.param, value, antagonist)
             raws.append(variant)
             labels.append((value, kind))
-    reports = _run_many(raws, args.jobs)
+    scenarios, reports = _run_all(raws, args.jobs)
     rows = []
     baseline_by_value: Dict[str, int] = {}
     print(f"sweep {args.param} over {values}")
@@ -429,19 +410,13 @@ def cmd_sweep(args) -> int:
         print(f"  {args.param}={value} {kind:>8}: cycles={total} "
               f"pw_ratio={report.totals['pw_ratio']:.4f} "
               f"speedup={speedup:.4f}")
-    scenario = scenario_from_dict(raws[0])
-    base = _out_base(args, scenario)
-    if base is not None:
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()),
-                                 lineterminator="\n")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
-        named = {".sweep.csv": buf.getvalue(),
-                 ".sweep.json": json.dumps(rows, indent=2) + "\n"}
-        paths = _write_outputs(base, named, _manifest(args, scenario))
-        print("  wrote: " + ", ".join(str(p) for p in paths))
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()),
+                             lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
+    _write(args, scenarios[0], {".sweep.csv": buf.getvalue(),
+                                ".sweep.json": json.dumps(rows, indent=2) + "\n"})
     return 0
 
 
@@ -469,8 +444,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--duration", type=int,
                        help="override run.duration_quanta")
         p.add_argument("--out", help="output path base (writes JSON/CSV/manifest)")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="parallel worker processes for multi-run commands")
 
     p_run = sub.add_parser("run", help="run one scenario")
     common(p_run)
@@ -495,6 +468,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--policies",
                          help="comma-separated policy kinds (default: scenario's)")
     p_sweep.set_defaults(func=cmd_sweep)
+    for p in (p_cmp, p_sweep):
+        p.add_argument("--jobs", type=int, default=1,
+                       help="parallel worker processes, one run each")
     return parser
 
 

@@ -73,14 +73,12 @@ def compute_contention(topo: Topology, node_bytes: Dict[int, int],
     state = ContentionState()
     for node in topo.nodes:
         cap = node.bandwidth_capacity * quantum_cycles
-        u = node_bytes.get(node.node_id, 0) / cap if cap else 0.0
-        state.u_node[node.node_id] = min(1.0, max(0.0, u))
+        state.u_node[node.node_id] = min(1.0, node_bytes.get(node.node_id, 0) / cap)
     for (a, b), link in topo.links.items():
         if a == b:
             continue
         cap = link.bandwidth_capacity * quantum_cycles
-        u = link_bytes.get((a, b), 0) / cap if cap else 0.0
-        state.u_link[(a, b)] = min(1.0, max(0.0, u))
+        state.u_link[(a, b)] = min(1.0, link_bytes.get((a, b), 0) / cap)
     state.cycles = latency_table(topo, state)
     return state
 
@@ -133,7 +131,11 @@ class CounterSet:
 class WorkloadEntry:
     spec: workload.WorkloadSpec
     start_quantum: int = 0
-    priority: Optional[str] = None
+    priority: Optional[str] = None  # overrides the spec's
+
+    @property
+    def process_priority(self) -> str:
+        return self.priority or self.spec.priority
 
 
 @dataclass
@@ -202,11 +204,10 @@ class SimTask:
 
 
 class SimProcess:
-    def __init__(self, pid: int, entry: WorkloadEntry, priority: str,
-                 space: AddressSpace):
+    def __init__(self, pid: int, entry: WorkloadEntry, space: AddressSpace):
         self.pid = pid
         self.spec = entry.spec
-        self.priority = priority
+        self.priority = entry.process_priority
         self.space = space
         self.tasks: List[SimTask] = []
         self.data_rr = 0
@@ -222,16 +223,6 @@ class CoreState:
         self.runqueue: List[SimTask] = []
         self.last_task_id: Optional[int] = None
         self.partition_active = False
-
-
-@dataclass
-class SimResult:
-    scenario: Scenario
-    tasks: List[SimTask]
-    processes: List[SimProcess]
-    node_counters: Dict[int, CounterSet]
-    actions: List[dict]
-    quanta_run: int
 
 
 class Simulation:
@@ -292,8 +283,7 @@ class Simulation:
 
     def _spawn(self, entry: WorkloadEntry) -> None:
         pid = len(self.processes)
-        priority = entry.priority or entry.spec.priority
-        main_st = sched.on_fork(None, self.policy, len(self.tasks), pid, priority)
+        main_st = sched.on_fork(None, self.policy, len(self.tasks), pid)
         loads = self._node_loads()
         home = sched.place_process(main_st, self.policy, loads)
 
@@ -303,7 +293,7 @@ class Simulation:
         space = AddressSpace(self.topo, pid, home, alloc, arity=self.topo.arity)
         space.lock_mode = self.policy.lock_mode or \
             ("global" if self.policy.kind == "mitosis" else "per_table")
-        proc = SimProcess(pid, entry, priority, space)
+        proc = SimProcess(pid, entry, space)
         self.processes.append(proc)
 
         slots = self._slots()
@@ -313,7 +303,7 @@ class Simulation:
         sched.place_thread(main_st, self.policy, loads, slots, self.topo)
         self.cores[main_st.current_core].runqueue.append(main)
         for i in range(1, entry.spec.thread_count):
-            st = sched.on_fork(main_st, self.policy, len(self.tasks), pid, priority)
+            st = sched.on_fork(main_st, self.policy, len(self.tasks), pid)
             task = SimTask(st, i)
             self.tasks.append(task)
             proc.tasks.append(task)
@@ -778,7 +768,9 @@ class Simulation:
         self._link_bytes = {}
         self.quantum += 1
 
-    def run(self) -> SimResult:
+    def run(self) -> "Simulation":
+        """Step through the scenario's duration and close every task's
+        counters; the finished simulation is its own result."""
         for _ in range(self.scenario.duration_quanta):
             self.step()
         for task in self.tasks:
@@ -786,12 +778,10 @@ class Simulation:
                 self._record_window(task)
             self._flush(task)  # charged since it last ran
             task.st.current_core = None  # exit detaches the core; counters stay
-        return SimResult(self.scenario, self.tasks, self.processes,
-                         self.node_counters, self.actions,
-                         self.scenario.duration_quanta)
+        return self
 
 
-def simulate(scenario: Scenario) -> SimResult:
+def simulate(scenario: Scenario) -> Simulation:
     return Simulation(scenario).run()
 
 

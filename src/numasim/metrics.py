@@ -64,10 +64,6 @@ class MetricsReport:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "MetricsReport":
-        return cls(**data)
-
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
@@ -106,7 +102,7 @@ def finalize(result, scenario) -> MetricsReport:
         scenario_name=scenario.name,
         policy_kind=scenario.policy.kind,
         seed=scenario.rng_seed,
-        quanta=result.quanta_run,
+        quanta=result.quantum,
         fingerprint=scenario.fingerprint(),
         base_fingerprint=scenario.base_fingerprint(),
         actions=list(result.actions))

@@ -93,7 +93,6 @@ class PmcSample:
 class TaskState:
     task_id: int
     process_id: int
-    priority: str = "high"
     home_node: Optional[int] = None
     allowed_nodes: List[int] = field(default_factory=list)
     phoenix_enabled: bool = False
@@ -131,14 +130,13 @@ class Action:
 
 
 def on_fork(parent: Optional[TaskState], policy: PolicyKind, task_id: int,
-            process_id: int, priority: str = "high") -> TaskState:
+            process_id: int) -> TaskState:
     """Threads inherit the parent's home; new processes wait for placement."""
-    task = TaskState(task_id, process_id, priority)
+    task = TaskState(task_id, process_id)
     task.phoenix_enabled = policy.kind == "phoenix"
     if parent is not None:
         task.home_node = parent.home_node
         task.allowed_nodes = parent.allowed_nodes  # shared per process
-        task.priority = parent.priority
     return task
 
 

@@ -151,6 +151,10 @@ def build_topology(config: dict) -> Topology:
     if not 1.0 <= remote_factor <= 10.0:
         raise ConfigError(
             f"remote_factor: must be within [1, 10], got {remote_factor}")
+    for key, bandwidth in (("node_bandwidth", node_bw),
+                           ("link_bandwidth", link_bw)):
+        if bandwidth <= 0:
+            raise ConfigError(f"{key}: must be positive, got {bandwidth}")
     if factors is not None:
         if not isinstance(factors, list):
             raise ConfigError(

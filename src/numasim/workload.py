@@ -13,7 +13,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .topology import check_field_types
+from .topology import check_field_types, expect
 
 PATTERNS = ("uniform_random", "zipfian", "sequential")
 VM_OP_KINDS = ("map", "unmap", "protect", "remap")
@@ -51,15 +51,18 @@ class WorkloadSpec:
             raise ValueError("accesses_per_quantum_per_thread must be positive")
         if self.vm_ops_per_kilo_access < 0:
             raise ValueError("vm_ops_per_kilo_access cannot be negative")
-        if self.vm_ops_per_kilo_access > 0:
-            weights = dict(self.vm_op_mix)
-            if not weights or sum(weights.values()) <= 0:
-                raise ValueError("vm_op_mix needed when vm ops are enabled")
-            for kind, w in weights.items():
-                if kind not in VM_OP_KINDS:
-                    raise ValueError(f"unknown vm op kind {kind!r}")
-                if w < 0:
-                    raise ValueError("vm_op_mix weights cannot be negative")
+        mix = self.vm_op_mix
+        if not isinstance(mix, tuple) or not all(
+                isinstance(pair, tuple) and len(pair) == 2 for pair in mix):
+            raise ValueError(
+                f"vm_op_mix: expected an object of op kind to weight, got {mix!r}")
+        for kind, w in mix:
+            if kind not in VM_OP_KINDS:
+                raise ValueError(f"vm_op_mix: unknown vm op kind {kind!r}")
+            if expect(w, float, f"vm_op_mix.{kind}") < 0:
+                raise ValueError(f"vm_op_mix.{kind}: weight cannot be negative")
+        if self.vm_ops_per_kilo_access > 0 and sum(w for _, w in mix) <= 0:
+            raise ValueError("vm_op_mix needed when vm ops are enabled")
         if self.vm_range_mean_pages < 1:
             raise ValueError("vm_range_mean_pages must be positive")
         if self.priority not in PRIORITIES:

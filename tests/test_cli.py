@@ -28,6 +28,21 @@ def write_scenario(tmp_path, raw, name="scen.json"):
     return path
 
 
+@pytest.fixture
+def runs(monkeypatch):
+    """The scenario of every Simulation.run in this process, in call order."""
+    from numasim import engine
+    seen = []
+    real_run = engine.Simulation.run
+
+    def recording_run(self):
+        seen.append(self.scenario)
+        return real_run(self)
+
+    monkeypatch.setattr(engine.Simulation, "run", recording_run)
+    return seen
+
+
 def test_run_writes_report_csv_and_manifest(tmp_path, capsys):
     path = write_scenario(tmp_path, base_raw())
     out = tmp_path / "out" / "result"
@@ -195,7 +210,12 @@ def test_validation_failures_name_the_offending_path(tmp_path, capsys):
             (["machine.link_factors=[[1,1.2]]"],
              "machine.link_factors[1][0]: missing"),
             (["machine.link_factors=[[1,1.2],[0.5,1]]"],
-             "machine.link_factors[1][0]: must be within [1, 10]")):
+             "machine.link_factors[1][0]: must be within [1, 10]"),
+            # a capacity of 0 or less turned contention off
+            (["machine.node_bandwidth=0"],
+             "machine.node_bandwidth: must be positive, got 0.0"),
+            (["machine.link_bandwidth=-5"],
+             "machine.link_bandwidth: must be positive, got -5.0")):
         argv = ["run", path]
         for assignment in assignments:
             argv += ["--set", assignment]
@@ -235,6 +255,19 @@ def test_validation_failures_name_the_offending_path(tmp_path, capsys):
              "an integer")):
         assert cli.main(["run", path, "--set", assignment]) == 1, assignment
         assert f"scenario.{where}: expected {expected}" \
+            in capsys.readouterr().err, assignment
+
+    # the mix is checked even where vm ops are off, as in gups_like
+    for assignment, message in (
+            ('workloads.0.overrides.vm_op_mix="x"', "vm_op_mix: expected"),
+            ('workloads.0.overrides.vm_op_mix={"fly": -1}',
+             "vm_op_mix: unknown vm op kind 'fly'"),
+            ('workloads.0.overrides.vm_op_mix={"map": -1}',
+             "vm_op_mix.map: weight cannot be negative"),
+            ('workloads.0.overrides.vm_op_mix={"map": "1"}',
+             "vm_op_mix.map: expected a number")):
+        assert cli.main(["run", path, "--set", assignment]) == 1, assignment
+        assert f"scenario.workloads[0]: {message}" \
             in capsys.readouterr().err, assignment
 
     # 5**4 = 625 pages is all a four-level table of arity 5 maps
@@ -311,6 +344,33 @@ def test_compare_runs_each_policy_and_reports_speedups(tmp_path, capsys):
         .startswith("scenario,policy,")
 
 
+def test_compare_writes_the_reports_run_writes(tmp_path):
+    path = write_scenario(tmp_path, base_raw())
+    assert cli.main(["compare", str(path), "--policies", "linux,phoenix",
+                     "--out", str(tmp_path / "cmp")]) == 0
+    for kind in ("linux", "phoenix"):
+        assert cli.main(["run", str(path), "--policy", kind,
+                         "--out", str(tmp_path / kind)]) == 0
+        for suffix in ("json", "csv"):
+            assert (tmp_path / f"cmp.{kind}.{suffix}").read_bytes() \
+                == (tmp_path / f"{kind}.{suffix}").read_bytes(), (kind, suffix)
+
+
+@pytest.mark.parametrize("command, argv, error", [
+    ("compare", ["--policies", "linux,mitosis,bogus"], "scenario.policy: "),
+    ("sweep", ["--param", "nodes", "--values", "2,0"],
+     "scenario.machine.nodes: must be at least 1"),
+], ids=["compare", "sweep"])
+def test_an_invalid_last_variant_stops_before_any_run(tmp_path, capsys, runs,
+                                                      command, argv, error):
+    path = write_scenario(tmp_path, base_raw())
+    out = tmp_path / "out" / "x"
+    assert cli.main([command, str(path), *argv, "--out", str(out)]) == 1
+    assert error in capsys.readouterr().err
+    assert runs == []
+    assert not (tmp_path / "out").exists()
+
+
 def test_compare_same_policy_twice_is_flat(tmp_path):
     path = write_scenario(tmp_path, base_raw())
     out = tmp_path / "flat"
@@ -355,6 +415,10 @@ def test_sweep_rejects_unknown_or_empty_parameters(tmp_path, capsys):
     assert cli.main(["sweep", str(path), "--param", "nodes",
                      "--values", "one,two"]) == 1
     capsys.readouterr()
+    # below 1, the variants ran one after another with exit 0
+    assert cli.main(["sweep", str(path), "--param", "nodes",
+                     "--values", "1,2", "--jobs", "0"]) == 1
+    assert "--jobs: must be at least 1, got 0" in capsys.readouterr().err
 
 
 def test_sweep_antagonist_threads_targets_the_low_priority_workload(tmp_path):
@@ -369,6 +433,22 @@ def test_sweep_antagonist_threads_targets_the_low_priority_workload(tmp_path):
     rows = json.loads((tmp_path / "ant.sweep.json").read_text())
     # more antagonist threads never help the machine finish sooner
     assert rows[1]["total_cycles"] > rows[0]["total_cycles"]
+
+
+def test_sweep_antagonist_threads_reads_an_entry_level_priority(tmp_path,
+                                                                runs):
+    raw = base_raw()
+    # the spec says high; the entry makes it the antagonist, though the
+    # last workload is the fallback
+    raw["workloads"].insert(0, {
+        "spec": {"name": "hog", "thread_count": 1, "footprint_pages": 16,
+                 "pattern": "sequential"},
+        "priority": "low"})
+    path = write_scenario(tmp_path, raw)
+    assert cli.main(["sweep", str(path), "--param", "antagonist_threads",
+                     "--values", "2,3"]) == 0
+    assert [[e.spec.thread_count for e in s.workloads] for s in runs] \
+        == [[2, 2], [3, 2]]
 
 
 def test_out_env_var_provides_a_default_directory(tmp_path, monkeypatch):

@@ -424,7 +424,7 @@ def test_empty_scenario_runs_and_reports_zeros():
     result = simulate(scenario)
     assert result.tasks == []
     assert all(c.total_cycles == 0 for c in result.node_counters.values())
-    assert result.quanta_run == 5
+    assert result.quantum == 5
 
 
 def test_node_counters_keep_charges_made_after_a_task_last_ran():

@@ -86,7 +86,7 @@ def test_csv_columns_constant_matches_the_header():
 
 def test_json_round_trip_preserves_everything():
     report, _ = small_report(timeseries=True)
-    clone = MetricsReport.from_dict(json.loads(report.to_json()))
+    clone = MetricsReport(**json.loads(report.to_json()))
     assert clone.to_dict() == report.to_dict()
     assert clone.to_csv() == report.to_csv()
 

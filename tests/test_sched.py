@@ -76,10 +76,9 @@ def test_fork_inherits_home_and_shares_the_allowed_set():
     assert parent.phoenix_enabled
     parent.home_node = 1
     parent.allowed_nodes = [1]
-    child = on_fork(parent, policy, task_id=1, process_id=1, priority="low")
+    child = on_fork(parent, policy, task_id=1, process_id=1)
     assert child.home_node == 1
     assert child.allowed_nodes is parent.allowed_nodes
-    assert child.priority == parent.priority  # priority follows the process
     assert not on_fork(None, PolicyKind("linux"), 2, 2).phoenix_enabled
 
 
