@@ -18,7 +18,7 @@ import random
 from collections import Counter, deque
 from dataclasses import asdict, dataclass, field, replace
 from operator import attrgetter
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 from . import metrics, pagetable, sched, workload
 from .mmu import Mmu
@@ -29,6 +29,7 @@ from .pagetable import (AddressSpace, PROT_READ, add_replica,
 from .sched import (Action, CoreSlot, NodeLoad, PmcSample, PolicyKind,
                     TaskState, estimate_bandwidth)
 from .topology import Topology, access_latency, build_topology, latency_table
+from .workload import VmOp
 
 PAGE_BYTES = 4096
 CACHELINE_BYTES = 64
@@ -185,7 +186,7 @@ class SimTask:
         self.counters = CounterSet()
         # MBA's queue: generated, unissued events (at most one quantum's),
         # then the indices of quanta owed but not yet generated
-        self.backlog: deque = deque()
+        self.backlog: List[Union[int, VmOp]] = []
         self.deferred: deque = deque()
         self.deferred_events = 0
         self.ticks_in_window = 0
@@ -227,9 +228,6 @@ class CoreState:
 
 class Simulation:
     def __init__(self, scenario: Scenario):
-        scenario.policy.validate()
-        for entry in scenario.workloads:
-            entry.spec.validate()
         self.scenario = scenario
         self.policy = scenario.policy
         self.topo = build_topology(scenario.machine)
@@ -394,29 +392,30 @@ class Simulation:
     def _run_task(self, task: SimTask, core: CoreState) -> None:
         """Issue the task's events for this quantum in one loop.
 
-        Contention, and so every price, is fixed for the quantum: what each
-        access needs is read once before the loop, and the integer counters
-        and traffic are added once after it.
+        Contention, and so every price, is fixed for the quantum: each
+        access reads its stall from the quantum's price row for the core's
+        node, and the counts, walk cycles and traffic gather in locals that
+        are added to the task once, after the loop.  The stream holds each
+        data access as its vpn, an int; a VmOp goes to _do_vm_op.
 
         A task with events queued behind its MBA cap defers its new quantum
         as an index; a deferred quantum is generated when its first event
-        issues, so the queue holds at most one quantum's event objects.
-        Issue order is that of generating every quantum at once.
+        issues, so the backlog holds at most one quantum's events.  Issue
+        order is that of generating every quantum at once.
         """
         proc = self.processes[task.st.process_id]
         spec = proc.spec
         seed = self.scenario.rng_seed
         thread_index = task.thread_index
         backlog = task.backlog
-        deferred = task.deferred
         if task.pending:
             volume = workload.quantum_volume(spec, thread_index, seed,
                                              self.quantum)
-            deferred.append(self.quantum)
+            task.deferred.append(self.quantum)
             task.deferred_events += volume
         else:
-            backlog.extend(workload.generate_quantum_events(
-                spec, thread_index, seed, self.quantum))
+            backlog += workload.generate_quantum_events(
+                spec, thread_index, seed, self.quantum)
             volume = len(backlog)
         cap = self.mba_caps.get((core.node_id, proc.pid), 1.0)
         issue = apply_mba(task.pending, cap, volume)
@@ -424,107 +423,107 @@ class Simulation:
             f"{seed}:llc:{task.task_id}:{self.quantum}").random
 
         space = proc.space
-        topo = self.topo
         contention = self.contention
         tlb_lookup = self.mmu.tlb_lookup
+        page_walk = self.mmu.page_walk
         node = core.node_id
         core_id = core.core_id
+        price = contention.cycles[node]  # cycles to each node's memory
         llc_miss_rate = spec.llc_miss_rate
         line_bytes = int(CACHELINE_BYTES * spec.bandwidth_intensity)
-        access_stats = proc.access_stats if self.policy.autonuma else None
-        bytes_to = [0] * len(topo.nodes)  # traffic by destination node
+        bytes_to = [0] * len(self.topo.nodes)  # traffic by destination node
+        autonuma = self.policy.autonuma
+        issued: Counter = Counter()  # with autonuma: event -> times issued
         accesses = hits = llc_misses = stall = 0
+        walk_cycles = walk_accesses = walk_remote = 0
 
-        for _ in range(issue):
+        while issue:
             if not backlog:
-                backlog.extend(workload.generate_quantum_events(
-                    spec, thread_index, seed, deferred.popleft()))
+                backlog += workload.generate_quantum_events(
+                    spec, thread_index, seed, task.deferred.popleft())
                 task.deferred_events -= len(backlog)
-            event = backlog.popleft()
-            if event.kind == "vm":
-                self._do_vm_op(task, core, event)
-                continue
-            vpn = event.vpn
-            accesses += 1
-            mapping = tlb_lookup(core_id, vpn)
-            if mapping is not None:
-                hits += 1
-            else:
-                mapping = self._walk(task, space, core, vpn, bytes_to)
-                if mapping is None:
-                    # first touch: install the page, then complete the walk
-                    pfn_node = self._data_node(proc, node)
-                    cost = map_page(space, vpn, self._alloc_pfn(), pfn_node,
-                                    core_id, contention=contention)
+            batch = backlog[:issue]
+            del backlog[:issue]
+            issue -= len(batch)
+            if autonuma:
+                issued.update(batch)
+            for event in batch:
+                if type(event) is VmOp:
+                    self._do_vm_op(task, core, event)
+                    continue
+                vpn = event
+                accesses += 1
+                mapping = tlb_lookup(core_id, vpn)
+                if mapping is not None:
+                    hits += 1
+                # a miss walks; a first touch faults, installs the page and
+                # walks again, and every walk is charged here
+                while mapping is None:
+                    walk = page_walk(space, vpn, core_id, contention)
+                    walk_cycles += walk.cycles
+                    walk_accesses += walk.mem_accesses
+                    walk_remote += walk.remote_accesses
+                    for touched in walk.touched_nodes:
+                        bytes_to[touched] += CACHELINE_BYTES
+                    mapping = walk.mapping
+                    if mapping is None:
+                        pfn_node = self._data_node(proc, node)
+                        cost = map_page(space, vpn, self._alloc_pfn(), pfn_node,
+                                        core_id, contention=contention)
+                        self._charge_pt_cost(task, cost)
+
+                if mapping.numa_hint:
+                    # access-sampling fault: repair the hint and note who touched it
+                    cost = clear_access_hint(space, vpn, node, contention)
                     self._charge_pt_cost(task, cost)
-                    mapping = self._walk(task, space, core, vpn, bytes_to)
 
-            if mapping.numa_hint:
-                # access-sampling fault: repair the hint and note who touched it
-                cost = clear_access_hint(space, vpn, node, contention)
-                self._charge_pt_cost(task, cost)
-
-            stall += access_latency(topo, node, mapping.pfn_node, contention)
-            if llc_random() < llc_miss_rate:
-                llc_misses += 1
-                bytes_to[mapping.pfn_node] += line_bytes
-
-            if access_stats is not None:
-                stats = access_stats.setdefault(vpn, {})
-                stats[node] = stats.get(node, 0) + 1
+                stall += price[mapping.pfn_node]
+                if llc_random() < llc_miss_rate:
+                    llc_misses += 1
+                    bytes_to[mapping.pfn_node] += line_bytes
 
         c = task.counters
         c.events_issued += accesses
-        c.total_cycles += accesses * COMPUTE_CYCLES_PER_EVENT + stall
-        c.stall_cycles += stall
+        c.total_cycles += accesses * COMPUTE_CYCLES_PER_EVENT + stall + walk_cycles
+        c.stall_cycles += stall + walk_cycles
+        c.pagewalk_cycles += walk_cycles
+        c.walk_mem_accesses += walk_accesses
+        c.walk_remote_accesses += walk_remote
         c.tlb_hits += hits
         c.dtlb_misses += accesses - hits
         c.llc_misses += llc_misses
         for to_node, nbytes in enumerate(bytes_to):
             if nbytes:
                 self._traffic(task, node, to_node, nbytes)
+        for event, count in issued.items():
+            if type(event) is not VmOp:
+                stats = proc.access_stats.setdefault(event, {})
+                stats[node] = stats.get(node, 0) + count
 
-    def _walk(self, task: SimTask, space: AddressSpace, core: CoreState,
-              vpn: int, bytes_to: List[int]):
-        """Walk space for vpn, charge its cycles to task, and add a line of
-        traffic per table page it read to bytes_to, indexed by destination
-        node."""
-        result = self.mmu.page_walk(space, vpn, core.core_id, self.contention)
-        c = task.counters
-        c.total_cycles += result.cycles
-        c.pagewalk_cycles += result.cycles
-        c.stall_cycles += result.cycles
-        c.walk_mem_accesses += result.mem_accesses
-        c.walk_remote_accesses += result.remote_accesses
-        for touched in result.touched_nodes:
-            bytes_to[touched] += CACHELINE_BYTES
-        return result.mapping
-
-    def _do_vm_op(self, task: SimTask, core: CoreState,
-                  event: workload.AccessEvent) -> None:
+    def _do_vm_op(self, task: SimTask, core: CoreState, op: VmOp) -> None:
         proc = self.processes[task.st.process_id]
         space = proc.space
         fp = proc.spec.footprint_pages
-        start, length = event.vpn, event.vm_pages
-        pages = [(start + i) % fp for i in range(length)]
+        start = op.start
+        pages = [(start + i) % fp for i in range(op.pages)]
         shootdown = self._shootdown_fn(proc, core.core_id, core.node_id)
         task.counters.events_issued += 1
         task.counters.total_cycles += COMPUTE_CYCLES_PER_EVENT
 
-        if event.vm_kind == "map":
+        if op.kind == "map":
             for vpn in pages:
                 if space.lookup(vpn) is None:
                     pfn_node = self._data_node(proc, core.node_id)
                     cost = map_page(space, vpn, self._alloc_pfn(), pfn_node,
                                     core.core_id, contention=self.contention)
                     self._charge_pt_cost(task, cost)
-        elif event.vm_kind == "unmap":
+        elif op.kind == "unmap":
             for vpn in pages:
                 if space.lookup(vpn) is not None:
                     cost = unmap_page(space, vpn, core.core_id,
                                       self.contention, shootdown)
                     self._charge_pt_cost(task, cost)
-        elif event.vm_kind == "protect":
+        elif op.kind == "protect":
             # one protect_range per run of contiguous mapped pages
             run: List[int] = []
             for vpn in pages + [None]:
@@ -538,7 +537,7 @@ class Simulation:
                                          shootdown)
                     self._charge_pt_cost(task, cost)
                 run = [vpn] if mapped else []
-        elif event.vm_kind == "remap":
+        elif op.kind == "remap":
             dest = (start + fp // 2) % fp
             for vpn in pages:
                 mapping = space.lookup(vpn)

@@ -20,7 +20,8 @@ _PTE = int(Level.PTE)
 class _LruCache:
     """Bounded LRU map over an insertion-ordered dict, oldest entry first.
 
-    Capacity halves while the SMT sibling is busy.
+    Capacity halves while the SMT sibling is busy.  A hit is made most
+    recent by popping and reinserting its entry, which the MMU does inline.
     """
 
     def __init__(self, capacity: int):
@@ -36,13 +37,6 @@ class _LruCache:
         while len(entries) > self.limit:
             del entries[next(iter(entries))]
 
-    def get(self, key: int):
-        """The value, made most recent; None when absent."""
-        value = self.entries.pop(key, None)
-        if value is not None:
-            self.entries[key] = value
-        return value
-
     def put(self, key: int, value) -> None:
         entries = self.entries
         entries.pop(key, None)
@@ -56,20 +50,14 @@ class _LruCache:
     def clear(self) -> None:
         self.entries.clear()
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __contains__(self, key: int) -> bool:
-        return key in self.entries
-
 
 @dataclass
 class WalkResult:
     cycles: int
     mem_accesses: int
     remote_accesses: int
-    mapping: Optional[Mapping] = None  # None on a fault
-    touched_nodes: Tuple[int, ...] = ()
+    mapping: Optional[Mapping]  # None on a fault
+    touched_nodes: List[int]  # the node of each table read, in walk order
 
 
 class Mmu:
@@ -94,7 +82,11 @@ class Mmu:
 
     def tlb_lookup(self, core_id: int, vpn: int) -> Optional[Mapping]:
         """Hit returns the cached mapping and refreshes recency; cost 1 cycle."""
-        return self.tlbs[core_id].get(vpn)
+        entries = self.tlbs[core_id].entries
+        mapping = entries.pop(vpn, None)
+        if mapping is not None:
+            entries[vpn] = mapping
+        return mapping
 
     def set_partition(self, core_id: int, active: bool) -> None:
         self.tlbs[core_id].set_partition(active)
@@ -125,32 +117,31 @@ class Mmu:
         a = space.arity
         # the PWC keys of vpn, by level: PGD, PUD, PMD
         prefixes = (vpn // (a * a * a), vpn // (a * a), vpn // a)
-        mapping, touches = pagetable.translate(space, vpn, core_node)
+        mapping, residents = pagetable.translate(space, vpn, core_node)
 
-        cycles = 0
-        remote = 0
         touched_nodes: List[int] = []
-        missed: List[int] = []
-        # touches run from the PGD down, so a touch's position is its level
-        for level, (_, resident) in enumerate(touches):
-            if level < _PTE:
-                if pwc[level].get(prefixes[level]) is not None:
-                    continue
-                missed.append(level)
-            cycles += access_latency(topo, core_node, resident, contention)
-            touched_nodes.append(resident)
-            if resident != core_node:
-                remote += 1
+        missed: List[Tuple[_LruCache, int]] = []
+        for cache, prefix, resident in zip(pwc, prefixes, residents):
+            entries = cache.entries
+            if entries.pop(prefix, None) is not None:
+                entries[prefix] = True  # a hit, made most recent
+            else:
+                missed.append((cache, prefix))
+                touched_nodes.append(resident)
+        touched_nodes += residents[_PTE:]  # the PTE level is never cached
+        cycles = 0
+        for node in touched_nodes:
+            cycles += access_latency(topo, core_node, node, contention)
 
         accesses = len(touched_nodes)
+        remote = accesses - touched_nodes.count(core_node)
         if mapping is None:
-            return WalkResult(cycles, accesses, remote,
-                              touched_nodes=tuple(touched_nodes))
+            return WalkResult(cycles, accesses, remote, None, touched_nodes)
 
-        for level in missed:
-            pwc[level].put(prefixes[level], True)
+        for cache, prefix in missed:
+            cache.put(prefix, True)
         self.tlbs[core_id].put(vpn, mapping)
-        return WalkResult(cycles, accesses, remote, mapping, tuple(touched_nodes))
+        return WalkResult(cycles, accesses, remote, mapping, touched_nodes)
 
     # -- shootdowns ---------------------------------------------------------------
 

@@ -241,15 +241,15 @@ def _alloc_child(space: AddressSpace, parent: PageTableNode, idx: int,
 
 
 def _pte_table(space: AddressSpace, vpn: int,
-               touches: Optional[List[Tuple[Level, int]]] = None,
+               touches: Optional[List[int]] = None,
                replica: Optional[int] = None,
                alloc: Optional[Callable[[PageTableNode, int], PageTableNode]] = None
                ) -> Optional[PageTableNode]:
     """The one descent of the tree: from the root to the PTE table covering vpn.
 
-    touches, when given, collects (level, node holding replica's copy) for
-    every table visited, the PTE table included.  A missing table ends the
-    descent with None, unless alloc is given: then alloc(parent, idx)
+    touches, when given, collects the node holding replica's copy of every
+    table visited, from the PGD down to the PTE table.  A missing table ends
+    the descent with None, unless alloc is given: then alloc(parent, idx)
     supplies the child.  The PTE entry index is vpn % arity.
     """
     a = space.arity
@@ -259,7 +259,7 @@ def _pte_table(space: AddressSpace, vpn: int,
     table = space.root
     for idx in (top, vpn // (a * a) % a, vpn // a % a):
         if touches is not None:
-            touches.append((table.level, table.resident[replica]))
+            touches.append(table.resident[replica])
         child = table.entries.get(idx)
         if child is None:
             if alloc is None:
@@ -267,7 +267,7 @@ def _pte_table(space: AddressSpace, vpn: int,
             child = alloc(table, idx)
         table = child
     if touches is not None:
-        touches.append((table.level, table.resident[replica]))
+        touches.append(table.resident[replica])
     return table
 
 
@@ -494,12 +494,14 @@ def migrate_tables(space: AddressSpace, from_node: int, to_node: int,
 
 
 def translate(space: AddressSpace, vpn: int,
-              walker_node: int) -> Tuple[Optional[Mapping], List[Tuple[Level, int]]]:
+              walker_node: int) -> Tuple[Optional[Mapping], List[int]]:
     """Walk the replica local to walker_node (home replica otherwise).
 
-    Returns the mapping (None on fault) and the ordered list of (level, node
-    holding the walked replica's copy) table touches the walk performed.
+    Returns the mapping (None on fault) and, for each table the walk read
+    from the PGD down, the node holding the walked replica's copy; a
+    position in the list is its Level.  A fault on a missing table reads
+    fewer than four.
     """
-    touches: List[Tuple[Level, int]] = []
+    touches: List[int] = []
     pte = _pte_table(space, vpn, touches, space.replica_for(walker_node))
     return (None if pte is None else pte.entries.get(vpn % space.arity)), touches

@@ -344,13 +344,18 @@ def autonuma_step(space: AddressSpace, access_stats: Dict[int, Dict[int, int]],
     scan.  Ties go to the lowest node id.
     """
     migrations: List[Tuple[int, int]] = []
+    threshold = policy.migrate_threshold
     for vpn in sorted(access_stats):
+        counts = access_stats[vpn]
+        # remote samples are a subset of all samples: with too few, the
+        # page cannot migrate, so skip its lookup
+        if sum(counts.values()) < threshold:
+            continue
         mapping = space.lookup(vpn)
         if mapping is None:
             continue
-        counts = access_stats[vpn]
         remote = sum(c for node, c in counts.items() if node != mapping.pfn_node)
-        if remote < policy.migrate_threshold:
+        if remote < threshold:
             continue
         dominant = max(sorted(counts), key=lambda n: counts[n])
         if dominant != mapping.pfn_node:

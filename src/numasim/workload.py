@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, replace
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Tuple, Union
 
 import numpy as np
 
@@ -75,12 +75,11 @@ class WorkloadSpec:
             raise ValueError(f"data_policy must be one of {DATA_POLICIES}")
 
 
-class AccessEvent(NamedTuple):
-    kind: str                     # access or vm
-    vpn: int
-    thread_id: int
-    vm_kind: Optional[str] = None
-    vm_pages: int = 0
+class VmOp(NamedTuple):
+    """A VM operation in an event stream: kind over pages pages from start."""
+    kind: str
+    start: int
+    pages: int
 
 
 PRESETS: Dict[str, WorkloadSpec] = {
@@ -179,14 +178,14 @@ def _draw_vpns(spec: WorkloadSpec, rng: np.random.Generator,
 
 def _quantum_draws(spec: WorkloadSpec, thread_id: int, rng_seed: int,
                    quantum_index: int
-                   ) -> Tuple[np.ndarray, List[Tuple[int, str, int, int]]]:
+                   ) -> Tuple[np.ndarray, List[Tuple[int, VmOp]]]:
     """Every RNG draw of one thread-quantum: its access vpns and its VM ops
-    as (slot, kind, start, length), in slot order."""
+    as (slot, op), in slot order."""
     rng = _rng(spec, rng_seed, quantum_index, thread_id)
     n = spec.accesses_per_quantum_per_thread
     vpns = _draw_vpns(spec, rng, quantum_index, thread_id, n)
 
-    vm_ops: List[Tuple[int, str, int, int]] = []
+    vm_ops: List[Tuple[int, VmOp]] = []
     if spec.vm_ops_per_kilo_access > 0:
         p = min(1.0, spec.vm_ops_per_kilo_access / 1000.0)
         count = int(rng.binomial(n, p))
@@ -200,20 +199,21 @@ def _quantum_draws(spec: WorkloadSpec, thread_id: int, rng_seed: int,
             starts = rng.integers(0, spec.footprint_pages, size=count)
             lengths = rng.geometric(1.0 / spec.vm_range_mean_pages, size=count)
             for slot, k, start, length in zip(slots, chosen, starts, lengths):
-                vm_ops.append((int(slot), kinds[int(k)], int(start),
-                               int(min(length, spec.footprint_pages))))
+                op = VmOp(kinds[int(k)], int(start),
+                          int(min(length, spec.footprint_pages)))
+                vm_ops.append((int(slot), op))
     return vpns, vm_ops
 
 
 def generate_quantum_events(spec: WorkloadSpec, thread_id: int, rng_seed: int,
-                            quantum_index: int) -> List[AccessEvent]:
-    """Event stream for one thread-quantum: data accesses plus mixed VM ops."""
+                            quantum_index: int) -> List[Union[int, VmOp]]:
+    """Event stream for one thread-quantum: each data access as its vpn, an
+    int, and each VM op right after the access in its slot."""
     vpns, vm_ops = _quantum_draws(spec, thread_id, rng_seed, quantum_index)
-    events = [AccessEvent("access", vpn, thread_id) for vpn in vpns.tolist()]
-    # each VM op follows the access in its slot; insert from the back so
-    # earlier slots keep their positions
-    for slot, vm_kind, start, length in reversed(vm_ops):
-        events.insert(slot + 1, AccessEvent("vm", start, thread_id, vm_kind, length))
+    events: List[Union[int, VmOp]] = vpns.tolist()
+    # insert from the back so earlier slots keep their positions
+    for slot, op in reversed(vm_ops):
+        events.insert(slot + 1, op)
     return events
 
 

@@ -7,6 +7,7 @@ inside the tests themselves.
 
 import copy
 import json
+import os
 import random
 import subprocess
 import sys
@@ -360,10 +361,15 @@ def test_criterion_09_smt_tlb_contention():
 def test_criterion_10_determinism(tmp_path):
     scenario = SCENARIOS / "baseline.json"
 
+    # the child imports numasim from this checkout, installed or not
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+
     def run_cli(*args):
         proc = subprocess.run(
             [sys.executable, "-m", "numasim.cli", *args],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         return proc
 

@@ -169,6 +169,39 @@ def test_cycle_identity_holds_per_task():
                                   + c.shootdown_cycles)
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_walk_counters_sum_the_walks_each_task_made(seed):
+    # no prefault, so first touches fault: the faulting walk and the walk
+    # after the page is installed both count
+    scenario = build([preset("gups_like", thread_count=6,
+                             footprint_pages=2048)],
+                     policy=PolicyKind("mitosis"), duration=12, seed=seed)
+    sim = Simulation(scenario)
+    page_walk = sim.mmu.page_walk
+    sums = {}  # task id -> [cycles, memory accesses, remote accesses]
+    faults = 0
+
+    def recording_walk(space, vpn, core_id, contention=None):
+        nonlocal faults
+        walk = page_walk(space, vpn, core_id, contention)
+        task = sim.cores[core_id].runqueue[0]  # the task running there
+        row = sums.setdefault(task.task_id, [0, 0, 0])
+        row[0] += walk.cycles
+        row[1] += walk.mem_accesses
+        row[2] += walk.remote_accesses
+        faults += walk.mapping is None
+        return walk
+
+    sim.mmu.page_walk = recording_walk
+    sim.run()
+    assert faults > 0
+    assert sum(row[2] for row in sums.values()) > 0
+    for task in sim.tasks:
+        c = task.counters
+        assert [c.pagewalk_cycles, c.walk_mem_accesses,
+                c.walk_remote_accesses] == sums[task.task_id]
+
+
 def test_traffic_conservation_between_tasks_and_nodes():
     scenario = build([preset("gups_like", thread_count=2,
                              footprint_pages=1024),

@@ -5,7 +5,7 @@ from collections import OrderedDict
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from numasim.mmu import Mmu, _LruCache
+from numasim.mmu import Mmu
 from numasim.pagetable import (
     FIRST_TOUCH,
     AddressSpace,
@@ -33,7 +33,7 @@ def test_cold_local_walk_costs_four_local_accesses():
     assert walk.mem_accesses == 4
     assert walk.remote_accesses == 0
     assert walk.mapping.pfn == 100
-    assert walk.touched_nodes == (0, 0, 0, 0)
+    assert walk.touched_nodes == [0, 0, 0, 0]
 
 
 def test_cold_remote_walk_pays_the_link_factor_per_level():
@@ -98,7 +98,7 @@ def test_partition_halves_capacity_and_sheds_entries_eagerly():
         mmu.page_walk(space, vpn, 0)
     mmu.set_partition(0, True)
     assert mmu.tlbs[0].partition_active
-    assert len(mmu.tlbs[0]) == 4
+    assert len(mmu.tlbs[0].entries) == 4
     assert mmu.tlb_lookup(0, 3) is None   # older half evicted
     assert mmu.tlb_lookup(0, 7) is not None
     mmu.set_partition(0, False)
@@ -233,11 +233,16 @@ _OPS = st.lists(st.one_of(
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(st.integers(1, 9), _OPS)
 def test_lru_cache_matches_the_ordered_dict_model(capacity, ops):
-    cache, model = _LruCache(capacity), _ReferenceLru(capacity)
+    # a hit's recency is refreshed inline by the MMU, so get is a TLB lookup
+    mmu = Mmu(make_topo(1, 1), tlb_entries=capacity)
+    cache, model = mmu.tlbs[0], _ReferenceLru(capacity)
     for name, *args in ops:
-        assert getattr(cache, name)(*args) == getattr(model, name)(*args)
+        if name == "get":
+            assert mmu.tlb_lookup(0, *args) == model.get(*args)
+        else:
+            assert getattr(cache, name)(*args) == getattr(model, name)(*args)
         assert list(cache.entries.items()) == list(model.entries.items())
-        assert len(cache) == len(model.entries)
+        assert len(cache.entries) == len(model.entries)
 
 
 def _cache_states(mmu):

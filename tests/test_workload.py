@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 from numasim.workload import (
     PRESETS,
+    VmOp,
     WorkloadSpec,
+    _quantum_draws,
     generate_quantum_events,
     preset,
     quantum_volume,
@@ -38,37 +40,37 @@ def test_streams_differ_across_thread_quantum_and_seed():
 
 def test_sequential_strides_and_wraps():
     spec = spec_for("sequential")
-    vpns = [e.vpn for e in generate_quantum_events(spec, 0, 1, 0)]
+    vpns = generate_quantum_events(spec, 0, 1, 0)
     assert vpns == [0, 1, 2, 3, 4, 5, 6, 7, 0, 1]
 
 
 def test_sequential_threads_offset_into_the_footprint():
     spec = spec_for("sequential")
-    vpns = [e.vpn for e in generate_quantum_events(spec, 1, 1, 0)]
+    vpns = generate_quantum_events(spec, 1, 1, 0)
     assert vpns == [2, 3, 4, 5, 6, 7, 0, 1, 2, 3]
 
 
 def test_sequential_quanta_continue_the_stride():
     spec = spec_for("sequential")
-    vpns = [e.vpn for e in generate_quantum_events(spec, 0, 1, 1)]
+    vpns = generate_quantum_events(spec, 0, 1, 1)
     assert vpns[:4] == [2, 3, 4, 5]  # picks up where quantum 0 left off
 
 
 def test_data_accesses_share_one_kind():
-    # the engine only tells VM operations apart from data accesses
+    # the engine only tells VM operations apart from data accesses, which
+    # are all plain int vpns
     spec = spec_for("uniform_random", footprint=64, n=100)
     events = [e for e in generate_quantum_events(spec, 0, 1, 0)
-              if e.kind != "vm"]
+              if not isinstance(e, VmOp)]
     assert len(events) == 100
-    assert {e.kind for e in events} == {"access"}
+    assert {type(e) for e in events} == {int}
 
 
 def test_uniform_draws_cover_the_footprint_evenly():
     spec = spec_for("uniform_random", footprint=16, n=100)
     counts = Counter()
     for q in range(50):
-        for e in generate_quantum_events(spec, 0, 7, q):
-            counts[e.vpn] += 1
+        counts.update(generate_quantum_events(spec, 0, 7, q))
     assert set(counts) <= set(range(16))
     # 5000 draws, 312.5 expected per page, sigma about 17
     assert all(200 < counts[v] < 430 for v in range(16))
@@ -78,8 +80,7 @@ def test_zipfian_concentrates_on_a_stable_hot_page():
     spec = spec_for("zipfian", footprint=1024, n=100, zipf_theta=0.99)
     counts = Counter()
     for q in range(50):
-        for e in generate_quantum_events(spec, 0, 7, q):
-            counts[e.vpn] += 1
+        counts.update(generate_quantum_events(spec, 0, 7, q))
     hot_vpn, hot_count = counts.most_common(1)[0]
     # the hottest rank always lands on the same permuted page
     assert hot_vpn == 17
@@ -96,19 +97,38 @@ def test_vm_ops_arrive_at_the_configured_rate():
     plain = 0
     for q in range(60):
         for e in generate_quantum_events(spec, 0, 3, q):
-            if e.kind == "vm":
+            if isinstance(e, VmOp):
                 vm_events.append(e)
             else:
                 plain += 1
     assert plain == 60 * 200  # vm ops add events, never displace accesses
     # binomial(12000, 0.05): mean 600, sigma about 24
     assert 450 < len(vm_events) < 750
-    kinds = {e.vm_kind for e in vm_events}
+    kinds = {e.kind for e in vm_events}
     assert kinds == {"map", "unmap"}
-    assert all(e.vm_pages >= 1 for e in vm_events)
-    assert all(0 <= e.vpn < 256 for e in vm_events)
-    mean_len = sum(e.vm_pages for e in vm_events) / len(vm_events)
+    assert all(e.pages >= 1 for e in vm_events)
+    assert all(0 <= e.start < 256 for e in vm_events)
+    mean_len = sum(e.pages for e in vm_events) / len(vm_events)
     assert 2.5 < mean_len < 6.0
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_stream_holds_the_draws_in_order_with_ops_after_their_slots(seed):
+    spec = spec_for("zipfian", footprint=512, n=300,
+                    vm_ops_per_kilo_access=40.0,
+                    vm_op_mix=(("map", 0.5), ("remap", 0.5)))
+    vpns, vm_ops = _quantum_draws(spec, 1, seed, 5)
+    assert vm_ops  # binomial(300, 0.04): none with probability 5e-6
+    after = {slot: op for slot, op in vm_ops}
+    expected = []
+    for slot, vpn in enumerate(vpns.tolist()):
+        expected.append(vpn)
+        if slot in after:
+            expected.append(after[slot])
+    events = generate_quantum_events(spec, 1, seed, 5)
+    assert events == expected
+    assert [type(e) for e in events] == [type(e) for e in expected]
+    assert {type(e) for e in events} == {int, VmOp}
 
 
 def test_vm_range_respects_the_footprint_cap():
@@ -117,8 +137,8 @@ def test_vm_range_respects_the_footprint_cap():
                     vm_op_mix=(("protect", 1.0),), vm_range_mean_pages=64)
     for q in range(20):
         for e in generate_quantum_events(spec, 0, 3, q):
-            if e.kind == "vm":
-                assert e.vm_pages <= 4
+            if isinstance(e, VmOp):
+                assert e.pages <= 4
 
 
 def test_presets_are_valid_and_named():
