@@ -18,7 +18,7 @@ import random
 from collections import Counter, deque
 from dataclasses import asdict, dataclass, field, replace
 from operator import attrgetter
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import metrics, pagetable, sched, workload
 from .mmu import Mmu
@@ -288,7 +288,7 @@ class Simulation:
         alloc = self.policy.alloc_policy or \
             (pagetable.HOME_NODE if self.policy.kind == "phoenix"
              else pagetable.FIRST_TOUCH)
-        space = AddressSpace(self.topo, pid, home, alloc, arity=self.topo.arity)
+        space = AddressSpace(self.topo, home, alloc)
         space.lock_mode = self.policy.lock_mode or \
             ("global" if self.policy.kind == "mitosis" else "per_table")
         proc = SimProcess(pid, entry, space)
@@ -368,24 +368,27 @@ class Simulation:
 
     def _charge_pt_cost(self, task: SimTask, cost: pagetable.PtOpCost) -> None:
         c = task.counters
-        c.total_cycles += cost.total_cycles
+        c.total_cycles += cost.cycles
         c.stall_cycles += cost.cycles
         c.replica_update_cycles += cost.cycles
-        c.shootdown_cycles += cost.shootdown_cycles
         c.lock_wait_cycles += cost.lock_wait_cycles
 
-    def _shootdown_fn(self, proc: SimProcess, initiator_core: Optional[int],
-                      initiator_node: int):
-        def fire(vpn: int) -> int:
-            targets = [t.st.current_core for t in proc.tasks
-                       if t.st.current_core != initiator_core]
-            cycles = self.mmu.tlb_shootdown(vpn, initiator_node, targets,
-                                            proc.space)
+    def _shoot_down(self, proc: SimProcess, task: SimTask, vpns: Sequence[int],
+                    initiator_node: int, initiator_core: Optional[int]) -> None:
+        """Drop vpns on every core running proc and charge task the IPIs.
+
+        Each vpn is one IPI to the other cores, priced from initiator_node;
+        the initiator's own core, when given, drops it unpriced.
+        """
+        targets = [t.st.current_core for t in proc.tasks
+                   if t.st.current_core != initiator_core]
+        cycles = 0
+        for vpn in vpns:
+            cycles += self.mmu.tlb_shootdown(vpn, initiator_node, targets)
             if initiator_core is not None:
-                self.mmu.tlb_shootdown(vpn, initiator_node, [initiator_core],
-                                       proc.space)
-            return cycles
-        return fire
+                self.mmu.tlb_shootdown(vpn, initiator_node, [initiator_core])
+        task.counters.shootdown_cycles += cycles
+        task.counters.total_cycles += cycles
 
     # -- event execution -----------------------------------------------------------
 
@@ -506,7 +509,6 @@ class Simulation:
         fp = proc.spec.footprint_pages
         start = op.start
         pages = [(start + i) % fp for i in range(op.pages)]
-        shootdown = self._shootdown_fn(proc, core.core_id, core.node_id)
         task.counters.events_issued += 1
         task.counters.total_cycles += COMPUTE_CYCLES_PER_EVENT
 
@@ -521,8 +523,10 @@ class Simulation:
             for vpn in pages:
                 if space.lookup(vpn) is not None:
                     cost = unmap_page(space, vpn, core.core_id,
-                                      self.contention, shootdown)
+                                      self.contention)
                     self._charge_pt_cost(task, cost)
+                    self._shoot_down(proc, task, (vpn,), core.node_id,
+                                     core.core_id)
         elif op.kind == "protect":
             # one protect_range per run of contiguous mapped pages
             run: List[int] = []
@@ -533,9 +537,10 @@ class Simulation:
                     continue
                 if run:
                     cost = protect_range(space, run[0], len(run), PROT_READ,
-                                         core.core_id, self.contention,
-                                         shootdown)
+                                         core.core_id, self.contention)
                     self._charge_pt_cost(task, cost)
+                    self._shoot_down(proc, task, run, core.node_id,
+                                     core.core_id)
                 run = [vpn] if mapped else []
         elif op.kind == "remap":
             dest = (start + fp // 2) % fp
@@ -544,9 +549,10 @@ class Simulation:
                 if mapping is None:
                     continue
                 pfn, pfn_node, prot = mapping.pfn, mapping.pfn_node, mapping.prot
-                cost = unmap_page(space, vpn, core.core_id, self.contention,
-                                  shootdown)
+                cost = unmap_page(space, vpn, core.core_id, self.contention)
                 self._charge_pt_cost(task, cost)
+                self._shoot_down(proc, task, (vpn,), core.node_id,
+                                 core.core_id)
                 target = space.next_free_vpn(dest, fp)
                 if target is None:
                     continue
@@ -582,15 +588,17 @@ class Simulation:
             for k in range(min(count, n)):
                 task = tasks[(proc.charge_rr + k) % n]
                 node = self.cores[task.st.current_core].node_id
-                price = self.mmu.shootdown_price(node, targets)
+                vpns = sample[k::n]
                 space.begin_quantum()
-                cost = set_access_hint(space, sample[k::n], node, self.contention,
-                                       lambda vpn, price=price: price)
+                cost = set_access_hint(space, vpns, node, self.contention)
                 self._charge_pt_cost(task, cost)
+                cycles = len(vpns) * self.mmu.shootdown_price(node, targets)
+                task.counters.shootdown_cycles += cycles
+                task.counters.total_cycles += cycles
             proc.charge_rr += count
             # nothing refills a TLB or PWC during the scan, so each target
             # core is invalidated once for the whole sample
-            self.mmu.invalidate(space, sample, targets)
+            self.mmu.invalidate(sample, targets)
             space.begin_quantum()
 
         for vpn, to_node in sched.autonuma_step(space, proc.access_stats,
@@ -610,9 +618,9 @@ class Simulation:
         task.counters.total_cycles += copy_cycles
         task.counters.stall_cycles += copy_cycles
         self._traffic(task, from_node, to_node, PAGE_BYTES)
-        shoot = self._shootdown_fn(proc, None, node)
-        cost = set_frame_node(space, vpn, to_node, node, self.contention, shoot)
+        cost = set_frame_node(space, vpn, to_node, node, self.contention)
         self._charge_pt_cost(task, cost)
+        self._shoot_down(proc, task, (vpn,), node, None)
         task.counters.data_migrations += 1
 
     # -- policy actions ---------------------------------------------------------------

@@ -160,24 +160,18 @@ class Mmu:
         return int(cycles + 0.5)
 
     def tlb_shootdown(self, vpn: int, initiator_node: int,
-                      core_ids: Sequence[int],
-                      space: Optional[AddressSpace] = None) -> int:
-        """Invalidate vpn on the given cores; returns the IPI cycle cost.
-
-        With space given, the PWC entries covering vpn go too.
-        """
-        prefixes: Tuple[int, ...] = ()
-        if space is not None:
-            a = space.arity
-            prefixes = (vpn // (a * a * a), vpn // (a * a), vpn // a)
+                      core_ids: Sequence[int]) -> int:
+        """Drop vpn, and the PWC entries covering it, on the given cores;
+        returns the IPI cycle cost."""
+        a = self.topo.arity
+        prefixes = (vpn // (a * a * a), vpn // (a * a), vpn // a)
         for core_id in core_ids:
             self.tlbs[core_id].drop(vpn)
             for cache, prefix in zip(self.pwcs[core_id], prefixes):
                 cache.drop(prefix)
         return self.shootdown_price(initiator_node, core_ids)
 
-    def invalidate(self, space: AddressSpace, vpns: Sequence[int],
-                   core_ids: Iterable[int]) -> None:
+    def invalidate(self, vpns: Sequence[int], core_ids: Iterable[int]) -> None:
         """Drop vpns, and the PWC entries covering them, on the given cores.
 
         One pass over each core's caches: the same entries go, and the
@@ -186,7 +180,7 @@ class Mmu:
         cores = set(core_ids)
         # the TLBs are far smaller than a scan's sample: intersect with them
         cached = set().union(*(self.tlbs[core].entries for core in cores))
-        a = space.arity
+        a = self.topo.arity
         # each level's prefixes from the level below: vpn // a**2 is
         # (vpn // a) // a, so only the PMD set is built from every vpn
         pmd = {vpn // a for vpn in vpns}

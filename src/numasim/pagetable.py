@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from enum import IntEnum
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .topology import DEFAULT_ARITY, Topology, access_latency
+from .topology import Topology, access_latency
 
 PROT_READ = 1
 PROT_RW = 3
@@ -28,7 +28,6 @@ INTERLEAVE = "interleave"
 HOME_NODE = "home_node"
 ALLOC_POLICIES = (FIRST_TOUCH, INTERLEAVE, HOME_NODE)
 
-ShootdownFn = Callable[[int], int]  # vpn -> cycles
 LeafWrite = Callable[[Dict[int, object], int, int], None]  # (entries, idx, vpn)
 
 
@@ -82,43 +81,21 @@ class PtOpCost:
     """Cycle and write accounting for one page-table operation."""
     cycles: int = 0              # table reads/writes plus lock wait
     writes_performed: int = 0
-    shootdowns_issued: int = 0
-    shootdown_cycles: int = 0
     lock_wait_cycles: int = 0
     pages_copied: int = 0
-    pgd_pages_exempt: int = 0
-    pgd_exempt_cycles: int = 0
-
-    @property
-    def total_cycles(self) -> int:
-        return self.cycles + self.shootdown_cycles
-
-    def merge(self, other: "PtOpCost") -> "PtOpCost":
-        self.cycles += other.cycles
-        self.writes_performed += other.writes_performed
-        self.shootdowns_issued += other.shootdowns_issued
-        self.shootdown_cycles += other.shootdown_cycles
-        self.lock_wait_cycles += other.lock_wait_cycles
-        self.pages_copied += other.pages_copied
-        self.pgd_pages_exempt += other.pgd_pages_exempt
-        self.pgd_exempt_cycles += other.pgd_exempt_cycles
-        return self
 
 
 class AddressSpace:
     """Per-process replicated page tables plus allocation bookkeeping."""
 
-    def __init__(self, topo: Topology, process_id: int, home_node: int,
-                 alloc_policy: str = HOME_NODE, arity: int = DEFAULT_ARITY):
+    def __init__(self, topo: Topology, home_node: int,
+                 alloc_policy: str = HOME_NODE):
         if alloc_policy not in ALLOC_POLICIES:
             raise ValueError(f"unknown allocation policy {alloc_policy!r}")
-        if arity < 4:
-            raise ValueError("radix arity below 4 is not supported")
         self.topo = topo
-        self.process_id = process_id
         self.home_node = home_node
         self.alloc_policy = alloc_policy
-        self.arity = arity
+        self.arity = topo.arity
         self.mappings_count = 0
         self.lock_mode = "per_table"  # or "global"
         self._interleave_rr = 0
@@ -273,7 +250,6 @@ def _pte_table(space: AddressSpace, vpn: int,
 
 def _mutate_leaf(space: AddressSpace, vpns: Sequence[int], updater_node: int,
                  contention, write: LeafWrite,
-                 shootdown: Optional[ShootdownFn] = None, shoots: bool = True,
                  allocate: bool = False) -> PtOpCost:
     """The one leaf-mutation path: write each vpn's leaf in every replica.
 
@@ -283,9 +259,8 @@ def _mutate_leaf(space: AddressSpace, vpns: Sequence[int], updater_node: int,
     per replica.  All vpns are checked before anything is written: with
     allocate each must be unmapped (MappingExistsError), otherwise mapped
     (NotMappedError).  write(entries, idx, vpn) is applied once, to the leaf
-    every replica shares; when shoots is set, each vpn counts a shootdown
-    and calls the hook.  A single lock wait covers every table the operation
-    touched.
+    every replica shares.  A single lock wait covers every table the
+    operation touched.  TLB shootdowns are the caller's.
     """
     cost = PtOpCost()
     touched: set = set()
@@ -318,11 +293,6 @@ def _mutate_leaf(space: AddressSpace, vpns: Sequence[int], updater_node: int,
         write(entries, vpn % a, vpn)
         cost.writes_performed += copies
         cost.cycles += price
-    if shoots:
-        cost.shootdowns_issued += len(vpns)
-        if shootdown is not None:
-            for vpn in vpns:
-                cost.shootdown_cycles += shootdown(vpn)
     cost.lock_wait_cycles = space._lock_wait(touched, cost.cycles)
     cost.cycles += cost.lock_wait_cycles
     return cost
@@ -355,7 +325,7 @@ def map_pages(space: AddressSpace, vpns: Sequence[int], pfns: Sequence[int],
         entries[idx] = Mapping(vpn, pfn, prot, pfn_node)
 
     cost = _mutate_leaf(space, vpns, space.topo.node_of_core(requesting_core),
-                        contention, install, shoots=False, allocate=True)
+                        contention, install, allocate=True)
     space.mappings_count += len(vpns)
     return cost
 
@@ -369,57 +339,53 @@ def map_page(space: AddressSpace, vpn: int, pfn: int, pfn_node: int,
 
 
 def unmap_page(space: AddressSpace, vpn: int, requesting_core: int,
-               contention=None, shootdown: Optional[ShootdownFn] = None) -> PtOpCost:
-    """Clear vpn in every replica and shoot down stale TLB entries."""
+               contention=None) -> PtOpCost:
+    """Clear vpn in every replica."""
     def clear(entries: Dict[int, object], idx: int, vpn: int) -> None:
         del entries[idx]
 
     cost = _mutate_leaf(space, (vpn,), space.topo.node_of_core(requesting_core),
-                        contention, clear, shootdown)
+                        contention, clear)
     space.mappings_count -= 1
     return cost
 
 
 def protect_range(space: AddressSpace, vpn_start: int, n_pages: int, prot: int,
-                  requesting_core: int, contention=None,
-                  shootdown: Optional[ShootdownFn] = None) -> PtOpCost:
-    """Update protection bits on a mapped range, one shootdown per page.
+                  requesting_core: int, contention=None) -> PtOpCost:
+    """Update protection bits on a mapped range.
 
     The whole range is validated before anything is written; a hole anywhere
     leaves the space untouched.
     """
     return _mutate_leaf(space, range(vpn_start, vpn_start + n_pages),
                         space.topo.node_of_core(requesting_core), contention,
-                        _set_field("prot", prot), shootdown)
+                        _set_field("prot", prot))
 
 
 def set_access_hint(space: AddressSpace, vpns: Sequence[int],
-                    requesting_node: int, contention=None,
-                    shootdown: Optional[ShootdownFn] = None) -> PtOpCost:
-    """Arm access-sampling hints: per vpn, an entry write per replica plus a
-    shootdown.
+                    requesting_node: int, contention=None) -> PtOpCost:
+    """Arm access-sampling hints: per vpn, an entry write per replica.
 
     Models the periodic page unmapping that locality sampling performs; the
     next touch takes a minor fault serviced by clear_access_hint.  Like
     protect_range, every vpn is validated before anything is written.
     """
     return _mutate_leaf(space, vpns, requesting_node, contention,
-                        _set_field("numa_hint", True), shootdown)
+                        _set_field("numa_hint", True))
 
 
 def clear_access_hint(space: AddressSpace, vpn: int, requesting_node: int,
                       contention=None) -> PtOpCost:
     """Disarm a sampling hint after the fault; entry write per replica."""
     return _mutate_leaf(space, (vpn,), requesting_node, contention,
-                        _set_field("numa_hint", False), shoots=False)
+                        _set_field("numa_hint", False))
 
 
 def set_frame_node(space: AddressSpace, vpn: int, new_node: int,
-                   requesting_node: int, contention=None,
-                   shootdown: Optional[ShootdownFn] = None) -> PtOpCost:
+                   requesting_node: int, contention=None) -> PtOpCost:
     """Point a mapping at a frame on new_node in every replica (data migration)."""
     return _mutate_leaf(space, (vpn,), requesting_node, contention,
-                        _set_field("pfn_node", new_node), shootdown)
+                        _set_field("pfn_node", new_node))
 
 
 def add_replica(space: AddressSpace, target_node: int, contention=None) -> PtOpCost:
@@ -436,14 +402,10 @@ def add_replica(space: AddressSpace, target_node: int, contention=None) -> PtOpC
     write_cycles = access_latency(space.topo, target_node, target_node,
                                   contention)
     for table in space.iter_tables():
-        page_cycles = write_cycles + access_latency(
-            space.topo, target_node, table.resident[home], contention)
         cost.pages_copied += 1
         cost.writes_performed += 1
-        cost.cycles += page_cycles
-        if table.level == Level.PGD:
-            cost.pgd_pages_exempt += 1
-            cost.pgd_exempt_cycles += page_cycles
+        cost.cycles += write_cycles + access_latency(
+            space.topo, target_node, table.resident[home], contention)
         table.resident[target_node] = target_node
     space.replicas.insert(space.replicas.index(home) + 1, target_node)
     return cost
@@ -471,25 +433,26 @@ def migrate_tables(space: AddressSpace, from_node: int, to_node: int,
                    contention=None) -> PtOpCost:
     """Move a replica: copy to to_node, retire from_node, re-home if needed.
 
-    When the space had a single replica, its PGD page is copied but excluded
-    from the migrated-page count and cycle total; the exempt amounts are
-    reported separately.
+    When the space had a single replica, its PGD page is copied but left out
+    of the migrated-page count and the cycles.
     """
     if from_node not in space.replicas:
         raise NotMappedError(f"node {from_node} holds no replica")
     if to_node in space.replicas:
         raise ReplicaExistsError(f"node {to_node} already holds a replica")
-    single = space.replica_count == 1
+    exempt_pages = exempt_cycles = 0
+    if space.replica_count == 1:  # add_replica's price for the PGD copy
+        exempt_pages = 1
+        topo, pgd_node = space.topo, space.root.resident[from_node]
+        exempt_cycles = access_latency(topo, to_node, to_node, contention) \
+            + access_latency(topo, to_node, pgd_node, contention)
     cost = add_replica(space, to_node, contention)
     if space.home_node == from_node:
         space.home_node = to_node
-    cost.merge(drop_replica(space, from_node, contention))
-    if single:
-        cost.pages_copied -= cost.pgd_pages_exempt
-        cost.cycles -= cost.pgd_exempt_cycles
-    else:
-        cost.pgd_pages_exempt = 0
-        cost.pgd_exempt_cycles = 0
+    dropped = drop_replica(space, from_node, contention)
+    cost.cycles += dropped.cycles - exempt_cycles
+    cost.writes_performed += dropped.writes_performed
+    cost.pages_copied -= exempt_pages
     return cost
 
 

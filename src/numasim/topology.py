@@ -227,7 +227,4 @@ def access_latency(topo: Topology, from_node: int, to_node: int,
     uncontended `topo.cycles`.
     """
     table = topo.cycles if contention is None else contention.cycles
-    try:
-        return table[from_node][to_node]
-    except KeyError:
-        raise ConfigError(f"no link {from_node}->{to_node}") from None
+    return table[from_node][to_node]

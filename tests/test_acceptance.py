@@ -51,8 +51,8 @@ def process_row(report, pid):
 
 def test_criterion_01_coherence_oracle():
     t0 = time.monotonic()
-    topo = build_topology({"nodes": 4, "cores_per_node": 2})
-    space = AddressSpace(topo, 1, 0, arity=8)
+    topo = build_topology({"nodes": 4, "cores_per_node": 2, "arity": 8})
+    space = AddressSpace(topo, 0)
     vspace = 8 ** 4
     rng = random.Random(20260814)
     shadow = {}            # vpn -> (pfn, prot, pfn_node)
@@ -309,7 +309,7 @@ def test_criterion_07_policy_ordering_under_interference():
 def test_criterion_08_walk_cost_model():
     topo = build_topology({"nodes": 2, "cores_per_node": 1,
                            "local_latency": 100, "remote_factor": 1.3})
-    space = AddressSpace(topo, 1, 0)
+    space = AddressSpace(topo, 0)
     map_page(space, 5, 77, 0, 0)
     mmu = Mmu(topo)
     local = mmu.page_walk(space, 5, 0, None)

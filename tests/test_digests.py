@@ -35,6 +35,14 @@ DIGESTS = {
         "phoenix":
             "2f229f07987d85c6da51b5f17bb654d6145f31eed10c305dd88e01b52ad7278d",
     },
+    "follow_tables": {
+        "linux":
+            "9838d55e7ec5df787dbc5a32ea3362984fa48bca5de5c1415e11b9fef172788d",
+        "mitosis":
+            "aa0df7b5a2b365a40959678a88c05625da5924c51433bc25089a1da1dd9ac842",
+        "phoenix":
+            "be418a8dfd0b0ac473f19564cf2ea79b6f0d731b767eed3a24d29f9637fc4bd9",
+    },
     "mba": {
         "linux":
             "33bb24cc50dd3860f8b4e4fb4c41e17b3f2dbaa3fba7195d2fb766f13e2f5fe1",

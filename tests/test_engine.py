@@ -26,8 +26,8 @@ from numasim.engine import (
 from numasim.metrics import finalize
 from numasim.sched import PolicyKind
 from numasim.topology import access_latency, build_topology
-from numasim.workload import (WorkloadSpec, generate_quantum_events, preset,
-                              quantum_volume)
+from numasim.workload import (VmOp, WorkloadSpec, generate_quantum_events,
+                              preset, quantum_volume)
 
 from conftest import make_topo
 
@@ -471,3 +471,37 @@ def test_node_counters_keep_charges_made_after_a_task_last_ran():
     for name in WINDOW_COUNTERS:
         assert sum(getattr(c, name) for c in result.node_counters.values()) \
             == total(result, field=name), name
+
+
+@pytest.mark.parametrize("kind", ["unmap", "protect"])
+def test_vm_op_shoots_down_each_page_on_the_other_cores(kind):
+    # four threads on 2 nodes x 2 cores, every page mapped
+    spec = preset("gups_like", thread_count=4, footprint_pages=64)
+    policy = PolicyKind("linux", autonuma=False)
+    sim = Simulation(build([spec], policy=policy, duration=2, prefault=True))
+    sim.step()
+    proc = sim.processes[0]
+    task = proc.tasks[0]
+    core = sim.cores[task.st.current_core]
+    cores = {t.st.current_core for t in proc.tasks}
+    others = [t.st.current_core for t in proc.tasks
+              if t.st.current_core != core.core_id]
+    assert len({sim.cores[c].node_id for c in cores}) == 2
+    start, k = 8, 5
+    doomed = range(start, start + k)
+    for c in cores:  # every core of the process caches every doomed page
+        for vpn in doomed:
+            sim.mmu.page_walk(proc.space, vpn, c)
+    price = sim.mmu.shootdown_price(core.node_id, others)
+    assert price > 0
+    before = task.counters.shootdown_cycles
+
+    sim._do_vm_op(task, core, VmOp(kind, start, k))
+    assert task.counters.shootdown_cycles - before == k * price
+    for c in cores:
+        assert not set(doomed) & set(sim.mmu.tlbs[c].entries)
+
+    # mapping the pages back (or over the protected ones) shoots nothing
+    before = task.counters.shootdown_cycles
+    sim._do_vm_op(task, core, VmOp("map", start, k))
+    assert task.counters.shootdown_cycles == before

@@ -19,7 +19,7 @@ from conftest import make_topo
 
 
 def mapped_space(topo, vpns, home=0):
-    space = AddressSpace(topo, 1, home)
+    space = AddressSpace(topo, home)
     for i, vpn in enumerate(vpns):
         map_page(space, vpn, 100 + i, home, requesting_core=home)
     return space
@@ -141,20 +141,10 @@ def test_shootdown_drops_tlb_and_covering_pwc_entries():
     space = mapped_space(topo, [5, 6])
     mmu = Mmu(topo)
     mmu.page_walk(space, 5, 0)
-    mmu.tlb_shootdown(5, 0, [0], space)
+    mmu.tlb_shootdown(5, 0, [0])
     assert mmu.tlb_lookup(0, 5) is None
     # covering prefixes went too: the next walk is cold again
     assert mmu.page_walk(space, 6, 0).mem_accesses == 4
-
-
-def test_shootdown_without_space_spares_the_pwc():
-    topo = make_topo(2, 1)
-    space = mapped_space(topo, [5, 6])
-    mmu = Mmu(topo)
-    mmu.page_walk(space, 5, 0)
-    mmu.tlb_shootdown(5, 0, [0])
-    assert mmu.tlb_lookup(0, 5) is None
-    assert mmu.page_walk(space, 6, 0).mem_accesses == 1
 
 
 def test_flush_core_clears_all_translation_state():
@@ -272,8 +262,8 @@ def _scans(draw):
 @given(_scans())
 def test_batched_invalidation_matches_per_vpn_shootdowns(scan):
     replicas, mapped, walks, sample, targets, sizes = scan
-    topo = make_topo(4, 1)
-    space = AddressSpace(topo, 1, 0, alloc_policy=FIRST_TOUCH, arity=8)
+    topo = make_topo(4, 1, arity=8)
+    space = AddressSpace(topo, 0, alloc_policy=FIRST_TOUCH)
     for vpn in mapped:
         map_page(space, vpn, vpn, 0, requesting_core=vpn % 4)
     for node in range(1, replicas):
@@ -287,7 +277,7 @@ def test_batched_invalidation_matches_per_vpn_shootdowns(scan):
             mmu.page_walk(space, vpn, core)
     assert _cache_states(batched) == _cache_states(single)
 
-    batched.invalidate(space, sample, targets)
+    batched.invalidate(sample, targets)
     for vpn in sample:
-        single.tlb_shootdown(vpn, 0, targets, space)
+        single.tlb_shootdown(vpn, 0, targets)
     assert _cache_states(batched) == _cache_states(single)

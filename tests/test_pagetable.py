@@ -36,9 +36,13 @@ from numasim.pagetable import (
 from conftest import StubContention, make_topo
 
 
-def space_on(topo, home=0, policy=HOME_NODE, arity=512):
-    return AddressSpace(topo, process_id=1, home_node=home,
-                        alloc_policy=policy, arity=arity)
+def space_on(topo, home=0, policy=HOME_NODE):
+    return AddressSpace(topo, home_node=home, alloc_policy=policy)
+
+
+def summed(costs):
+    """The field-wise sum of PtOpCosts."""
+    return PtOpCost(*map(sum, zip(*map(dataclasses.astuple, costs))))
 
 
 def table_pages(space):
@@ -103,10 +107,9 @@ def test_map_contention_scales_cost():
 
 @pytest.mark.parametrize("replicas", [1, 3])
 def test_map_pages_matches_one_map_page_per_vpn(replicas):
-    topo = make_topo(4, 1)
+    topo = make_topo(4, 1, arity=8)
     contention = StubContention(topo, 1.5, 1.25)
-    batched, single = (space_on(topo, policy=INTERLEAVE, arity=8)
-                       for _ in range(2))
+    batched, single = (space_on(topo, policy=INTERLEAVE) for _ in range(2))
     for space in (batched, single):
         for node in range(1, replicas):
             add_replica(space, node)
@@ -115,12 +118,12 @@ def test_map_pages_matches_one_map_page_per_vpn(replicas):
     cost = map_pages(batched, vpns, [100 + v for v in vpns],
                      [v % 4 for v in vpns], requesting_core=2,
                      contention=contention)
-    total = PtOpCost()
+    costs = []
     for vpn in vpns:
         single.begin_quantum()
-        total.merge(map_page(single, vpn, 100 + vpn, vpn % 4,
-                             requesting_core=2, contention=contention))
-    assert dataclasses.astuple(cost) == dataclasses.astuple(total)
+        costs.append(map_page(single, vpn, 100 + vpn, vpn % 4,
+                              requesting_core=2, contention=contention))
+    assert cost == summed(costs)
     assert leaves(batched) == leaves(single)
     assert batched.mappings_count == single.mappings_count == len(vpns)
     assert [t.resident for t in batched.iter_tables()] == \
@@ -138,16 +141,13 @@ def test_map_duplicate_rejected():
         map_page(space, 3, 9, 0, requesting_core=0)
 
 
-def test_unmap_clears_and_shoots_down():
+def test_unmap_clears_the_shared_leaf():
     space = space_on(make_topo(2, 1))
     map_page(space, 5, 1, 0, requesting_core=0)
     space.begin_quantum()
-    cost = unmap_page(space, 5, requesting_core=0, shootdown=lambda vpn: 77)
+    cost = unmap_page(space, 5, requesting_core=0)
     assert cost.writes_performed == 1
     assert cost.cycles == 100
-    assert cost.shootdowns_issued == 1
-    assert cost.shootdown_cycles == 77
-    assert cost.total_cycles == 177
     assert space.lookup(5) is None
     assert space.mappings_count == 0
 
@@ -164,11 +164,8 @@ def test_protect_thousand_pages_on_two_replicas():
         map_page(space, vpn, vpn, 0, requesting_core=0)
     add_replica(space, 1)
     space.begin_quantum()
-    cost = protect_range(space, 0, 1000, PROT_READ, requesting_core=0,
-                         shootdown=lambda vpn: 3)
+    cost = protect_range(space, 0, 1000, PROT_READ, requesting_core=0)
     assert cost.writes_performed == 2000
-    assert cost.shootdowns_issued == 1000
-    assert cost.shootdown_cycles == 3000
     assert space.lookup(0).prot == PROT_READ
     assert space.lookup(999).prot == PROT_READ
 
@@ -190,8 +187,6 @@ def test_add_replica_on_empty_space_copies_just_the_pgd():
     assert cost.writes_performed == 1
     # read at source (remote from target) plus write at target
     assert cost.cycles == 130 + 100
-    assert cost.pgd_pages_exempt == 1
-    assert cost.pgd_exempt_cycles == 230
     assert space.replica_count == 2
 
 
@@ -271,7 +266,10 @@ def test_migrate_single_replica_exempts_the_pgd():
     pages = table_pages(space)
     cost = migrate_tables(space, 0, 1)
     assert cost.pages_copied == pages - 1
-    assert cost.pgd_pages_exempt == 1
+    # each non-PGD copy reads node 0 (130) and writes node 1 (100); then
+    # every table page is freed on node 0, a local write there (100)
+    assert cost.cycles == (pages - 1) * (130 + 100) + pages * 100
+    assert cost.writes_performed == 2 * pages
     assert space.home_node == 1
     assert space.replicas == [1]
     m, touches = translate(space, 0, walker_node=1)
@@ -288,8 +286,6 @@ def test_migrate_with_other_replicas_pays_full_copy():
     pages = table_pages(space)
     cost = migrate_tables(space, 1, 2)
     assert cost.pages_copied == pages
-    assert cost.pgd_pages_exempt == 0
-    assert cost.pgd_exempt_cycles == 0
     assert sorted(space.replicas) == [0, 2]
     assert_every_table_in_every_replica(space)
 
@@ -325,8 +321,8 @@ def test_interleave_places_copies_in_ring_order_from_the_updater():
     # a new replica goes right after the home one; a table allocated later
     # gets its copies placed replica by replica from the updater's replica
     # on (from the home replica when the updater's node holds none)
-    topo = make_topo(4, 1)
-    space = space_on(topo, policy=INTERLEAVE, arity=8)
+    topo = make_topo(4, 1, arity=8)
+    space = space_on(topo, policy=INTERLEAVE)
     map_page(space, 0, 100, 0, requesting_core=0)
     add_replica(space, 2)
     add_replica(space, 3)
@@ -422,15 +418,13 @@ def test_access_hints_round_trip():
     map_page(space, 0, 10, 0, requesting_core=0)
     add_replica(space, 1)
     space.begin_quantum()
-    cost = set_access_hint(space, [0], requesting_node=0, shootdown=lambda v: 50)
+    cost = set_access_hint(space, [0], requesting_node=0)
     assert cost.writes_performed == 2
-    assert cost.shootdowns_issued == 1
-    assert cost.shootdown_cycles == 50
     for walker in (0, 1):
         m, _ = translate(space, 0, walker_node=walker)
         assert m.numa_hint
     cost = clear_access_hint(space, 0, requesting_node=0)
-    assert cost.shootdowns_issued == 0
+    assert cost.writes_performed == 2
     assert not space.lookup(0).numa_hint
 
 
@@ -442,12 +436,11 @@ def test_replica_root_fallback():
 
 
 def test_construction_validation():
-    topo = make_topo(2, 1)
+    topo = make_topo(2, 1, arity=8)
     with pytest.raises(ValueError):
-        AddressSpace(topo, 1, 0, alloc_policy="random")
-    with pytest.raises(ValueError):
-        AddressSpace(topo, 1, 0, arity=2)
-    space = space_on(topo, arity=8)
+        AddressSpace(topo, 0, alloc_policy="random")
+    space = space_on(topo)
+    assert space.arity == 8  # the topology's
     with pytest.raises(ValueError):
         space.lookup(8 ** 4)  # beyond the four-level space
 
@@ -455,7 +448,7 @@ def test_construction_validation():
 def test_next_free_vpn_matches_a_page_by_page_scan():
     rng = random.Random(404)
     for trial in range(20):
-        space = space_on(make_topo(2, 1), arity=8)
+        space = space_on(make_topo(2, 1, arity=8))
         limit = rng.randrange(1, 200)
         full = trial % 4 == 0  # every page mapped: the search must end
         for vpn in rng.sample(range(limit),
@@ -468,8 +461,8 @@ def test_next_free_vpn_matches_a_page_by_page_scan():
 
 
 def test_random_op_soup_keeps_residencies_and_contents_coherent():
-    topo = make_topo(4, 1)
-    space = space_on(topo, arity=8)
+    topo = make_topo(4, 1, arity=8)
+    space = space_on(topo)
     rng = random.Random(1001)
     shadow = {}
     free_pfn = 1000
@@ -534,8 +527,8 @@ def _batches(draw):
 
 
 def _build(replicas, mapped):
-    topo = make_topo(4, 1)
-    space = space_on(topo, policy=FIRST_TOUCH, arity=8)
+    topo = make_topo(4, 1, arity=8)
+    space = space_on(topo, policy=FIRST_TOUCH)
     for vpn in mapped:  # first touch from every node spreads the tables
         map_page(space, vpn, 1000 + vpn, vpn % 4, requesting_core=vpn % 4)
     for node in range(1, replicas):
@@ -552,30 +545,24 @@ def test_batched_leaf_writes_match_per_vpn_calls(batch):
     contention = None if multipliers is None \
         else StubContention(topo, *multipliers)
 
-    def shootdown(vpn):
-        return 40 + vpn % 7
-
     batched.begin_quantum()
-    hint = set_access_hint(batched, sample, node, contention, shootdown)
+    hint = set_access_hint(batched, sample, node, contention)
     batched.begin_quantum()
     prot = protect_range(batched, protect.start, len(protect), PROT_READ,
-                         requesting_core=node, contention=contention,
-                         shootdown=shootdown)
+                         requesting_core=node, contention=contention)
 
-    hint_sum, prot_sum = PtOpCost(), PtOpCost()
+    hints, prots = [], []
     for vpn in sample:
         single.begin_quantum()
-        hint_sum.merge(set_access_hint(single, [vpn], node, contention,
-                                       shootdown))
+        hints.append(set_access_hint(single, [vpn], node, contention))
     for vpn in protect:
         single.begin_quantum()
-        prot_sum.merge(protect_range(single, vpn, 1, PROT_READ,
-                                     requesting_core=node,
-                                     contention=contention,
-                                     shootdown=shootdown))
+        prots.append(protect_range(single, vpn, 1, PROT_READ,
+                                   requesting_core=node,
+                                   contention=contention))
 
-    assert dataclasses.astuple(hint) == dataclasses.astuple(hint_sum)
-    assert dataclasses.astuple(prot) == dataclasses.astuple(prot_sum)
+    assert hint == summed(hints)
+    assert prot == summed(prots)
     assert hint.writes_performed == len(sample) * replicas
     assert leaves(batched) == leaves(single)
     assert [t.resident for t in batched.iter_tables()] == \

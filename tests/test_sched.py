@@ -257,7 +257,7 @@ def breach_task(pid=1):
 
 def test_phoenix_evaluate_is_quiet_below_threshold():
     topo = make_topo(2, 1)
-    space = AddressSpace(topo, 1, 0)
+    space = AddressSpace(topo, 0)
     task = breach_task()
     task.pmc = PmcSample(window_total_cycles=1000, window_pagewalk_cycles=50)
     policy = PolicyKind("phoenix")
@@ -268,7 +268,7 @@ def test_phoenix_evaluate_is_quiet_below_threshold():
 
 def test_phoenix_evaluate_throttles_the_saturating_antagonist_first():
     topo = make_topo(2, 1)
-    space = AddressSpace(topo, 1, 0)
+    space = AddressSpace(topo, 0)
     policy = PolicyKind("phoenix")
     task = breach_task(pid=1)
     loads = {0: NodeLoad(0, utilization=0.95, process_stats={
@@ -297,7 +297,7 @@ def test_phoenix_evaluate_throttles_the_saturating_antagonist_first():
 
 def test_phoenix_evaluate_never_throttles_quiet_or_high_priority_peers():
     topo = make_topo(2, 1)
-    space = AddressSpace(topo, 1, 0)
+    space = AddressSpace(topo, 0)
     policy = PolicyKind("phoenix")
     task = breach_task(pid=1)
     calm = {0: NodeLoad(0, utilization=0.4, process_stats={2: (900_000, "low")})}
@@ -317,7 +317,7 @@ def test_phoenix_evaluate_never_throttles_quiet_or_high_priority_peers():
 
 def test_phoenix_evaluate_skips_replication_where_one_exists():
     topo = make_topo(2, 1)
-    space = AddressSpace(topo, 1, 0)
+    space = AddressSpace(topo, 0)
     add_replica(space, 1)
     policy = PolicyKind("phoenix", mba=False)
     task = breach_task()
@@ -329,7 +329,7 @@ def test_phoenix_evaluate_skips_replication_where_one_exists():
 
 def test_phoenix_evaluate_ignores_non_phoenix_tasks():
     topo = make_topo(2, 1)
-    space = AddressSpace(topo, 1, 0)
+    space = AddressSpace(topo, 0)
     task = breach_task()
     task.phoenix_enabled = False
     action = phoenix_evaluate(task, {0: NodeLoad(0)}, space,
@@ -339,7 +339,7 @@ def test_phoenix_evaluate_ignores_non_phoenix_tasks():
 
 def test_autonuma_migrates_remote_heavy_pages():
     topo = make_topo(4, 1)
-    space = AddressSpace(topo, 1, 0)
+    space = AddressSpace(topo, 0)
     map_page(space, 0, 1, 0, requesting_core=0)
     map_page(space, 1, 2, 0, requesting_core=0)
     policy = PolicyKind("linux")  # migrate_threshold 4

@@ -138,7 +138,9 @@ def test_validation_rejects_bad_link_matrix():
 
 
 def test_missing_link_rejected():
-    with pytest.raises(ConfigError):
+    # build_topology links every pair of nodes, so only a fault inside the
+    # run can ask for a missing one; it must not pass for bad input (exit 1)
+    with pytest.raises(KeyError):
         access_latency(make_topo(2, 1), 0, 5)
 
 
