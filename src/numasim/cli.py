@@ -49,8 +49,13 @@ POLICY_ALIASES = {"threshold": "threshold_pw_ratio",
                   "tolerance": "imbalance_tolerance"}
 RUN_ALIASES = {"duration": "duration_quanta", "quantum": "quantum_cycles"}
 
-SWEEP_PARAMS = ("nodes", "replicas", "threshold", "remote_factor",
-                "antagonist_threads")
+# sweep param -> the (block, key) it sets in each variant; the fifth,
+# antagonist_threads, sets the antagonist workload's thread_count
+SWEEP_PATHS = {"nodes": ("machine", "nodes"),
+               "replicas": ("policy", "force_replicas"),
+               "threshold": ("policy", "threshold_pw_ratio"),
+               "remote_factor": ("machine", "remote_factor")}
+SWEEP_PARAMS = (*SWEEP_PATHS, "antagonist_threads")
 
 _SPEC_FIELDS = {f.name for f in dataclasses.fields(workload.WorkloadSpec)}
 _POLICY_FIELDS = {f.name for f in dataclasses.fields(PolicyKind)}
@@ -346,22 +351,16 @@ def cmd_compare(args) -> int:
 
 
 def _sweep_apply(variant: dict, name: str, value, antagonist: int) -> None:
-    if name == "nodes":
-        variant.setdefault("machine", {})["nodes"] = value
-    elif name == "remote_factor":
-        variant.setdefault("machine", {})["remote_factor"] = value
-    elif name == "replicas":
-        variant.setdefault("policy", {})["force_replicas"] = value
-    elif name == "threshold":
-        policy = variant.setdefault("policy", {})
-        policy.pop("threshold", None)
-        policy["threshold_pw_ratio"] = value
-    elif name == "antagonist_threads":
+    if name == "antagonist_threads":
         entry = variant["workloads"][antagonist]
-        if "preset" in entry:
-            entry.setdefault("overrides", {})["thread_count"] = value
-        else:
-            entry.setdefault("spec", {})["thread_count"] = value
+        block = entry.setdefault("overrides" if "preset" in entry else "spec", {})
+        block["thread_count"] = value
+        return
+    section, key = SWEEP_PATHS[name]
+    block = variant.setdefault(section, {})
+    if POLICY_ALIASES.get(name) == key:  # threshold may be given short
+        block.pop(name, None)
+    block[key] = value
 
 
 def cmd_sweep(args) -> int:

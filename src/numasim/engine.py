@@ -570,10 +570,9 @@ class Simulation:
 
     def _numa_scan(self, proc: SimProcess) -> None:
         space = proc.space
-        mapped = sorted(
-            m.vpn for table in space.iter_tables()
-            if table.level == pagetable.Level.PTE
-            for m in table.entries.values())
+        # every mapped vpn, from the index of PTE tables
+        mapped = sorted(m.vpn for path in space.paths.values()
+                        for m in path[-1].entries.values())
         count = int(self.policy.scan_share * len(mapped))
         if count:
             rng = random.Random(

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from . import pagetable
 from .pagetable import AddressSpace, Level, Mapping
@@ -20,8 +20,10 @@ _PTE = int(Level.PTE)
 class _LruCache:
     """Bounded LRU map over an insertion-ordered dict, oldest entry first.
 
-    Capacity halves while the SMT sibling is busy.  A hit is made most
-    recent by popping and reinserting its entry, which the MMU does inline.
+    Capacity halves while the SMT sibling is busy.  The MMU works on the
+    entries inline where it is hot: a hit is made most recent by popping and
+    reinserting its entry, a shootdown pops it, and a walk fills the TLB as
+    put does.
     """
 
     def __init__(self, capacity: int):
@@ -44,14 +46,11 @@ class _LruCache:
         if len(entries) > self.limit:
             del entries[next(iter(entries))]
 
-    def drop(self, key: int) -> None:
-        self.entries.pop(key, None)
-
     def clear(self) -> None:
         self.entries.clear()
 
 
-@dataclass
+@dataclass(slots=True)
 class WalkResult:
     cycles: int
     mem_accesses: int
@@ -67,7 +66,13 @@ class Mmu:
                  pwc_entries: Optional[Dict[Level, int]] = None,
                  ipi_cycles: int = DEFAULT_IPI_CYCLES):
         self.topo = topo
-        self.ipi_cycles = ipi_cycles
+        # initiator node -> target core -> IPI cycles: the base latency,
+        # scaled by the link factor when the target sits on another node
+        self.ipi_prices: Dict[int, Dict[int, float]] = {
+            node: {core.core_id: ipi_cycles * (
+                topo.links[(node, core.node_id)].latency_factor
+                if core.node_id != node else 1.0) for core in topo.cores}
+            for node in topo.node_ids}
         if pwc_entries is None:
             pwc_entries = DEFAULT_PWC_ENTRIES
         # per core: the TLB, and the page-walk caches indexed by level
@@ -113,50 +118,53 @@ class Mmu:
         """
         topo = self.topo
         core_node = topo.node_of_core(core_id)
-        pwc = self.pwcs[core_id]
-        a = space.arity
-        # the PWC keys of vpn, by level: PGD, PUD, PMD
-        prefixes = (vpn // (a * a * a), vpn // (a * a), vpn // a)
         mapping, residents = pagetable.translate(space, vpn, core_node)
-
+        a = space.arity
         touched_nodes: List[int] = []
-        missed: List[Tuple[_LruCache, int]] = []
-        for cache, prefix, resident in zip(pwc, prefixes, residents):
+        # the PWC levels the walk reached, PGD first; a level's key is vpn's
+        # prefix above it
+        depth = len(residents)
+        level = 0
+        span = a * a * a
+        for cache in self.pwcs[core_id]:
+            if level == depth:
+                break
+            prefix = vpn // span
             entries = cache.entries
             if entries.pop(prefix, None) is not None:
                 entries[prefix] = True  # a hit, made most recent
             else:
-                missed.append((cache, prefix))
-                touched_nodes.append(resident)
-        touched_nodes += residents[_PTE:]  # the PTE level is never cached
-        cycles = 0
+                touched_nodes.append(residents[level])
+                if mapping is not None:
+                    cache.put(prefix, True)
+            level += 1
+            span //= a
+        if depth > _PTE:  # the PTE level is never cached
+            touched_nodes.append(residents[_PTE])
+        cycles = remote = 0
         for node in touched_nodes:
             cycles += access_latency(topo, core_node, node, contention)
-
-        accesses = len(touched_nodes)
-        remote = accesses - touched_nodes.count(core_node)
-        if mapping is None:
-            return WalkResult(cycles, accesses, remote, None, touched_nodes)
-
-        for cache, prefix in missed:
-            cache.put(prefix, True)
-        self.tlbs[core_id].put(vpn, mapping)
-        return WalkResult(cycles, accesses, remote, mapping, touched_nodes)
+            if node != core_node:
+                remote += 1
+        if mapping is not None:  # _LruCache.put, inline
+            tlb = self.tlbs[core_id]
+            entries = tlb.entries
+            entries.pop(vpn, None)
+            entries[vpn] = mapping
+            if len(entries) > tlb.limit:
+                del entries[next(iter(entries))]
+        return WalkResult(cycles, len(touched_nodes), remote, mapping,
+                          touched_nodes)
 
     # -- shootdowns ---------------------------------------------------------------
 
     def shootdown_price(self, initiator_node: int, core_ids: Iterable[int]) -> int:
-        """IPI cycles of one shootdown sent to core_ids.
-
-        Each target costs the base IPI latency, scaled by the link factor
-        when the target sits on a different node than the initiator.
-        """
+        """IPI cycles of one shootdown sent to core_ids: the sum of their
+        ipi_prices from initiator_node, rounded half up."""
+        prices = self.ipi_prices[initiator_node]
         cycles = 0.0
         for core_id in core_ids:
-            target_node = self.topo.node_of_core(core_id)
-            factor = self.topo.links[(initiator_node, target_node)].latency_factor \
-                if target_node != initiator_node else 1.0
-            cycles += self.ipi_cycles * factor
+            cycles += prices[core_id]
         return int(cycles + 0.5)
 
     def tlb_shootdown(self, vpn: int, initiator_node: int,
@@ -166,9 +174,9 @@ class Mmu:
         a = self.topo.arity
         prefixes = (vpn // (a * a * a), vpn // (a * a), vpn // a)
         for core_id in core_ids:
-            self.tlbs[core_id].drop(vpn)
+            self.tlbs[core_id].entries.pop(vpn, None)
             for cache, prefix in zip(self.pwcs[core_id], prefixes):
-                cache.drop(prefix)
+                cache.entries.pop(prefix, None)
         return self.shootdown_price(initiator_node, core_ids)
 
     def invalidate(self, vpns: Sequence[int], core_ids: Iterable[int]) -> None:

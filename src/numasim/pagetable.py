@@ -29,6 +29,8 @@ HOME_NODE = "home_node"
 ALLOC_POLICIES = (FIRST_TOUCH, INTERLEAVE, HOME_NODE)
 
 LeafWrite = Callable[[Dict[int, object], int, int], None]  # (entries, idx, vpn)
+# the tables over one PTE table's pages, from the PGD down
+TablePath = Tuple["PageTableNode", ...]
 
 
 class MappingExistsError(ValueError):
@@ -54,6 +56,10 @@ class Level(IntEnum):
     PTE = 3
 
 
+_PTE = int(Level.PTE)
+_DEPTH = len(Level)  # tables on a full path
+
+
 @dataclass
 class Mapping:
     """Leaf translation entry, shared by every replica of its table."""
@@ -76,7 +82,7 @@ class PageTableNode:
         self.resident = resident
 
 
-@dataclass
+@dataclass(slots=True)
 class PtOpCost:
     """Cycle and write accounting for one page-table operation."""
     cycles: int = 0              # table reads/writes plus lock wait
@@ -99,10 +105,12 @@ class AddressSpace:
         self.mappings_count = 0
         self.lock_mode = "per_table"  # or "global"
         self._interleave_rr = 0
-        self._last_tables: Optional[frozenset] = None
+        self._last_tables: Optional[set] = None
         self._last_cycles = 0
         self.root = PageTableNode(
             Level.PGD, {home_node: self._alloc_node(home_node, home_node)})
+        # vpn // arity -> its full TablePath, kept by _path
+        self.paths: Dict[int, TablePath] = {}
         # the replicas in ring order: a new one goes right after the home
         # replica, and allocation visits them from the updater's replica on
         self.replicas: List[int] = [home_node]
@@ -137,11 +145,13 @@ class AddressSpace:
         self._last_cycles = 0
 
     def _lock_wait(self, touched: set, own_cycles: int) -> int:
+        """touched, the ids of the tables the operation wrote, is kept as the
+        queue's last entry; the caller must not change it afterwards."""
         wait = 0
         if self._last_tables is not None:
             if self.lock_mode == "global" or (self._last_tables & touched):
                 wait = self._last_cycles
-        self._last_tables = frozenset(touched)
+        self._last_tables = touched
         # the predecessor's own work, not its inherited waits, serializes us
         self._last_cycles = own_cycles
         return wait
@@ -155,8 +165,9 @@ class AddressSpace:
 
     def lookup(self, vpn: int) -> Optional[Mapping]:
         """Uncosted translation."""
-        pte = _pte_table(self, vpn)
-        return None if pte is None else pte.entries.get(vpn % self.arity)
+        path = _path(self, vpn)
+        return path[_PTE].entries.get(vpn % self.arity) \
+            if len(path) == _DEPTH else None
 
     def next_free_vpn(self, start: int, limit: int) -> Optional[int]:
         """The first unmapped vpn of start, start + 1, ..., wrapping at limit.
@@ -170,10 +181,10 @@ class AddressSpace:
             # the candidates up to the end of this PTE table, the wrap or the
             # last unchecked page, whichever comes first
             end = min((vpn // a + 1) * a, limit, vpn + left)
-            pte = _pte_table(self, vpn)
-            if pte is None:
+            path = _path(self, vpn)
+            if len(path) < _DEPTH:
                 return vpn
-            entries = pte.entries
+            entries = path[_PTE].entries
             for candidate in range(vpn, end):
                 if candidate % a not in entries:
                     return candidate
@@ -217,35 +228,38 @@ def _alloc_child(space: AddressSpace, parent: PageTableNode, idx: int,
     return child
 
 
-def _pte_table(space: AddressSpace, vpn: int,
-               touches: Optional[List[int]] = None,
-               replica: Optional[int] = None,
-               alloc: Optional[Callable[[PageTableNode, int], PageTableNode]] = None
-               ) -> Optional[PageTableNode]:
-    """The one descent of the tree: from the root to the PTE table covering vpn.
+def _path(space: AddressSpace, vpn: int,
+          alloc: Optional[Callable[[PageTableNode, int], PageTableNode]] = None
+          ) -> TablePath:
+    """The one descent of the tree: the tables from the root down to the PTE
+    table covering vpn, whose entry index is vpn % arity.
 
-    touches, when given, collects the node holding replica's copy of every
-    table visited, from the PGD down to the PTE table.  A missing table ends
-    the descent with None, unless alloc is given: then alloc(parent, idx)
-    supplies the child.  The PTE entry index is vpn % arity.
+    A missing table ends the descent with the tables above it, unless alloc
+    is given: then alloc(parent, idx) supplies the child.  A full path is
+    kept in space.paths under vpn // arity and served from there: table
+    pages are never freed or replaced (_alloc_child is the only writer of a
+    table's children), so a path, once complete, never changes.
     """
     a = space.arity
-    top = vpn // (a * a * a)
+    key = vpn // a
+    path = space.paths.get(key)
+    if path is not None:
+        return path
+    top = key // (a * a)
     if top >= a:
         raise ValueError(f"vpn {vpn} does not fit a four-level space of arity {a}")
     table = space.root
-    for idx in (top, vpn // (a * a) % a, vpn // a % a):
-        if touches is not None:
-            touches.append(table.resident[replica])
+    tables = [table]
+    for idx in (top, key // a % a, key % a):
         child = table.entries.get(idx)
         if child is None:
             if alloc is None:
-                return None
+                return tuple(tables)
             child = alloc(table, idx)
         table = child
-    if touches is not None:
-        touches.append(table.resident[replica])
-    return table
+        tables.append(table)
+    path = space.paths[key] = tuple(tables)
+    return path
 
 
 def _mutate_leaf(space: AddressSpace, vpns: Sequence[int], updater_node: int,
@@ -274,25 +288,32 @@ def _mutate_leaf(space: AddressSpace, vpns: Sequence[int], updater_node: int,
     # vpn // arity -> (the PTE table's entries, its copies, their price)
     tables: Dict[int, Tuple[Dict[int, object], int, int]] = {}
     for vpn in vpns:
-        table = tables.get(vpn // a)
+        key = vpn // a
+        table = tables.get(key)
         if table is None:
-            pte = _pte_table(space, vpn, alloc=alloc)
-            if pte is None:
+            path = _path(space, vpn, alloc)
+            if len(path) < _DEPTH:
                 raise NotMappedError(f"vpn {vpn} is not mapped")
-            price = sum(access_latency(topo, updater_node, node, contention)
-                        for node in pte.resident.values())
+            pte = path[_PTE]
+            resident = pte.resident
+            price = 0
+            for node in resident.values():
+                price += access_latency(topo, updater_node, node, contention)
             touched.add(id(pte))
-            table = tables[vpn // a] = (pte.entries, len(pte.resident), price)
+            table = tables[key] = (pte.entries, len(resident), price)
         if (vpn % a in table[0]) == allocate:
             if allocate:
                 raise MappingExistsError(f"vpn {vpn} already mapped")
             raise NotMappedError(f"vpn {vpn} is not mapped")
 
+    cycles = writes = 0
     for vpn in vpns:
         entries, copies, price = tables[vpn // a]
         write(entries, vpn % a, vpn)
-        cost.writes_performed += copies
-        cost.cycles += price
+        writes += copies
+        cycles += price
+    cost.writes_performed += writes
+    cost.cycles += cycles
     cost.lock_wait_cycles = space._lock_wait(touched, cost.cycles)
     cost.cycles += cost.lock_wait_cycles
     return cost
@@ -302,6 +323,10 @@ def _set_field(name: str, value) -> LeafWrite:
     def write(entries: Dict[int, object], idx: int, vpn: int) -> None:
         setattr(entries[idx], name, value)
     return write
+
+
+_ARM_HINT = _set_field("numa_hint", True)
+_CLEAR_HINT = _set_field("numa_hint", False)
 
 
 # -- public operations --------------------------------------------------------
@@ -370,15 +395,14 @@ def set_access_hint(space: AddressSpace, vpns: Sequence[int],
     next touch takes a minor fault serviced by clear_access_hint.  Like
     protect_range, every vpn is validated before anything is written.
     """
-    return _mutate_leaf(space, vpns, requesting_node, contention,
-                        _set_field("numa_hint", True))
+    return _mutate_leaf(space, vpns, requesting_node, contention, _ARM_HINT)
 
 
 def clear_access_hint(space: AddressSpace, vpn: int, requesting_node: int,
                       contention=None) -> PtOpCost:
     """Disarm a sampling hint after the fault; entry write per replica."""
     return _mutate_leaf(space, (vpn,), requesting_node, contention,
-                        _set_field("numa_hint", False))
+                        _CLEAR_HINT)
 
 
 def set_frame_node(space: AddressSpace, vpn: int, new_node: int,
@@ -465,6 +489,11 @@ def translate(space: AddressSpace, vpn: int,
     position in the list is its Level.  A fault on a missing table reads
     fewer than four.
     """
-    touches: List[int] = []
-    pte = _pte_table(space, vpn, touches, space.replica_for(walker_node))
-    return (None if pte is None else pte.entries.get(vpn % space.arity)), touches
+    replica = space.replica_for(walker_node)
+    path = _path(space, vpn)
+    if len(path) < _DEPTH:
+        return None, [table.resident[replica] for table in path]
+    pgd, pud, pmd, pte = path
+    return pte.entries.get(vpn % space.arity), [
+        pgd.resident[replica], pud.resident[replica], pmd.resident[replica],
+        pte.resident[replica]]

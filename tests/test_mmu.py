@@ -1,11 +1,12 @@
 """TLB, page-walk cache, walk pricing, and shootdown behavior."""
 
+import random
 from collections import OrderedDict
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from numasim.mmu import Mmu
+from numasim.mmu import Mmu, _LruCache
 from numasim.pagetable import (
     FIRST_TOUCH,
     AddressSpace,
@@ -175,6 +176,50 @@ def test_tlb_entry_reflects_later_mapping_updates():
     assert mmu.tlb_lookup(0, 0).pfn_node == 1
 
 
+def test_walks_order_tlb_and_pwc_entries_as_lru_put_does():
+    # arity 8 and caches of two or three entries, so walks hit, miss and
+    # evict at every level; the model refreshes a hit and inserts a miss
+    # (only when the walk found a mapping) with _LruCache.put
+    topo = make_topo(1, 1, arity=8)
+    mapped = [0, 1, 9, 70, 75, 600, 1100, 1101, 2100, 3000, 4000]
+    space = mapped_space(topo, mapped)
+    # unmapped: 2 and 3001 in existing PTE tables; 2944's PTE table is
+    # missing, below 3000's PGD and PUD tables; 3500's PUD table is missing
+    pool = mapped + [2, 3001, 2944, 3500]
+    sizes = {Level.PGD: 2, Level.PUD: 2, Level.PMD: 3}
+    mmu = Mmu(topo, tlb_entries=3, pwc_entries=sizes)
+    tlb = _LruCache(3)
+    pwc = [_LruCache(sizes[level]) for level in (Level.PGD, Level.PUD, Level.PMD)]
+    hits, misses, tlb_rewalks = [0] * 3, [0] * 3, 0
+    rng = random.Random(5)
+    for step in range(300):
+        if step == 150:  # the SMT sibling wakes: every limit halves
+            mmu.set_partition(0, True)
+            for cache in (tlb, *pwc):
+                cache.set_partition(True)
+        vpn = rng.choice(pool)
+        tlb_rewalks += vpn in tlb.entries
+        walk = mmu.page_walk(space, vpn, 0)
+        mapping = space.lookup(vpn)
+        assert walk.mapping is mapping
+        depth = 1 if vpn == 3500 else 3  # the PWC levels the walk reached
+        for level in range(depth):
+            prefix = vpn // 8 ** (3 - level)
+            if prefix in pwc[level].entries:
+                hits[level] += 1
+                pwc[level].put(prefix, True)
+            else:
+                misses[level] += 1
+                if mapping is not None:
+                    pwc[level].put(prefix, True)
+        if mapping is not None:
+            tlb.put(vpn, mapping)
+        assert list(mmu.tlbs[0].entries.items()) == list(tlb.entries.items())
+        for cache, model in zip(mmu.pwcs[0], pwc):
+            assert list(cache.entries.items()) == list(model.entries.items())
+    assert min(hits) > 0 and min(misses) > 0 and tlb_rewalks > 0
+
+
 class _ReferenceLru:
     """The LRU semantics spelled out on an OrderedDict, oldest entry first."""
 
@@ -229,6 +274,9 @@ def test_lru_cache_matches_the_ordered_dict_model(capacity, ops):
     for name, *args in ops:
         if name == "get":
             assert mmu.tlb_lookup(0, *args) == model.get(*args)
+        elif name == "drop":  # as a shootdown drops an entry
+            cache.entries.pop(*args, None)
+            model.drop(*args)
         else:
             assert getattr(cache, name)(*args) == getattr(model, name)(*args)
         assert list(cache.entries.items()) == list(model.entries.items())

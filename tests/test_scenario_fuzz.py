@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from numasim import cli, metrics
 from numasim.engine import WINDOW_COUNTERS, Simulation, run_scenario
+from numasim.pagetable import Level
 from numasim.topology import ConfigError
 
 # values every key is tried with; UNKNOWN sets a key no block accepts
@@ -116,8 +117,22 @@ def test_fuzzed_scenarios_are_refused_by_path_or_keep_the_invariants(raw):
     for row in report.per_task + [report.totals]:
         assert row["stall_cycles"] <= row["total_cycles"]
     for proc in sim.processes:
-        replicas = set(proc.space.replicas)
-        for table in proc.space.iter_tables():
+        space = proc.space
+        replicas = set(space.replicas)
+        for table in space.iter_tables():
             assert set(table.resident) == replicas
+        # the path index agrees with a fresh descent and covers every PTE
+        # table
+        a = space.arity
+        for key, path in space.paths.items():
+            tables = [space.root]
+            for idx in (key // (a * a), key // a % a, key % a):
+                tables.append(tables[-1].entries[idx])
+            assert len(path) == len(tables)
+            assert all(got is want for got, want in zip(path, tables)), key
+        ptes = [t for t in space.iter_tables() if t.level == Level.PTE]
+        assert {id(path[-1]) for path in space.paths.values()} \
+            == {id(t) for t in ptes}
+        assert len(space.paths) == len(ptes)
     again = run_scenario(cli.scenario_from_dict(copy.deepcopy(raw)))
     assert again.to_json() == report.to_json()
