@@ -39,15 +39,8 @@ from .topology import (MACHINE_KEYS, ConfigError, build_topology, expect,
 OUT_ENV_VAR = "NUMASIM_OUT"
 
 TOP_KEYS = {"name", "machine", "workloads", "policy", "run"}
-WORKLOAD_KEYS = {"preset", "spec", "start", "start_quantum", "priority",
-                 "overrides"}
-RUN_KEYS = {"duration", "duration_quanta", "seed", "quantum",
-            "quantum_cycles", "timeseries", "prefault"}
-
-# scenario files may use the short names; both forms mean the same knob
-POLICY_ALIASES = {"threshold": "threshold_pw_ratio",
-                  "tolerance": "imbalance_tolerance"}
-RUN_ALIASES = {"duration": "duration_quanta", "quantum": "quantum_cycles"}
+WORKLOAD_KEYS = {"preset", "spec", "start", "priority", "overrides"}
+RUN_KEYS = {"duration", "seed", "quantum", "timeseries", "prefault"}
 
 # sweep param -> the (block, key) it sets in each variant; the fifth,
 # antagonist_threads, sets the antagonist workload's thread_count
@@ -61,24 +54,14 @@ _SPEC_FIELDS = {f.name for f in dataclasses.fields(workload.WorkloadSpec)}
 _POLICY_FIELDS = {f.name for f in dataclasses.fields(PolicyKind)}
 
 
-def _dealias(section: dict, aliases: Dict[str, str], where: str) -> dict:
-    out = dict(section)
-    for short, full in aliases.items():
-        if short in out:
-            if full in out:
-                raise ConfigError(
-                    f"{where}: give either {short!r} or {full!r}, not both")
-            out[full] = out.pop(short)
-    return out
-
-
 def _reject_unknown(section: dict, allowed: set, where: str) -> None:
     """Refuse a section that is not an object or has a key outside allowed."""
     if not isinstance(section, dict):
         raise ConfigError(f"{where}: expected an object")
     for key in section:
         if key not in allowed:
-            raise ConfigError(f"{where}: unknown key {key!r}")
+            raise ConfigError(f"{where}: unknown key {key!r}; accepted: "
+                              f"{', '.join(sorted(allowed))}")
 
 
 def _freeze_mix(fields: dict) -> dict:
@@ -113,9 +96,7 @@ def _workload_entry(data: dict, where: str) -> WorkloadEntry:
             spec.validate()
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{where}.spec: {exc}") from exc
-    data = _dealias(data, {"start": "start_quantum"}, where)
-    start = int_at_least(data.get("start_quantum", 0), 0,
-                         f"{where}.start_quantum")
+    start = int_at_least(data.get("start", 0), 0, f"{where}.start")
     priority = data.get("priority")
     if priority is not None and priority not in workload.PRIORITIES:
         raise ConfigError(
@@ -151,7 +132,6 @@ def scenario_from_dict(raw: dict, source: str = "scenario") -> Scenario:
     policy_raw = raw["policy"]
     if not isinstance(policy_raw, dict) or "kind" not in policy_raw:
         raise ConfigError(f"{source}.policy: expected an object with 'kind'")
-    policy_raw = _dealias(policy_raw, POLICY_ALIASES, f"{source}.policy")
     _reject_unknown(policy_raw, _POLICY_FIELDS, f"{source}.policy")
     try:
         policy = PolicyKind(**policy_raw)
@@ -161,18 +141,17 @@ def scenario_from_dict(raw: dict, source: str = "scenario") -> Scenario:
 
     run_raw = raw.get("run", {})
     _reject_unknown(run_raw, RUN_KEYS, f"{source}.run")
-    run_raw = _dealias(run_raw, RUN_ALIASES, f"{source}.run")
 
     return Scenario(
         machine=machine,
         workloads=entries,
         policy=policy,
-        duration_quanta=int_at_least(run_raw.get("duration_quanta", 100), 1,
-                                     f"{source}.run.duration_quanta"),
+        duration_quanta=int_at_least(run_raw.get("duration", 100), 1,
+                                     f"{source}.run.duration"),
         rng_seed=int_at_least(run_raw.get("seed", 1), 0, f"{source}.run.seed"),
         quantum_cycles=int_at_least(
-            run_raw.get("quantum_cycles", DEFAULT_QUANTUM_CYCLES), 1,
-            f"{source}.run.quantum_cycles"),
+            run_raw.get("quantum", DEFAULT_QUANTUM_CYCLES), 1,
+            f"{source}.run.quantum"),
         timeseries=expect(run_raw.get("timeseries", False), bool,
                           f"{source}.run.timeseries"),
         prefault=expect(run_raw.get("prefault", False), bool,
@@ -233,9 +212,7 @@ def _prepare_raw(args) -> dict:
     if getattr(args, "seed", None) is not None:
         raw.setdefault("run", {})["seed"] = args.seed
     if getattr(args, "duration", None) is not None:
-        run_raw = raw.setdefault("run", {})
-        run_raw.pop("duration", None)
-        run_raw["duration_quanta"] = args.duration
+        raw.setdefault("run", {})["duration"] = args.duration
     if getattr(args, "timeseries", False):
         raw.setdefault("run", {})["timeseries"] = True
     return raw
@@ -357,10 +334,7 @@ def _sweep_apply(variant: dict, name: str, value, antagonist: int) -> None:
         block["thread_count"] = value
         return
     section, key = SWEEP_PATHS[name]
-    block = variant.setdefault(section, {})
-    if POLICY_ALIASES.get(name) == key:  # threshold may be given short
-        block.pop(name, None)
-    block[key] = value
+    variant.setdefault(section, {})[key] = value
 
 
 def cmd_sweep(args) -> int:
@@ -441,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override a scenario entry, e.g. run.seed=3")
         p.add_argument("--seed", type=int, help="override run.seed")
         p.add_argument("--duration", type=int,
-                       help="override run.duration_quanta")
+                       help="override run.duration")
         p.add_argument("--out", help="output path base (writes JSON/CSV/manifest)")
 
     p_run = sub.add_parser("run", help="run one scenario")

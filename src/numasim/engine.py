@@ -16,7 +16,7 @@ import hashlib
 import json
 import random
 from collections import Counter, deque
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -26,8 +26,7 @@ from .pagetable import (AddressSpace, PROT_READ, add_replica,
                         clear_access_hint, map_page, map_pages, migrate_tables,
                         protect_range, set_access_hint, set_frame_node,
                         unmap_page)
-from .sched import (Action, CoreSlot, NodeLoad, PmcSample, PolicyKind,
-                    TaskState, estimate_bandwidth)
+from .sched import Action, CoreSlot, NodeLoad, PolicyKind, TaskState
 from .topology import Topology, access_latency, build_topology, latency_table
 from .workload import VmOp
 
@@ -84,17 +83,26 @@ def compute_contention(topo: Topology, node_bytes: Dict[int, int],
     return state
 
 
-def apply_mba(pending: int, cap: float, uncapped_volume: int) -> int:
-    """Events a capped task may issue this quantum; the rest stay queued."""
-    budget = max(1, int(cap * uncapped_volume))
-    return min(pending, budget)
+def apply_mba(cap: float, volume: int) -> int:
+    """Events a task capped at cap issues this quantum: that share of the
+    quantum's own volume, at least one; the rest stay queued.  The queue
+    holds at least this quantum's events and a cap is at most 1, so it
+    always holds the budget."""
+    return max(1, int(cap * volume))
 
 
-# the counters a tick windows per task and adds to the task's node
+# the counters a flush adds to the task's node; a window is their change
+# between two snapshots
 WINDOW_COUNTERS = ("total_cycles", "pagewalk_cycles", "stall_cycles",
                    "dtlb_misses", "tlb_hits", "llc_misses",
                    "replica_update_cycles", "shootdown_cycles", "bandwidth_bytes")
 _window_counters = attrgetter(*WINDOW_COUNTERS)
+
+
+def _pw_ratio(window: Dict[str, int]) -> float:
+    """The page-walk share of a window's cycles."""
+    total = window["total_cycles"]
+    return window["pagewalk_cycles"] / total if total else 0.0
 
 
 @dataclass
@@ -188,20 +196,22 @@ class SimTask:
         # then the indices of quanta owed but not yet generated
         self.backlog: List[Union[int, VmOp]] = []
         self.deferred: deque = deque()
-        self.deferred_events = 0
-        self.ticks_in_window = 0
-        self.window_history: List[Dict[str, int]] = []
-        self.last_window: Optional[PmcSample] = None
+        # WINDOW_COUNTERS as of the last flush, and as of this window's start
         self._snap = self.counters.snapshot()
+        self.window_start = self._snap
+        self.ticks_in_window = 0
+        self.last_window: Optional[Dict[str, int]] = None
+        # one row per window, kept only for a timeseries
+        self.window_history: List[Dict[str, float]] = []
 
     @property
     def task_id(self) -> int:
         return self.st.task_id
 
-    @property
-    def pending(self) -> int:
-        """Events queued behind the MBA cap, generated or deferred."""
-        return len(self.backlog) + self.deferred_events
+    def window(self) -> Dict[str, int]:
+        """This window's counters so far: the flushed change since it began."""
+        return {name: now - then for name, now, then
+                in zip(WINDOW_COUNTERS, self._snap, self.window_start)}
 
 
 class SimProcess:
@@ -265,8 +275,10 @@ class Simulation:
             loads[node_id].mba_caps[pid] = cap
         for task in self.tasks:
             node_id = self.cores[task.st.current_core].node_id
-            pmc = task.last_window if task.last_window is not None else task.st.pmc
-            bw = estimate_bandwidth(pmc)
+            # bandwidth from the last complete window's cache misses, or the
+            # partial window before the first completes
+            window = task.last_window or task.window()
+            bw = window["llc_misses"] * CACHELINE_BYTES
             stats = loads[node_id].process_stats
             proc = self.processes[task.st.process_id]
             prev = stats.get(proc.pid, (0, proc.priority))
@@ -281,7 +293,7 @@ class Simulation:
 
     def _spawn(self, entry: WorkloadEntry) -> None:
         pid = len(self.processes)
-        main_st = sched.on_fork(None, self.policy, len(self.tasks), pid)
+        main_st = sched.on_fork(None, len(self.tasks), pid)
         loads = self._node_loads()
         home = sched.place_process(main_st, self.policy, loads)
 
@@ -301,7 +313,7 @@ class Simulation:
         sched.place_thread(main_st, self.policy, loads, slots, self.topo)
         self.cores[main_st.current_core].runqueue.append(main)
         for i in range(1, entry.spec.thread_count):
-            st = sched.on_fork(main_st, self.policy, len(self.tasks), pid)
+            st = sched.on_fork(main_st, len(self.tasks), pid)
             task = SimTask(st, i)
             self.tasks.append(task)
             proc.tasks.append(task)
@@ -404,24 +416,24 @@ class Simulation:
         A task with events queued behind its MBA cap defers its new quantum
         as an index; a deferred quantum is generated when its first event
         issues, so the backlog holds at most one quantum's events.  Issue
-        order is that of generating every quantum at once.
+        order is that of generating every quantum at once, and the cap
+        budgets against this quantum's volume alone.
         """
         proc = self.processes[task.st.process_id]
         spec = proc.spec
         seed = self.scenario.rng_seed
         thread_index = task.thread_index
         backlog = task.backlog
-        if task.pending:
+        if backlog or task.deferred:
             volume = workload.quantum_volume(spec, thread_index, seed,
                                              self.quantum)
             task.deferred.append(self.quantum)
-            task.deferred_events += volume
         else:
             backlog += workload.generate_quantum_events(
                 spec, thread_index, seed, self.quantum)
             volume = len(backlog)
-        cap = self.mba_caps.get((core.node_id, proc.pid), 1.0)
-        issue = apply_mba(task.pending, cap, volume)
+        issue = apply_mba(self.mba_caps.get((core.node_id, proc.pid), 1.0),
+                          volume)
         llc_random = random.Random(
             f"{seed}:llc:{task.task_id}:{self.quantum}").random
 
@@ -444,7 +456,6 @@ class Simulation:
             if not backlog:
                 backlog += workload.generate_quantum_events(
                     spec, thread_index, seed, task.deferred.popleft())
-                task.deferred_events -= len(backlog)
             batch = backlog[:issue]
             del backlog[:issue]
             issue -= len(batch)
@@ -639,51 +650,45 @@ class Simulation:
                 "node": action.node, "target_process": action.process_id,
                 "cap": action.cap})
 
-    def _flush(self, task: SimTask) -> Dict[str, int]:
-        """Add task's counters since its last flush to its node; return them."""
+    def _flush(self, task: SimTask) -> None:
+        """Add task's counters since its last flush to its node."""
         delta = task.counters.delta_since(task._snap)
         node_id = self.cores[task.st.current_core].node_id
-        node_delta = dict(delta)
-        node_delta.pop("bandwidth_bytes")  # nodes account traffic by destination
-        self.node_counters[node_id].add_delta(node_delta)
+        delta.pop("bandwidth_bytes")  # nodes account traffic by destination
+        self.node_counters[node_id].add_delta(delta)
         task._snap = task.counters.snapshot()
-        return delta
 
     def _tick(self, task: SimTask) -> None:
-        delta = self._flush(task)
-
-        task.st.pmc.add(PmcSample(
-            window_total_cycles=delta["total_cycles"],
-            window_pagewalk_cycles=delta["pagewalk_cycles"],
-            window_stall_cycles=delta["stall_cycles"],
-            window_dtlb_misses=delta["dtlb_misses"],
-            window_llc_misses=delta["llc_misses"]))
+        self._flush(task)
         task.ticks_in_window += 1
         if task.ticks_in_window < self.policy.window:
             return
 
-        self._record_window(task)
+        window = task.window()
+        pw_ratio = _pw_ratio(window)
+        self._record_window(task, window, pw_ratio)
         if self.policy.kind == "phoenix":
             loads = self._node_loads()
             action = sched.phoenix_evaluate(
-                task.st, loads, self.processes[task.st.process_id].space,
-                self.policy, CONTENTION_KNEE,
-                self.cores[task.st.current_core].node_id)
+                task.st, pw_ratio, loads,
+                self.processes[task.st.process_id].space, self.policy,
+                CONTENTION_KNEE, self.cores[task.st.current_core].node_id)
             self._execute_action(task, action)
-        task.last_window = replace(task.st.pmc)
-        task.st.pmc.reset()
+        task.last_window = window
+        task.window_start = task._snap
         task.ticks_in_window = 0
 
-    def _record_window(self, task: SimTask) -> None:
-        pmc = task.st.pmc
-        task.window_history.append({
-            "quantum": self.quantum,
-            "total_cycles": pmc.window_total_cycles,
-            "pagewalk_cycles": pmc.window_pagewalk_cycles,
-            "stall_cycles": pmc.window_stall_cycles,
-            "dtlb_misses": pmc.window_dtlb_misses,
-            "llc_misses": pmc.window_llc_misses,
-            "pw_ratio": pmc.pw_ratio()})
+    def _record_window(self, task: SimTask, window: Dict[str, int],
+                       pw_ratio: float) -> None:
+        if self.scenario.timeseries:
+            task.window_history.append({
+                "quantum": self.quantum,
+                "total_cycles": window["total_cycles"],
+                "pagewalk_cycles": window["pagewalk_cycles"],
+                "stall_cycles": window["stall_cycles"],
+                "dtlb_misses": window["dtlb_misses"],
+                "llc_misses": window["llc_misses"],
+                "pw_ratio": pw_ratio})
 
     # -- rebalancing ------------------------------------------------------------------
 
@@ -781,7 +786,8 @@ class Simulation:
             self.step()
         for task in self.tasks:
             if task.ticks_in_window:
-                self._record_window(task)
+                window = task.window()
+                self._record_window(task, window, _pw_ratio(window))
             self._flush(task)  # charged since it last ran
             task.st.current_core = None  # exit detaches the core; counters stay
         return self

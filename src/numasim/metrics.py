@@ -117,13 +117,12 @@ def finalize(result, scenario) -> MetricsReport:
                **_counter_row([task.counters]),
                "replica_count": proc.space.replica_count}
         report.per_task.append(row)
-        if scenario.timeseries:
-            for i, window in enumerate(task.window_history):
-                entry = dict(window)
-                entry["task_id"] = task.task_id
-                entry["window"] = i
-                entry["pw_ratio"] = round(entry["pw_ratio"], RATIO_DECIMALS)
-                report.timeseries.append(entry)
+        for i, window in enumerate(task.window_history):  # timeseries only
+            entry = dict(window)
+            entry["task_id"] = task.task_id
+            entry["window"] = i
+            entry["pw_ratio"] = round(entry["pw_ratio"], RATIO_DECIMALS)
+            report.timeseries.append(entry)
 
     for proc in result.processes:
         space = proc.space

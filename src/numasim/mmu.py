@@ -28,12 +28,10 @@ class _LruCache:
 
     def __init__(self, capacity: int):
         self.capacity = capacity
-        self.partition_active = False
         self.limit = capacity  # effective capacity, set with the partition
         self.entries: Dict[int, object] = {}
 
     def set_partition(self, active: bool) -> None:
-        self.partition_active = active
         self.limit = max(1, self.capacity // 2) if active else self.capacity
         entries = self.entries
         while len(entries) > self.limit:

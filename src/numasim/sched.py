@@ -10,14 +10,13 @@ the last resort, and page tables follow the process when it moves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .pagetable import ALLOC_POLICIES, AddressSpace
 from .topology import Topology, check_field_types
 
 POLICY_KINDS = ("linux", "mitosis", "phoenix")
-CACHELINE_BYTES = 64
 MIN_MBA_CAP = 0.1
 
 
@@ -62,40 +61,11 @@ class PolicyKind:
 
 
 @dataclass
-class PmcSample:
-    window_total_cycles: int = 0
-    window_pagewalk_cycles: int = 0
-    window_stall_cycles: int = 0
-    window_dtlb_misses: int = 0
-    window_llc_misses: int = 0
-
-    def add(self, other: "PmcSample") -> None:
-        for name in _PMC_FIELDS:
-            setattr(self, name, getattr(self, name) + getattr(other, name))
-
-    def reset(self) -> None:
-        for name in _PMC_FIELDS:
-            setattr(self, name, 0)
-
-    def pw_ratio(self) -> float:
-        if self.window_total_cycles == 0:
-            return 0.0
-        return self.window_pagewalk_cycles / self.window_total_cycles
-
-
-# named once: calling dataclasses.fields on every tick raised the traced
-# peak by about 0.15 MB on Python 3.11
-_PMC_FIELDS = tuple(f.name for f in fields(PmcSample))
-
-
-@dataclass
 class TaskState:
     task_id: int
     process_id: int
     home_node: Optional[int] = None
     allowed_nodes: List[int] = field(default_factory=list)
-    phoenix_enabled: bool = False
-    pmc: PmcSample = field(default_factory=PmcSample)
     current_core: Optional[int] = None
     last_phoenix_action: Optional[str] = None
 
@@ -128,11 +98,10 @@ class Action:
     cap: Optional[float] = None
 
 
-def on_fork(parent: Optional[TaskState], policy: PolicyKind, task_id: int,
+def on_fork(parent: Optional[TaskState], task_id: int,
             process_id: int) -> TaskState:
     """Threads inherit the parent's home; new processes wait for placement."""
     task = TaskState(task_id, process_id)
-    task.phoenix_enabled = policy.kind == "phoenix"
     if parent is not None:
         task.home_node = parent.home_node
         task.allowed_nodes = parent.allowed_nodes  # shared per process
@@ -205,7 +174,7 @@ def place_thread(task: TaskState, policy: PolicyKind, loads: Dict[int, NodeLoad]
             slot = _idle_slot_on(slots, node)
             if slot is not None:
                 return _take(task, slot, loads)
-        home = task.allowed_nodes[0] if task.allowed_nodes else task.home_node
+        home = task.allowed_nodes[0]
         candidates = []
         for node_id, load in loads.items():
             if node_id in task.allowed_nodes:
@@ -287,24 +256,19 @@ def rebalance(policy: PolicyKind, tasks: Sequence[TaskState],
     return moves
 
 
-def estimate_bandwidth(pmc: PmcSample, cacheline: int = CACHELINE_BYTES) -> int:
-    """Bandwidth proxy from counters: cache misses times line size."""
-    return pmc.window_llc_misses * cacheline
-
-
-def phoenix_evaluate(task: TaskState, loads: Dict[int, NodeLoad],
-                     space: AddressSpace, policy: PolicyKind,
-                     knee: float, current_node: int) -> Action:
+def phoenix_evaluate(task: TaskState, pw_ratio: float,
+                     loads: Dict[int, NodeLoad], space: AddressSpace,
+                     policy: PolicyKind, knee: float,
+                     current_node: int) -> Action:
     """Window-rollover decision: throttle interference before replicating.
 
-    Below the page-walk threshold nothing happens.  Above it, a co-resident
-    low-priority process with the node's top bandwidth estimate is capped
-    first (when the node is past the contention knee).  Replication is only
-    proposed on a later window, for an allowed node that lacks a replica.
+    pw_ratio is the task's page-walk share of the window's cycles.  Up to
+    the threshold nothing happens.  Above it, a co-resident low-priority
+    process with the node's top bandwidth estimate is capped first (when
+    the node is past the contention knee).  Replication is only proposed
+    on a later window, for an allowed node that lacks a replica.
     """
-    if not task.phoenix_enabled:
-        return Action("none")
-    if task.pmc.pw_ratio() <= policy.threshold_pw_ratio:
+    if pw_ratio <= policy.threshold_pw_ratio:
         task.last_phoenix_action = None
         return Action("none")
 

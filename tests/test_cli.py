@@ -1,13 +1,21 @@
 """Command-line surface: validation, overrides, outputs, and exit codes."""
 
 import csv
+import dataclasses
 import hashlib
 import io
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from numasim import cli
+from numasim.sched import PolicyKind
+from numasim.topology import MACHINE_KEYS
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+POLICY_KEYS = {f.name for f in dataclasses.fields(PolicyKind)}
 
 
 def base_raw():
@@ -116,21 +124,45 @@ def test_timeseries_flag_writes_the_extra_csv(tmp_path):
     assert header.startswith("task_id,window,quantum,")
 
 
-def test_short_and_long_key_forms_are_equivalent_but_exclusive(tmp_path):
+def test_each_knob_has_one_name(tmp_path, capsys):
+    # policy knobs are PolicyKind's fields; the run and workload blocks take
+    # the names Scenario.to_dict writes
     raw = base_raw()
-    raw["policy"] = {"kind": "phoenix", "threshold": 0.2, "tolerance": 0.3}
-    path = write_scenario(tmp_path, raw)
-    assert cli.main(["run", str(path)]) == 0
+    raw["policy"] = {"kind": "phoenix", "threshold_pw_ratio": 0.2,
+                     "imbalance_tolerance": 0.3}
+    raw["workloads"][0]["start"] = 1
+    path = str(write_scenario(tmp_path, raw))
+    assert cli.main(["run", path]) == 0
+    capsys.readouterr()
 
-    raw["policy"] = {"kind": "phoenix", "threshold": 0.2,
-                     "threshold_pw_ratio": 0.2}
-    path = write_scenario(tmp_path, raw, "dup.json")
-    assert cli.main(["run", str(path)]) == 1
+    # another name for a knob is refused with its path and the keys its
+    # block accepts
+    for assignment, where, accepted in (
+            ("policy.threshold=0.2", "policy", POLICY_KEYS),
+            ("policy.tolerance=0.3", "policy", POLICY_KEYS),
+            ("run.duration_quanta=5", "run", cli.RUN_KEYS),
+            ("run.quantum_cycles=500", "run", cli.RUN_KEYS),
+            ("workloads.0.start_quantum=2", "workloads[0]",
+             cli.WORKLOAD_KEYS)):
+        assert cli.main(["run", path, "--set", assignment]) == 1, assignment
+        err = capsys.readouterr().err.strip()
+        key = assignment.split("=")[0].split(".")[-1]
+        assert err == (f"error: scenario.{where}: unknown key {key!r}; "
+                       f"accepted: {', '.join(sorted(accepted))}"), assignment
 
-    raw = base_raw()
-    raw["run"] = {"duration": 5, "duration_quanta": 5}
-    path = write_scenario(tmp_path, raw, "dup2.json")
-    assert cli.main(["run", str(path)]) == 1
+
+def test_readme_names_every_key_each_scenario_block_accepts():
+    section = README.read_text().split("\n## Scenario files\n")[1]
+    section = section.split("\n## ")[0]
+    # one bullet per block, "- `block`: ...", ending at the next bullet or
+    # paragraph
+    bullets = dict(re.findall(r"^- `(\w+)`:(.*?)(?=\n- |\n\n)", section,
+                              re.M | re.S))
+    for block, keys in (("machine", MACHINE_KEYS),
+                        ("workloads", cli.WORKLOAD_KEYS),
+                        ("policy", POLICY_KEYS), ("run", cli.RUN_KEYS)):
+        named = set(re.findall(r"`(\w+)`", bullets[block]))
+        assert not keys - named, (block, sorted(keys - named))
 
 
 def test_validation_failures_name_the_offending_path(tmp_path, capsys):
@@ -169,10 +201,10 @@ def test_validation_failures_name_the_offending_path(tmp_path, capsys):
     # unchecked, quantum 0 turned contention off, a negative duration
     # reported negative quanta, and a negative seed or arity 2 failed only
     # once the run had started
-    for assignment, where in (("run.quantum=0", "run.quantum_cycles"),
-                              ("run.quantum=-3", "run.quantum_cycles"),
-                              ("run.duration=-5", "run.duration_quanta"),
-                              ("run.duration=0", "run.duration_quanta"),
+    for assignment, where in (("run.quantum=0", "run.quantum"),
+                              ("run.quantum=-3", "run.quantum"),
+                              ("run.duration=-5", "run.duration"),
+                              ("run.duration=0", "run.duration"),
                               ("run.seed=-1", "run.seed"),
                               ("machine.arity=2", "machine.arity"),
                               ('machine.arity="wide"', "machine.arity")):
@@ -229,11 +261,11 @@ def test_validation_failures_name_the_offending_path(tmp_path, capsys):
             ("run.prefault=1", "run.prefault", "true or false"),
             ('policy.autonuma="yes"', "policy: autonuma", "true or false"),
             ('policy.mba="false"', "policy: mba", "true or false"),
-            ("workloads.0.start=true", "workloads[0].start_quantum",
+            ("workloads.0.start=true", "workloads[0].start",
              "an integer"),
-            ("workloads.0.start_quantum=2.5", "workloads[0].start_quantum",
+            ("workloads.0.start=2.5", "workloads[0].start",
              "an integer"),
-            ('workloads.0.start="1"', "workloads[0].start_quantum",
+            ('workloads.0.start="1"', "workloads[0].start",
              "an integer"),
             ("workloads.0.overrides.thread_count=2.5",
              "workloads[0]: thread_count", "an integer"),

@@ -35,7 +35,8 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def build(workloads, nodes=2, cores=2, policy=None, duration=20, seed=1,
-          quantum=1000, prefault=False, name="t", **machine_extra):
+          quantum=1000, prefault=False, timeseries=False, name="t",
+          **machine_extra):
     machine = {"nodes": nodes, "cores_per_node": cores}
     machine.update(machine_extra)
     entries = []
@@ -44,7 +45,7 @@ def build(workloads, nodes=2, cores=2, policy=None, duration=20, seed=1,
         entries.append(WorkloadEntry(spec, start))
     return Scenario(machine, entries, policy or PolicyKind("linux"), duration,
                     rng_seed=seed, quantum_cycles=quantum, prefault=prefault,
-                    name=name)
+                    timeseries=timeseries, name=name)
 
 
 def total(result, pred=lambda t: True, field="total_cycles"):
@@ -125,11 +126,16 @@ def test_table_prices_match_the_direct_formula(machine):
 
 
 def test_apply_mba_budgets_against_fresh_volume():
-    assert apply_mba(1000, 0.1, 1000) == 100
-    assert apply_mba(1500, 0.1, 1000) == 100  # backlog cannot widen the cap
-    assert apply_mba(1000, 1.0, 1000) == 1000
-    assert apply_mba(50, 1.0, 1000) == 50
-    assert apply_mba(10, 0.1, 5) == 1  # budget never starves to zero
+    # the budget is a share of this quantum's volume, however long the queue
+    assert apply_mba(0.1, 1000) == 100
+    assert apply_mba(1.0, 1000) == 1000
+    assert apply_mba(0.1, 5) == 1  # budget never starves to zero
+
+
+def queued(task, spec, seed):
+    """Events waiting behind task's MBA cap: generated, then deferred."""
+    return len(task.backlog) + sum(quantum_volume(spec, 0, seed, q)
+                                   for q in task.deferred)
 
 
 def hot_page_spec():
@@ -141,7 +147,7 @@ def hot_page_spec():
 def test_tlb_hit_quantum_costs_compute_plus_dram():
     policy = PolicyKind("linux", window=1, autonuma=False)
     scenario = build([hot_page_spec()], nodes=1, cores=1, policy=policy,
-                     duration=2, prefault=True)
+                     duration=2, prefault=True, timeseries=True)
     result = simulate(scenario)
     task = result.tasks[0]
     # quantum 0 pays one cold walk; quantum 1 is pure TLB hits
@@ -155,6 +161,44 @@ def test_tlb_hit_quantum_costs_compute_plus_dram():
     assert task.counters.dtlb_misses == 1
     # the only traffic is the cold walk touching four table levels
     assert result.node_counters[0].bandwidth_bytes == 4 * 64
+
+
+def test_window_rows_are_counter_differences_at_window_boundaries():
+    # every task runs every quantum, so each is flushed at its tick and its
+    # counters after a step are those its window saw; mitosis' replicas,
+    # the VM ops and the locality scans charge table writes and shootdowns
+    spec = preset("wrmem_like", thread_count=3, footprint_pages=512)
+    policy = PolicyKind("mitosis", window=3, scan_period=4)
+    sim = Simulation(build([spec], nodes=2, cores=2, policy=policy,
+                           duration=11, timeseries=True))
+    fields = ("total_cycles", "pagewalk_cycles", "stall_cycles",
+              "dtlb_misses", "llc_misses")
+    seen = [{t: [0] * len(fields) for t in range(3)}]
+    for _ in range(11):
+        sim.step()
+        seen.append({t.task_id: [getattr(t.counters, f) for f in fields]
+                     for t in sim.tasks})
+    for task in sim.tasks:
+        rows = task.window_history
+        assert [r["quantum"] for r in rows] == [2, 5, 8]
+        for i, row in enumerate(rows):
+            start, end = seen[3 * i][task.task_id], seen[3 * i + 3][task.task_id]
+            diff = {f: b - a for f, a, b in zip(fields, start, end)}
+            assert {f: row[f] for f in fields} == diff, (task.task_id, i)
+            assert row["pw_ratio"] == diff["pagewalk_cycles"] \
+                / diff["total_cycles"]
+    assert all(t.counters.replica_update_cycles for t in sim.tasks)
+    assert any(t.counters.shootdown_cycles for t in sim.tasks)
+
+
+def test_runs_without_timeseries_keep_no_window_history():
+    spec = preset("gups_like", thread_count=2, footprint_pages=256)
+    policy = PolicyKind("phoenix", window=2)
+    plain = simulate(build([spec], policy=policy, duration=9))
+    assert [t.window_history for t in plain.tasks] == [[], []]
+    series = simulate(build([spec], policy=policy, duration=9,
+                            timeseries=True))
+    assert [len(t.window_history) for t in series.tasks] == [5, 5]
 
 
 def test_cycle_identity_holds_per_task():
@@ -314,10 +358,10 @@ def test_bandwidth_cap_queues_events_and_clears_congestion():
     sim.mba_caps[(0, 0)] = 0.1
     sim.step()
     assert task.counters.events_issued - issued_before == 25  # 10% of 256
-    assert task.pending == 256 - 25
+    assert queued(task, spec, 1) == 256 - 25
     assert sim.contention.u_node[0] < 0.6 < congested
     sim.step()
-    assert task.pending == 2 * (256 - 25)
+    assert queued(task, spec, 1) == 2 * (256 - 25)
 
 
 def test_throttled_backlog_holds_at_most_one_generated_quantum():
@@ -330,7 +374,7 @@ def test_throttled_backlog_holds_at_most_one_generated_quantum():
         sim.step()
         task = sim.tasks[0]
         assert len(task.backlog) <= volume
-        assert task.pending == (q + 1) * (volume - 25)
+        assert queued(task, spec, 1) == (q + 1) * (volume - 25)
     assert task.counters.events_issued == 5000 * 25
 
 
@@ -355,7 +399,10 @@ def test_lazy_backlog_issues_like_an_eager_queue(caps, seed):
     for q, cap in enumerate(caps):
         new = generate_quantum_events(spec, 0, seed, q)
         queue.extend(new)
-        issue = apply_mba(len(queue), cap, len(new))
+        issue = apply_mba(cap, len(new))
+        # the queue holds this quantum's events, so the budget alone sets
+        # how many issue
+        assert issue <= len(queue), q
         for _ in range(issue):
             queue.popleft()
 
@@ -364,10 +411,8 @@ def test_lazy_backlog_issues_like_an_eager_queue(caps, seed):
         sim.step()
         task = sim.tasks[0]
         assert task.counters.events_issued - before == issue, q
-        assert task.pending == len(queue)
+        assert queued(task, spec, seed) == len(queue)
         assert list(task.backlog) == list(queue)[:len(task.backlog)]
-        assert task.deferred_events == sum(
-            quantum_volume(spec, 0, seed, d) for d in task.deferred)
 
 
 def test_phoenix_throttles_the_interfering_process():

@@ -98,13 +98,12 @@ def test_partition_halves_capacity_and_sheds_entries_eagerly():
     for vpn in range(8):
         mmu.page_walk(space, vpn, 0)
     mmu.set_partition(0, True)
-    assert mmu.tlbs[0].partition_active
+    assert mmu.tlbs[0].limit == 4
     assert len(mmu.tlbs[0].entries) == 4
     assert mmu.tlb_lookup(0, 3) is None   # older half evicted
     assert mmu.tlb_lookup(0, 7) is not None
     mmu.set_partition(0, False)
-    assert not mmu.tlbs[0].partition_active
-    assert mmu.tlbs[0].capacity == 8
+    assert mmu.tlbs[0].limit == mmu.tlbs[0].capacity == 8
 
 
 def test_fault_charges_the_walk_but_caches_nothing():

@@ -36,8 +36,8 @@ VALID = {
     ("run", "timeseries"): [True],
     ("run", "prefault"): [True],
     ("policy", "kind"): ["linux", "mitosis", "phoenix"],
-    ("policy", "threshold"): [0.01, 0.5],
-    ("policy", "tolerance"): [0.5],
+    ("policy", "threshold_pw_ratio"): [0.01, 0.5],
+    ("policy", "imbalance_tolerance"): [0.5],
     ("policy", "window"): [1, 2],
     ("policy", "autonuma"): [False],
     ("policy", "mba"): [False],

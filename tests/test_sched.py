@@ -2,16 +2,15 @@
 
 import pytest
 
+from numasim import sched
 from numasim.engine import Scenario, Simulation, WorkloadEntry
 from numasim.pagetable import AddressSpace, add_replica, map_page
 from numasim.sched import (
     CoreSlot,
     NodeLoad,
-    PmcSample,
     PolicyKind,
     TaskState,
     autonuma_step,
-    estimate_bandwidth,
     on_fork,
     phoenix_evaluate,
     place_process,
@@ -57,33 +56,19 @@ def test_policy_kind_validation():
         PolicyKind("linux", alloc_policy="bogus").validate()
 
 
-def test_pmc_window_arithmetic():
-    pmc = PmcSample(window_total_cycles=1000, window_pagewalk_cycles=150)
-    assert pmc.pw_ratio() == 0.15
-    assert PmcSample().pw_ratio() == 0.0
-    pmc.add(PmcSample(window_total_cycles=500, window_pagewalk_cycles=50,
-                      window_llc_misses=7))
-    assert pmc.window_total_cycles == 1500
-    assert pmc.window_llc_misses == 7
-    pmc.reset()
-    assert pmc.window_total_cycles == 0
-
-
 def test_fork_inherits_home_and_shares_the_allowed_set():
-    policy = PolicyKind("phoenix")
-    parent = on_fork(None, policy, task_id=0, process_id=1)
+    parent = on_fork(None, task_id=0, process_id=1)
     assert parent.home_node is None
-    assert parent.phoenix_enabled
+    assert parent.allowed_nodes == []
     parent.home_node = 1
     parent.allowed_nodes = [1]
-    child = on_fork(parent, policy, task_id=1, process_id=1)
+    child = on_fork(parent, task_id=1, process_id=1)
     assert child.home_node == 1
     assert child.allowed_nodes is parent.allowed_nodes
-    assert not on_fork(None, PolicyKind("linux"), 2, 2).phoenix_enabled
 
 
 def test_place_process_phoenix_prefers_quiet_memory():
-    task = on_fork(None, PolicyKind("phoenix"), 0, 1)
+    task = on_fork(None, 0, 1)
     loads = {
         0: NodeLoad(0, bandwidth_bytes_this_epoch=10_000_000, idle_cores=8),
         1: NodeLoad(1, bandwidth_bytes_this_epoch=2_000_000, idle_cores=1),
@@ -95,16 +80,16 @@ def test_place_process_phoenix_prefers_quiet_memory():
 
 def test_place_process_phoenix_breaks_bandwidth_ties_on_idle_cores():
     loads = {0: NodeLoad(0, idle_cores=2), 1: NodeLoad(1, idle_cores=6)}
-    task = on_fork(None, PolicyKind("phoenix"), 0, 1)
+    task = on_fork(None, 0, 1)
     assert place_process(task, PolicyKind("phoenix"), loads) == 1
 
 
 def test_place_process_linux_picks_fewest_tasks():
     loads = {0: NodeLoad(0, running_tasks=5), 1: NodeLoad(1, running_tasks=3)}
-    task = on_fork(None, PolicyKind("linux"), 0, 1)
+    task = on_fork(None, 0, 1)
     assert place_process(task, PolicyKind("linux"), loads) == 1
     tie = {0: NodeLoad(0, running_tasks=2), 1: NodeLoad(1, running_tasks=2)}
-    assert place_process(on_fork(None, PolicyKind("linux"), 1, 2),
+    assert place_process(on_fork(None, 1, 2),
                          PolicyKind("linux"), tie) == 0
 
 
@@ -113,7 +98,7 @@ def test_place_thread_phoenix_fills_home_before_annexing():
     policy = PolicyKind("phoenix")
     loads = {0: NodeLoad(0, idle_cores=2), 1: NodeLoad(1, idle_cores=2)}
     slots = slots_for(topo)
-    task = on_fork(None, policy, 0, 1)
+    task = on_fork(None, 0, 1)
     place_process(task, policy, loads)
     core = place_thread(task, policy, loads, slots, topo)
     assert topo.node_of_core(core) == task.home_node
@@ -126,8 +111,7 @@ def test_place_thread_phoenix_annexes_when_home_is_full():
     policy = PolicyKind("phoenix")
     loads = {0: NodeLoad(0, idle_cores=0), 1: NodeLoad(1, idle_cores=1)}
     slots = slots_for(topo, occupancy={0: 1})
-    task = TaskState(5, 1, home_node=0, allowed_nodes=[0],
-                     phoenix_enabled=True)
+    task = TaskState(5, 1, home_node=0, allowed_nodes=[0])
     core = place_thread(task, policy, loads, slots, topo)
     assert topo.node_of_core(core) == 1
     assert task.allowed_nodes == [0, 1]
@@ -145,8 +129,7 @@ def test_place_thread_phoenix_annexes_the_closest_idle_node():
                          bandwidth_bytes_this_epoch=100 if n == 2 else 0)
              for n in range(4)}
     slots = slots_for(topo, occupancy={0: 1})
-    task = TaskState(5, 1, home_node=0, allowed_nodes=[0],
-                     phoenix_enabled=True)
+    task = TaskState(5, 1, home_node=0, allowed_nodes=[0])
     place_thread(task, PolicyKind("phoenix"), loads, slots, topo)
     # nodes 2 and 3 tie on latency factor; quieter node 3 wins
     assert task.allowed_nodes == [0, 3]
@@ -156,8 +139,7 @@ def test_place_thread_phoenix_time_shares_once_everything_is_busy():
     topo = make_topo(2, 1)
     loads = {0: NodeLoad(0, idle_cores=0), 1: NodeLoad(1, idle_cores=0)}
     slots = slots_for(topo, occupancy={0: 2, 1: 1})
-    task = TaskState(5, 1, home_node=0, allowed_nodes=[0, 1],
-                     phoenix_enabled=True)
+    task = TaskState(5, 1, home_node=0, allowed_nodes=[0, 1])
     core = place_thread(task, PolicyKind("phoenix"), loads, slots, topo)
     assert core == 1  # least-loaded allowed core; no new node annexed
     assert task.allowed_nodes == [0, 1]
@@ -220,7 +202,7 @@ def test_rebalance_phoenix_respects_allowed_nodes():
         core = cores_on(topo, 0)[i]
         slots[core].occupancy += 1
         tasks.append(TaskState(i, 1, home_node=0, allowed_nodes=[0],
-                               phoenix_enabled=True, current_core=core))
+                               current_core=core))
     # node 1 is idle, but the process is consolidated on node 0
     assert rebalance(PolicyKind("phoenix"), tasks, slots) == []
     for task in tasks:
@@ -231,38 +213,44 @@ def test_rebalance_phoenix_respects_allowed_nodes():
     assert nodes == {0, 1}
 
 
-def test_window_sampling_accumulates_and_resets():
-    task = TaskState(0, 1)
-    task.pmc.add(PmcSample(window_total_cycles=100, window_pagewalk_cycles=30))
-    task.pmc.add(PmcSample(window_total_cycles=100, window_pagewalk_cycles=30))
-    assert task.pmc.window_total_cycles == 200
-    assert task.pmc.pw_ratio() == 0.3
-    task.pmc.reset()
-    assert task.pmc.window_total_cycles == 0
-
-
 def test_bandwidth_estimate_is_misses_times_line_size():
-    assert estimate_bandwidth(PmcSample(window_llc_misses=1000)) == 64000
-    assert estimate_bandwidth(PmcSample()) == 0
-    assert estimate_bandwidth(PmcSample(window_llc_misses=10), cacheline=128) \
-        == 1280
+    # two one-thread processes on one node; each process's estimate is its
+    # task's llc misses times the line size, from the partial window until
+    # the first one completes, then from the last complete window
+    spec = preset("stream_like", thread_count=1, footprint_pages=64)
+    scenario = Scenario(
+        machine={"nodes": 1, "cores_per_node": 2},
+        workloads=[WorkloadEntry(spec), WorkloadEntry(spec)],
+        policy=PolicyKind("linux", window=3), duration_quanta=7,
+        quantum_cycles=1000)
+    sim = Simulation(scenario)
+    misses = {-1: [0, 0]}  # each task's llc misses after each quantum
+    for q in range(7):
+        sim.step()
+        misses[q] = [t.counters.llc_misses for t in sim.tasks]
+        # windows end at quanta 2 and 5; before 2 the partial one counts
+        since, until = (-1, q) if q < 2 else (-1, 2) if q < 5 else (2, 5)
+        stats = sim._node_loads()[0].process_stats
+        assert stats == {pid: ((misses[until][pid] - misses[since][pid]) * 64,
+                               "low") for pid in (0, 1)}, q
+    assert misses[5][0] > misses[2][0] > 0
 
 
 def breach_task(pid=1):
-    task = TaskState(0, pid, phoenix_enabled=True, home_node=0,
-                     allowed_nodes=[0])
-    task.pmc = PmcSample(window_total_cycles=1000, window_pagewalk_cycles=300)
-    return task
+    return TaskState(0, pid, home_node=0, allowed_nodes=[0])
+
+
+BREACH = 0.3  # a window's page-walk ratio above the default threshold
 
 
 def test_phoenix_evaluate_is_quiet_below_threshold():
     topo = make_topo(2, 1)
     space = AddressSpace(topo, 0)
     task = breach_task()
-    task.pmc = PmcSample(window_total_cycles=1000, window_pagewalk_cycles=50)
     policy = PolicyKind("phoenix")
     loads = {0: NodeLoad(0, utilization=0.9)}
-    action = phoenix_evaluate(task, loads, space, policy, 0.6, current_node=0)
+    action = phoenix_evaluate(task, 0.05, loads, space, policy, 0.6,
+                              current_node=0)
     assert action.kind == "none"
 
 
@@ -276,7 +264,8 @@ def test_phoenix_evaluate_throttles_the_saturating_antagonist_first():
         2: (900_000, "low"),      # bandwidth hog
         3: (100_000, "low"),
     })}
-    action = phoenix_evaluate(task, loads, space, policy, 0.6, current_node=0)
+    action = phoenix_evaluate(task, BREACH, loads, space, policy, 0.6,
+                              current_node=0)
     assert action.kind == "throttle"
     assert action.process_id == 2
     assert action.node == 0
@@ -284,13 +273,15 @@ def test_phoenix_evaluate_throttles_the_saturating_antagonist_first():
 
     # the cap lands; the next window holds off while it takes effect
     loads[0].mba_caps[2] = action.cap
-    action = phoenix_evaluate(task, loads, space, policy, 0.6, current_node=0)
+    action = phoenix_evaluate(task, BREACH, loads, space, policy, 0.6,
+                              current_node=0)
     assert action.kind == "already_handled"
 
     # still breached on the following window: replicate on the current node
     task.allowed_nodes.append(1)
     loads[1] = NodeLoad(1)
-    action = phoenix_evaluate(task, loads, space, policy, 0.6, current_node=1)
+    action = phoenix_evaluate(task, BREACH, loads, space, policy, 0.6,
+                              current_node=1)
     assert action.kind == "replicate"
     assert action.node == 1
 
@@ -301,17 +292,17 @@ def test_phoenix_evaluate_never_throttles_quiet_or_high_priority_peers():
     policy = PolicyKind("phoenix")
     task = breach_task(pid=1)
     calm = {0: NodeLoad(0, utilization=0.4, process_stats={2: (900_000, "low")})}
-    assert phoenix_evaluate(task, calm, space, policy, 0.6, 1).kind \
+    assert phoenix_evaluate(task, BREACH, calm, space, policy, 0.6, 1).kind \
         != "throttle"
     high = {0: NodeLoad(0, utilization=0.95,
                         process_stats={2: (900_000, "high")})}
     task = breach_task(pid=1)
-    assert phoenix_evaluate(task, high, space, policy, 0.6, 1).kind \
+    assert phoenix_evaluate(task, BREACH, high, space, policy, 0.6, 1).kind \
         != "throttle"
     selfish = {0: NodeLoad(0, utilization=0.95,
                            process_stats={1: (900_000, "low")})}
     task = breach_task(pid=1)
-    assert phoenix_evaluate(task, selfish, space, policy, 0.6, 1).kind \
+    assert phoenix_evaluate(task, BREACH, selfish, space, policy, 0.6, 1).kind \
         != "throttle"
 
 
@@ -323,18 +314,30 @@ def test_phoenix_evaluate_skips_replication_where_one_exists():
     task = breach_task()
     task.allowed_nodes = [0, 1]
     loads = {0: NodeLoad(0), 1: NodeLoad(1)}
-    action = phoenix_evaluate(task, loads, space, policy, 0.6, current_node=1)
+    action = phoenix_evaluate(task, BREACH, loads, space, policy, 0.6,
+                              current_node=1)
     assert action.kind == "already_handled"
 
 
-def test_phoenix_evaluate_ignores_non_phoenix_tasks():
-    topo = make_topo(2, 1)
-    space = AddressSpace(topo, 0)
-    task = breach_task()
-    task.phoenix_enabled = False
-    action = phoenix_evaluate(task, {0: NodeLoad(0)}, space,
-                              PolicyKind("linux"), 0.6, 0)
-    assert action.kind == "none"
+def test_phoenix_evaluate_ignores_non_phoenix_tasks(monkeypatch):
+    # the engine consults phoenix only under the phoenix policy, however
+    # walk-heavy the windows are
+    calls = []
+    real = sched.phoenix_evaluate
+    monkeypatch.setattr(sched, "phoenix_evaluate",
+                        lambda *args: calls.append(args) or real(*args))
+    spec = preset("gups_like", thread_count=2, footprint_pages=2048)
+    for kind, evaluations in (("linux", 0), ("mitosis", 0), ("phoenix", 6)):
+        calls.clear()
+        scenario = Scenario(
+            machine={"nodes": 2, "cores_per_node": 2},
+            workloads=[WorkloadEntry(spec)],
+            policy=PolicyKind(kind, window=2), duration_quanta=6,
+            quantum_cycles=1000)
+        result = Simulation(scenario).run()
+        assert len(calls) == evaluations, kind
+        assert max(t.counters.pagewalk_cycles / t.counters.total_cycles
+                   for t in result.tasks) > 0.10, kind
 
 
 def test_autonuma_migrates_remote_heavy_pages():
