@@ -3,7 +3,8 @@
 import pytest
 
 from numasim import sched
-from numasim.engine import Scenario, Simulation, WorkloadEntry
+from numasim.engine import (WINDOW_COUNTERS, Scenario, SimTask, Simulation,
+                            WorkloadEntry, _pw_ratio)
 from numasim.pagetable import AddressSpace, add_replica, map_page
 from numasim.sched import (
     CoreSlot,
@@ -54,6 +55,26 @@ def test_policy_kind_validation():
     PolicyKind("linux", alloc_policy="interleave").validate()
     with pytest.raises(ValueError):
         PolicyKind("linux", alloc_policy="bogus").validate()
+
+
+def test_pmc_window_arithmetic():
+    # a window is the change in a task's counters between the snapshot taken
+    # when it began and the one taken at its last flush
+    task = SimTask(TaskState(0, 1), 0)
+    empty = dict.fromkeys(WINDOW_COUNTERS, 0)
+    assert task.window() == empty
+    assert _pw_ratio(empty) == 0.0
+    task.counters.total_cycles += 1000
+    task.counters.pagewalk_cycles += 150
+    task.counters.llc_misses += 7
+    assert task.window() == empty  # charged but not yet flushed
+    task._snap = task.counters.snapshot()
+    window = task.window()
+    assert window == dict(empty, total_cycles=1000, pagewalk_cycles=150,
+                          llc_misses=7)
+    assert _pw_ratio(window) == 0.15
+    task.window_start = task._snap
+    assert task.window() == empty
 
 
 def test_fork_inherits_home_and_shares_the_allowed_set():
@@ -211,6 +232,42 @@ def test_rebalance_phoenix_respects_allowed_nodes():
     assert len(moves) == 2
     nodes = {topo.node_of_core(t.current_core) for t in tasks}
     assert nodes == {0, 1}
+
+
+def test_window_sampling_accumulates_and_resets():
+    # each tick adds the task's flushed change to its window; the window's
+    # last tick records it, keeps it as the last window and starts a new one
+    spec = preset("gups_like", thread_count=1, footprint_pages=64)
+    sim = Simulation(Scenario(
+        machine={"nodes": 1, "cores_per_node": 1},
+        workloads=[WorkloadEntry(spec)],
+        policy=PolicyKind("linux", window=3, autonuma=False),
+        duration_quanta=4, timeseries=True))
+    sim.step()  # spawns the task and ticks it once
+    task = sim.tasks[0]
+    first = task.window()
+    assert task.ticks_in_window == 1
+    assert first == task.counters.delta_since((0,) * len(WINDOW_COUNTERS))
+    assert first["total_cycles"] > 0
+    for ticks in (2, 3):
+        task.counters.total_cycles += 100
+        task.counters.pagewalk_cycles += 30
+        sim._tick(task)
+        if ticks == 2:
+            assert task.ticks_in_window == 2
+            assert task.window() == dict(
+                first, total_cycles=first["total_cycles"] + 100,
+                pagewalk_cycles=first["pagewalk_cycles"] + 30)
+            assert task.last_window is None
+    total = first["total_cycles"] + 200
+    walks = first["pagewalk_cycles"] + 60
+    assert task.last_window == dict(first, total_cycles=total,
+                                    pagewalk_cycles=walks)
+    [row] = task.window_history
+    assert (row["total_cycles"], row["pagewalk_cycles"]) == (total, walks)
+    assert row["pw_ratio"] == walks / total
+    assert task.ticks_in_window == 0
+    assert task.window() == dict.fromkeys(WINDOW_COUNTERS, 0)
 
 
 def test_bandwidth_estimate_is_misses_times_line_size():
