@@ -4,8 +4,8 @@ Each quantum every core runs the task at the head of its run queue, draws
 that task's deterministic event stream, and charges cycles for TLB lookups,
 page walks, data accesses, and VM operations.  Memory traffic recorded in one
 quantum sets the contention multipliers for the next, so interference always
-acts with a one-epoch lag.  Prices are therefore fixed per quantum:
-`compute_contention` builds the quantum's latency table once, and every
+acts with a one-epoch lag.  Prices are therefore fixed per quantum: `step`
+installs the quantum's latency table as `Topology.cycles` once, and every
 access reads its price from it.  All iteration is in fixed id order; a
 scenario and seed fully determine the output.
 """
@@ -42,12 +42,10 @@ CONTENTION_CAP = 4.0
 
 @dataclass
 class ContentionState:
-    """Per-node and per-link utilization from the previous quantum, and the
-    access prices they fix for this one."""
+    """Per-node and per-link utilization from the previous quantum; their
+    multipliers fix this quantum's prices."""
     u_node: Dict[int, float] = field(default_factory=dict)
     u_link: Dict[Tuple[int, int], float] = field(default_factory=dict)
-    # from_node -> to_node -> cycles, as topology.latency_table builds it
-    cycles: Dict[int, Dict[int, int]] = field(default_factory=dict)
 
     def multiplier(self, u: float) -> float:
         if u <= CONTENTION_KNEE:
@@ -65,11 +63,7 @@ class ContentionState:
 def compute_contention(topo: Topology, node_bytes: Dict[int, int],
                        link_bytes: Dict[Tuple[int, int], int],
                        quantum_cycles: int) -> ContentionState:
-    """Utilization is bytes moved over capacity times quantum length, clamped.
-
-    The utilizations fix the next quantum's prices, so its latency table is
-    built here, once, and `access_latency` reads every price from it.
-    """
+    """Utilization is bytes moved over capacity times quantum length, clamped."""
     state = ContentionState()
     for node in topo.nodes:
         cap = node.bandwidth_capacity * quantum_cycles
@@ -79,7 +73,6 @@ def compute_contention(topo: Topology, node_bytes: Dict[int, int],
             continue
         cap = link.bandwidth_capacity * quantum_cycles
         state.u_link[(a, b)] = min(1.0, link_bytes.get((a, b), 0) / cap)
-    state.cycles = latency_table(topo, state)
     return state
 
 
@@ -242,7 +235,7 @@ class Simulation:
         self.policy = scenario.policy
         self.topo = build_topology(scenario.machine)
         self.mmu = Mmu(self.topo, tlb_entries=self.topo.tlb_entries)
-        self.contention = ContentionState(cycles=self.topo.cycles)
+        self.contention = ContentionState()
         self.cores = [CoreState(c.core_id, c.node_id, c.physical_core_id)
                       for c in self.topo.cores]
         self.tasks: List[SimTask] = []
@@ -328,7 +321,7 @@ class Simulation:
             replicate_on = [n for n in want[:self.policy.force_replicas]
                             if n != home]
         for node in replicate_on:
-            cost = add_replica(space, node, self.contention)
+            cost = add_replica(space, node)
             self._charge_pt_cost(main, cost)
 
         if self.scenario.prefault:
@@ -394,11 +387,8 @@ class Simulation:
         """
         targets = [t.st.current_core for t in proc.tasks
                    if t.st.current_core != initiator_core]
-        cycles = 0
-        for vpn in vpns:
-            cycles += self.mmu.tlb_shootdown(vpn, initiator_node, targets)
-            if initiator_core is not None:
-                self.mmu.tlb_shootdown(vpn, initiator_node, [initiator_core])
+        cycles = self.mmu.tlb_shootdown(vpns, initiator_node, targets,
+                                        initiator_core)
         task.counters.shootdown_cycles += cycles
         task.counters.total_cycles += cycles
 
@@ -438,12 +428,11 @@ class Simulation:
             f"{seed}:llc:{task.task_id}:{self.quantum}").random
 
         space = proc.space
-        contention = self.contention
         tlb_lookup = self.mmu.tlb_lookup
         page_walk = self.mmu.page_walk
         node = core.node_id
         core_id = core.core_id
-        price = contention.cycles[node]  # cycles to each node's memory
+        price = self.topo.cycles[node]  # cycles to each node's memory
         llc_miss_rate = spec.llc_miss_rate
         line_bytes = int(CACHELINE_BYTES * spec.bandwidth_intensity)
         bytes_to = [0] * len(self.topo.nodes)  # traffic by destination node
@@ -473,7 +462,7 @@ class Simulation:
                 # a miss walks; a first touch faults, installs the page and
                 # walks again, and every walk is charged here
                 while mapping is None:
-                    walk = page_walk(space, vpn, core_id, contention)
+                    walk = page_walk(space, vpn, core_id)
                     walk_cycles += walk.cycles
                     walk_accesses += walk.mem_accesses
                     walk_remote += walk.remote_accesses
@@ -483,12 +472,12 @@ class Simulation:
                     if mapping is None:
                         pfn_node = self._data_node(proc, node)
                         cost = map_page(space, vpn, self._alloc_pfn(), pfn_node,
-                                        core_id, contention=contention)
+                                        core_id)
                         self._charge_pt_cost(task, cost)
 
                 if mapping.numa_hint:
                     # access-sampling fault: repair the hint and note who touched it
-                    cost = clear_access_hint(space, vpn, node, contention)
+                    cost = clear_access_hint(space, vpn, node)
                     self._charge_pt_cost(task, cost)
 
                 stall += price[mapping.pfn_node]
@@ -528,13 +517,12 @@ class Simulation:
                 if space.lookup(vpn) is None:
                     pfn_node = self._data_node(proc, core.node_id)
                     cost = map_page(space, vpn, self._alloc_pfn(), pfn_node,
-                                    core.core_id, contention=self.contention)
+                                    core.core_id)
                     self._charge_pt_cost(task, cost)
         elif op.kind == "unmap":
             for vpn in pages:
                 if space.lookup(vpn) is not None:
-                    cost = unmap_page(space, vpn, core.core_id,
-                                      self.contention)
+                    cost = unmap_page(space, vpn, core.core_id)
                     self._charge_pt_cost(task, cost)
                     self._shoot_down(proc, task, (vpn,), core.node_id,
                                      core.core_id)
@@ -548,7 +536,7 @@ class Simulation:
                     continue
                 if run:
                     cost = protect_range(space, run[0], len(run), PROT_READ,
-                                         core.core_id, self.contention)
+                                         core.core_id)
                     self._charge_pt_cost(task, cost)
                     self._shoot_down(proc, task, run, core.node_id,
                                      core.core_id)
@@ -560,7 +548,7 @@ class Simulation:
                 if mapping is None:
                     continue
                 pfn, pfn_node, prot = mapping.pfn, mapping.pfn_node, mapping.prot
-                cost = unmap_page(space, vpn, core.core_id, self.contention)
+                cost = unmap_page(space, vpn, core.core_id)
                 self._charge_pt_cost(task, cost)
                 self._shoot_down(proc, task, (vpn,), core.node_id,
                                  core.core_id)
@@ -569,7 +557,7 @@ class Simulation:
                     continue
                 dest = (target + 1) % fp
                 cost = map_page(space, target, pfn, pfn_node, core.core_id,
-                                prot=prot, contention=self.contention)
+                                prot=prot)
                 self._charge_pt_cost(task, cost)
 
     # -- locality scanning -----------------------------------------------------------
@@ -590,25 +578,19 @@ class Simulation:
                 f"{self.scenario.rng_seed}:scan:{proc.pid}:{self.quantum}")
             sample = rng.sample(mapped, count)
             # sample entry k is charged to task (charge_rr + k) % n, which
-            # arms its entries in one call; a single scanner thread arms
-            # every hint, so it never races itself
+            # arms its entries and shoots them down in one call each; a
+            # single scanner thread arms every hint, so it never races itself
             tasks = proc.tasks
             n = len(tasks)
-            targets = [t.st.current_core for t in tasks]
             for k in range(min(count, n)):
                 task = tasks[(proc.charge_rr + k) % n]
                 node = self.cores[task.st.current_core].node_id
                 vpns = sample[k::n]
                 space.begin_quantum()
-                cost = set_access_hint(space, vpns, node, self.contention)
+                cost = set_access_hint(space, vpns, node)
                 self._charge_pt_cost(task, cost)
-                cycles = len(vpns) * self.mmu.shootdown_price(node, targets)
-                task.counters.shootdown_cycles += cycles
-                task.counters.total_cycles += cycles
+                self._shoot_down(proc, task, vpns, node, None)
             proc.charge_rr += count
-            # nothing refills a TLB or PWC during the scan, so each target
-            # core is invalidated once for the whole sample
-            self.mmu.invalidate(sample, targets)
             space.begin_quantum()
 
         for vpn, to_node in sched.autonuma_step(space, proc.access_stats,
@@ -622,13 +604,12 @@ class Simulation:
         from_node = mapping.pfn_node
         task = self._charge_task(proc)
         node = self.cores[task.st.current_core].node_id
-        copy_cycles = access_latency(self.topo, to_node, from_node,
-                                     self.contention) \
-            + access_latency(self.topo, to_node, to_node, self.contention)
+        copy_cycles = access_latency(self.topo, to_node, from_node) \
+            + access_latency(self.topo, to_node, to_node)
         task.counters.total_cycles += copy_cycles
         task.counters.stall_cycles += copy_cycles
         self._traffic(task, from_node, to_node, PAGE_BYTES)
-        cost = set_frame_node(space, vpn, to_node, node, self.contention)
+        cost = set_frame_node(space, vpn, to_node, node)
         self._charge_pt_cost(task, cost)
         self._shoot_down(proc, task, (vpn,), node, None)
         task.counters.data_migrations += 1
@@ -641,7 +622,7 @@ class Simulation:
         elif action.kind == "replicate":
             space = self.processes[task.st.process_id].space
             if action.node not in space.replicas:
-                cost = add_replica(space, action.node, self.contention)
+                cost = add_replica(space, action.node)
                 self._charge_pt_cost(task, cost)
         if action.kind in ("throttle", "replicate"):
             self.actions.append({
@@ -718,8 +699,7 @@ class Simulation:
                 continue
             target = max(sorted(counts), key=lambda n: counts[n])
             if space.replica_count == 1 and target not in space.replicas:
-                cost = migrate_tables(space, space.home_node, target,
-                                      self.contention)
+                cost = migrate_tables(space, space.home_node, target)
                 task = self._charge_task(proc)
                 self._charge_pt_cost(task, cost)
                 task.counters.table_pages_migrated += cost.pages_copied
@@ -775,6 +755,7 @@ class Simulation:
         self.contention = compute_contention(
             self.topo, self._node_bytes, self._link_bytes,
             self.scenario.quantum_cycles)
+        self.topo.cycles = latency_table(self.topo, self.contention)
         self._node_bytes = {}
         self._link_bytes = {}
         self.quantum += 1
@@ -793,9 +774,5 @@ class Simulation:
         return self
 
 
-def simulate(scenario: Scenario) -> Simulation:
-    return Simulation(scenario).run()
-
-
 def run_scenario(scenario: Scenario) -> "metrics.MetricsReport":
-    return metrics.finalize(simulate(scenario), scenario)
+    return metrics.finalize(Simulation(scenario).run(), scenario)

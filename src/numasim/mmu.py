@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from . import pagetable
 from .pagetable import AddressSpace, Level, Mapping
@@ -12,7 +12,6 @@ from .topology import DEFAULT_TLB_ENTRIES, Topology, access_latency
 # PGD, PUD, PMD entry caches; the PTE level is never cached
 DEFAULT_PWC_ENTRIES = {Level.PGD: 4, Level.PUD: 16, Level.PMD: 32}
 DEFAULT_IPI_CYCLES = 50
-TLB_HIT_CYCLES = 1
 _CACHED_LEVELS = (Level.PGD, Level.PUD, Level.PMD)
 _PTE = int(Level.PTE)
 
@@ -64,6 +63,7 @@ class Mmu:
                  pwc_entries: Optional[Dict[Level, int]] = None,
                  ipi_cycles: int = DEFAULT_IPI_CYCLES):
         self.topo = topo
+        self.tlb_entries = tlb_entries
         # initiator node -> target core -> IPI cycles: the base latency,
         # scaled by the link factor when the target sits on another node
         self.ipi_prices: Dict[int, Dict[int, float]] = {
@@ -84,7 +84,11 @@ class Mmu:
     # -- TLB ------------------------------------------------------------------
 
     def tlb_lookup(self, core_id: int, vpn: int) -> Optional[Mapping]:
-        """Hit returns the cached mapping and refreshes recency; cost 1 cycle."""
+        """Hit returns the cached mapping and refreshes recency.
+
+        The lookup itself is free: a hit costs the access's compute and data
+        price, which the engine charges.
+        """
         entries = self.tlbs[core_id].entries
         mapping = entries.pop(vpn, None)
         if mapping is not None:
@@ -104,8 +108,8 @@ class Mmu:
 
     # -- walks ------------------------------------------------------------------
 
-    def page_walk(self, space: AddressSpace, vpn: int, core_id: int,
-                  contention=None) -> WalkResult:
+    def page_walk(self, space: AddressSpace, vpn: int,
+                  core_id: int) -> WalkResult:
         """Walk the nearest replica, skipping levels the PWC already caches.
 
         Each level not served by the PWC is one memory access priced from the
@@ -141,7 +145,7 @@ class Mmu:
             touched_nodes.append(residents[_PTE])
         cycles = remote = 0
         for node in touched_nodes:
-            cycles += access_latency(topo, core_node, node, contention)
+            cycles += access_latency(topo, core_node, node)
             if node != core_node:
                 remote += 1
         if mapping is not None:  # _LruCache.put, inline
@@ -156,45 +160,51 @@ class Mmu:
 
     # -- shootdowns ---------------------------------------------------------------
 
-    def shootdown_price(self, initiator_node: int, core_ids: Iterable[int]) -> int:
-        """IPI cycles of one shootdown sent to core_ids: the sum of their
-        ipi_prices from initiator_node, rounded half up."""
+    def tlb_shootdown(self, vpns: Sequence[int], initiator_node: int,
+                      core_ids: Sequence[int],
+                      initiator_core: Optional[int] = None) -> int:
+        """Drop vpns, and the PWC entries covering them, on core_ids and on
+        initiator_core; returns the IPI cycle cost.
+
+        Each vpn is one IPI to each of core_ids, priced from initiator_node
+        and summed per vpn, rounded half up; the initiator's own core drops
+        its entries unpriced.  A request no larger than a TLB pops each
+        vpn's entries; a larger one, such as a scan's sample, takes one pass
+        over each core's caches.  The same entries go either way, and the
+        survivors keep their order.
+        """
+        tlbs, pwcs = self.tlbs, self.pwcs
+        cores = core_ids if initiator_core is None \
+            else (*core_ids, initiator_core)
+        a = self.topo.arity
+        if len(vpns) <= self.tlb_entries:
+            for vpn in vpns:
+                pmd = vpn // a
+                pud = pmd // a
+                pgd = pud // a
+                for core in cores:
+                    tlbs[core].entries.pop(vpn, None)
+                    pgd_cache, pud_cache, pmd_cache = pwcs[core]
+                    pgd_cache.entries.pop(pgd, None)
+                    pud_cache.entries.pop(pud, None)
+                    pmd_cache.entries.pop(pmd, None)
+        else:
+            cores = set(cores)
+            # the TLBs are far smaller than the request: intersect with them
+            cached = set().union(*(tlbs[core].entries for core in cores))
+            # each level's prefixes from the level below: vpn // a**2 is
+            # (vpn // a) // a, so only the PMD set is built from every vpn
+            pmd = {vpn // a for vpn in vpns}
+            pud = {prefix // a for prefix in pmd}
+            doomed = (cached.intersection(vpns),
+                      {prefix // a for prefix in pud}, pud, pmd)
+            for core in cores:
+                for cache, keys in zip((tlbs[core], *pwcs[core]), doomed):
+                    entries = cache.entries
+                    for key in [k for k in entries if k in keys]:
+                        del entries[key]
         prices = self.ipi_prices[initiator_node]
         cycles = 0.0
         for core_id in core_ids:
             cycles += prices[core_id]
-        return int(cycles + 0.5)
-
-    def tlb_shootdown(self, vpn: int, initiator_node: int,
-                      core_ids: Sequence[int]) -> int:
-        """Drop vpn, and the PWC entries covering it, on the given cores;
-        returns the IPI cycle cost."""
-        a = self.topo.arity
-        prefixes = (vpn // (a * a * a), vpn // (a * a), vpn // a)
-        for core_id in core_ids:
-            self.tlbs[core_id].entries.pop(vpn, None)
-            for cache, prefix in zip(self.pwcs[core_id], prefixes):
-                cache.entries.pop(prefix, None)
-        return self.shootdown_price(initiator_node, core_ids)
-
-    def invalidate(self, vpns: Sequence[int], core_ids: Iterable[int]) -> None:
-        """Drop vpns, and the PWC entries covering them, on the given cores.
-
-        One pass over each core's caches: the same entries go, and the
-        survivors keep their order, as with one tlb_shootdown per vpn.
-        """
-        cores = set(core_ids)
-        # the TLBs are far smaller than a scan's sample: intersect with them
-        cached = set().union(*(self.tlbs[core].entries for core in cores))
-        a = self.topo.arity
-        # each level's prefixes from the level below: vpn // a**2 is
-        # (vpn // a) // a, so only the PMD set is built from every vpn
-        pmd = {vpn // a for vpn in vpns}
-        pud = {prefix // a for prefix in pmd}
-        doomed = (cached.intersection(vpns), {prefix // a for prefix in pud},
-                  pud, pmd)
-        for core in cores:
-            for cache, keys in zip((self.tlbs[core], *self.pwcs[core]), doomed):
-                entries = cache.entries
-                for key in [k for k in entries if k in keys]:
-                    del entries[key]
+        return len(vpns) * int(cycles + 0.5)

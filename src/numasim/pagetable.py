@@ -206,7 +206,7 @@ class AddressSpace:
 
 
 def _alloc_child(space: AddressSpace, parent: PageTableNode, idx: int,
-                 updater_node: int, contention, cost: PtOpCost,
+                 updater_node: int, cost: PtOpCost,
                  touched: set) -> PageTableNode:
     """Allocate the missing child table with a copy in every replica.
 
@@ -221,7 +221,7 @@ def _alloc_child(space: AddressSpace, parent: PageTableNode, idx: int,
         resident[replica] = space._alloc_node(replica, updater_node)
         cost.writes_performed += 1
         cost.cycles += access_latency(space.topo, updater_node,
-                                      parent.resident[replica], contention)
+                                      parent.resident[replica])
     touched.add(id(parent))
     child = PageTableNode(Level(parent.level + 1), resident)
     parent.entries[idx] = child
@@ -263,8 +263,7 @@ def _path(space: AddressSpace, vpn: int,
 
 
 def _mutate_leaf(space: AddressSpace, vpns: Sequence[int], updater_node: int,
-                 contention, write: LeafWrite,
-                 allocate: bool = False) -> PtOpCost:
+                 write: LeafWrite, allocate: bool = False) -> PtOpCost:
     """The one leaf-mutation path: write each vpn's leaf in every replica.
 
     Each PTE table is found once per call, allocating missing tables when
@@ -281,8 +280,8 @@ def _mutate_leaf(space: AddressSpace, vpns: Sequence[int], updater_node: int,
     alloc = None
     if allocate:
         def alloc(parent: PageTableNode, idx: int) -> PageTableNode:
-            return _alloc_child(space, parent, idx, updater_node, contention,
-                                cost, touched)
+            return _alloc_child(space, parent, idx, updater_node, cost,
+                                touched)
     topo = space.topo
     a = space.arity
     # vpn // arity -> (the PTE table's entries, its copies, their price)
@@ -298,7 +297,7 @@ def _mutate_leaf(space: AddressSpace, vpns: Sequence[int], updater_node: int,
             resident = pte.resident
             price = 0
             for node in resident.values():
-                price += access_latency(topo, updater_node, node, contention)
+                price += access_latency(topo, updater_node, node)
             touched.add(id(pte))
             table = tables[key] = (pte.entries, len(resident), price)
         if (vpn % a in table[0]) == allocate:
@@ -334,7 +333,7 @@ _CLEAR_HINT = _set_field("numa_hint", False)
 
 def map_pages(space: AddressSpace, vpns: Sequence[int], pfns: Sequence[int],
               pfn_nodes: Sequence[int], requesting_core: int,
-              prot: int = PROT_RW, contention=None) -> PtOpCost:
+              prot: int = PROT_RW) -> PtOpCost:
     """Install each vpns[i]->pfns[i] (on pfn_nodes[i]) in every replica,
     allocating missing tables.
 
@@ -350,69 +349,65 @@ def map_pages(space: AddressSpace, vpns: Sequence[int], pfns: Sequence[int],
         entries[idx] = Mapping(vpn, pfn, prot, pfn_node)
 
     cost = _mutate_leaf(space, vpns, space.topo.node_of_core(requesting_core),
-                        contention, install, allocate=True)
+                        install, allocate=True)
     space.mappings_count += len(vpns)
     return cost
 
 
 def map_page(space: AddressSpace, vpn: int, pfn: int, pfn_node: int,
-             requesting_core: int, prot: int = PROT_RW,
-             contention=None) -> PtOpCost:
+             requesting_core: int, prot: int = PROT_RW) -> PtOpCost:
     """Install vpn->pfn in every replica; map_pages for one page."""
-    return map_pages(space, (vpn,), (pfn,), (pfn_node,), requesting_core,
-                     prot, contention)
+    return map_pages(space, (vpn,), (pfn,), (pfn_node,), requesting_core, prot)
 
 
-def unmap_page(space: AddressSpace, vpn: int, requesting_core: int,
-               contention=None) -> PtOpCost:
+def unmap_page(space: AddressSpace, vpn: int, requesting_core: int) -> PtOpCost:
     """Clear vpn in every replica."""
     def clear(entries: Dict[int, object], idx: int, vpn: int) -> None:
         del entries[idx]
 
     cost = _mutate_leaf(space, (vpn,), space.topo.node_of_core(requesting_core),
-                        contention, clear)
+                        clear)
     space.mappings_count -= 1
     return cost
 
 
 def protect_range(space: AddressSpace, vpn_start: int, n_pages: int, prot: int,
-                  requesting_core: int, contention=None) -> PtOpCost:
+                  requesting_core: int) -> PtOpCost:
     """Update protection bits on a mapped range.
 
     The whole range is validated before anything is written; a hole anywhere
     leaves the space untouched.
     """
     return _mutate_leaf(space, range(vpn_start, vpn_start + n_pages),
-                        space.topo.node_of_core(requesting_core), contention,
+                        space.topo.node_of_core(requesting_core),
                         _set_field("prot", prot))
 
 
 def set_access_hint(space: AddressSpace, vpns: Sequence[int],
-                    requesting_node: int, contention=None) -> PtOpCost:
+                    requesting_node: int) -> PtOpCost:
     """Arm access-sampling hints: per vpn, an entry write per replica.
 
     Models the periodic page unmapping that locality sampling performs; the
     next touch takes a minor fault serviced by clear_access_hint.  Like
     protect_range, every vpn is validated before anything is written.
     """
-    return _mutate_leaf(space, vpns, requesting_node, contention, _ARM_HINT)
+    return _mutate_leaf(space, vpns, requesting_node, _ARM_HINT)
 
 
-def clear_access_hint(space: AddressSpace, vpn: int, requesting_node: int,
-                      contention=None) -> PtOpCost:
+def clear_access_hint(space: AddressSpace, vpn: int,
+                      requesting_node: int) -> PtOpCost:
     """Disarm a sampling hint after the fault; entry write per replica."""
-    return _mutate_leaf(space, (vpn,), requesting_node, contention,
-                        _CLEAR_HINT)
+    return _mutate_leaf(space, (vpn,), requesting_node, _CLEAR_HINT)
 
 
 def set_frame_node(space: AddressSpace, vpn: int, new_node: int,
-                   requesting_node: int, contention=None) -> PtOpCost:
+                   requesting_node: int) -> PtOpCost:
     """Point a mapping at a frame on new_node in every replica (data migration)."""
-    return _mutate_leaf(space, (vpn,), requesting_node, contention,
+    return _mutate_leaf(space, (vpn,), requesting_node,
                         _set_field("pfn_node", new_node))
 
 
-def add_replica(space: AddressSpace, target_node: int, contention=None) -> PtOpCost:
+def add_replica(space: AddressSpace, target_node: int) -> PtOpCost:
     """Copy every table page onto target_node, a new replica after the home one.
 
     Each copied table page costs one read at the home replica's copy plus
@@ -423,26 +418,25 @@ def add_replica(space: AddressSpace, target_node: int, contention=None) -> PtOpC
         raise ReplicaExistsError(f"node {target_node} already holds a replica")
     cost = PtOpCost()
     home = space.home_node
-    write_cycles = access_latency(space.topo, target_node, target_node,
-                                  contention)
+    write_cycles = access_latency(space.topo, target_node, target_node)
     for table in space.iter_tables():
         cost.pages_copied += 1
         cost.writes_performed += 1
         cost.cycles += write_cycles + access_latency(
-            space.topo, target_node, table.resident[home], contention)
+            space.topo, target_node, table.resident[home])
         table.resident[target_node] = target_node
     space.replicas.insert(space.replicas.index(home) + 1, target_node)
     return cost
 
 
-def drop_replica(space: AddressSpace, node: int, contention=None) -> PtOpCost:
+def drop_replica(space: AddressSpace, node: int) -> PtOpCost:
     """Free one replica's copy of every table page."""
     if node not in space.replicas:
         raise NotMappedError(f"node {node} holds no replica")
     if space.replica_count == 1:
         raise LastReplicaError("cannot drop the last replica")
     cost = PtOpCost()
-    write_cycles = access_latency(space.topo, node, node, contention)
+    write_cycles = access_latency(space.topo, node, node)
     for table in space.iter_tables():
         del table.resident[node]
         cost.writes_performed += 1
@@ -453,8 +447,8 @@ def drop_replica(space: AddressSpace, node: int, contention=None) -> PtOpCost:
     return cost
 
 
-def migrate_tables(space: AddressSpace, from_node: int, to_node: int,
-                   contention=None) -> PtOpCost:
+def migrate_tables(space: AddressSpace, from_node: int,
+                   to_node: int) -> PtOpCost:
     """Move a replica: copy to to_node, retire from_node, re-home if needed.
 
     When the space had a single replica, its PGD page is copied but left out
@@ -468,12 +462,12 @@ def migrate_tables(space: AddressSpace, from_node: int, to_node: int,
     if space.replica_count == 1:  # add_replica's price for the PGD copy
         exempt_pages = 1
         topo, pgd_node = space.topo, space.root.resident[from_node]
-        exempt_cycles = access_latency(topo, to_node, to_node, contention) \
-            + access_latency(topo, to_node, pgd_node, contention)
-    cost = add_replica(space, to_node, contention)
+        exempt_cycles = access_latency(topo, to_node, to_node) \
+            + access_latency(topo, to_node, pgd_node)
+    cost = add_replica(space, to_node)
     if space.home_node == from_node:
         space.home_node = to_node
-    dropped = drop_replica(space, from_node, contention)
+    dropped = drop_replica(space, from_node)
     cost.cycles += dropped.cycles - exempt_cycles
     cost.writes_performed += dropped.writes_performed
     cost.pages_copied -= exempt_pages

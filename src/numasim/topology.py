@@ -1,10 +1,11 @@
 """Machine model: NUMA nodes, cores, inter-node links, and access latencies.
 
-The topology is static for the lifetime of a simulation.  Latency is expressed
-in cycles relative to a local DRAM access; remote accesses scale by the link's
-latency factor and by the congestion multipliers supplied by the caller.
-Prices are fixed per quantum, so they are computed once into a table
-(`latency_table`) and every access reads its price from there.
+The machine's shape is fixed for the lifetime of a simulation; its prices
+are not.  Latency is expressed in cycles relative to a local DRAM access;
+remote accesses scale by the link's latency factor and by the congestion
+multipliers of the quantum.  Prices are fixed per quantum, so they are
+computed once into a table (`latency_table`), kept as `Topology.cycles`, and
+every access reads its price from there.
 """
 
 from __future__ import annotations
@@ -98,7 +99,8 @@ class Topology:
     local_mem_latency: int = DEFAULT_LOCAL_LATENCY
     tlb_entries: int = DEFAULT_TLB_ENTRIES
     arity: int = DEFAULT_ARITY  # radix of each page-table level
-    # uncontended price of every from->to access
+    # the price in force of every from->to access: uncontended until the
+    # engine installs each quantum's contended table
     cycles: Dict[int, Dict[int, int]] = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -218,13 +220,10 @@ def latency_table(topo: Topology, contention=None) -> Dict[int, Dict[int, int]]:
     return table
 
 
-def access_latency(topo: Topology, from_node: int, to_node: int,
-                   contention=None) -> int:
+def access_latency(topo: Topology, from_node: int, to_node: int) -> int:
     """Cycles for one memory access from a core on from_node to memory on to_node.
 
-    Prices are fixed per quantum: this reads the table `latency_table` built,
-    the quantum's `contention.cycles` or, without contention, the topology's
-    uncontended `topo.cycles`.
+    Prices are fixed per quantum: this reads the table in force,
+    `topo.cycles`.
     """
-    table = topo.cycles if contention is None else contention.cycles
-    return table[from_node][to_node]
+    return topo.cycles[from_node][to_node]

@@ -32,22 +32,23 @@ def pytest_terminal_summary(terminalreporter):
 
 
 class StubContention:
-    """Fixed multipliers so latency math can be checked in isolation.
+    """Fixed multipliers so latency math can be checked in isolation."""
 
-    Like a quantum's ContentionState, it carries the latency table its
-    multipliers give on topo.
-    """
-
-    def __init__(self, topo, node=1.0, link=1.0):
+    def __init__(self, node=1.0, link=1.0):
         self._node = node
         self._link = link
-        self.cycles = latency_table(topo, self)
 
     def node_multiplier(self, node_id):
         return self._node
 
     def link_multiplier(self, src, dst):
         return self._link
+
+
+def contend(topo, node=1.0, link=1.0):
+    """Put the prices these fixed multipliers give in force on topo, as the
+    engine does with each quantum's contention."""
+    topo.cycles = latency_table(topo, StubContention(node, link))
 
 
 def make_topo(nodes=2, cores_per_node=4, **extra):

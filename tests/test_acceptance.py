@@ -311,10 +311,10 @@ def test_criterion_08_walk_cost_model():
                            "local_latency": 100, "remote_factor": 1.3})
     space = AddressSpace(topo, 0)
     map_page(space, 5, 77, 0, 0)
-    mmu = Mmu(topo)
-    local = mmu.page_walk(space, 5, 0, None)
+    mmu = Mmu(topo)  # build_topology puts the uncontended prices in force
+    local = mmu.page_walk(space, 5, 0)
     assert local.cycles == 4 * 100
-    remote = mmu.page_walk(space, 5, 1, None)
+    remote = mmu.page_walk(space, 5, 1)
     assert remote.cycles == int(4 * 100 * 1.3)
 
     raw = {

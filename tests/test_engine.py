@@ -21,11 +21,10 @@ from numasim.engine import (
     WorkloadEntry,
     apply_mba,
     compute_contention,
-    simulate,
 )
 from numasim.metrics import finalize
 from numasim.sched import PolicyKind
-from numasim.topology import access_latency, build_topology
+from numasim.topology import access_latency, build_topology, latency_table
 from numasim.workload import (VmOp, WorkloadSpec, generate_quantum_events,
                               preset, quantum_volume)
 
@@ -115,14 +114,19 @@ def _contended_machines(draw):
 def test_table_prices_match_the_direct_formula(machine):
     topo, node_bytes, link_bytes = machine
     state = compute_contention(topo, node_bytes, link_bytes, 1000)
-    idle = ContentionState(cycles=topo.cycles)
+    built = topo.cycles  # build_topology's: uncontended
+    contended = latency_table(topo, state)
+    idle = latency_table(topo, ContentionState())
     for a in topo.node_ids:
         for b in topo.node_ids:
-            assert access_latency(topo, a, b, state) == \
+            topo.cycles = contended
+            assert access_latency(topo, a, b) == \
                 _direct_price(topo, node_bytes, link_bytes, a, b)
             uncontended = _direct_price(topo, {}, {}, a, b)
+            topo.cycles = built
             assert access_latency(topo, a, b) == uncontended
-            assert access_latency(topo, a, b, idle) == uncontended
+            topo.cycles = idle
+            assert access_latency(topo, a, b) == uncontended
 
 
 def test_apply_mba_budgets_against_fresh_volume():
@@ -148,7 +152,7 @@ def test_tlb_hit_quantum_costs_compute_plus_dram():
     policy = PolicyKind("linux", window=1, autonuma=False)
     scenario = build([hot_page_spec()], nodes=1, cores=1, policy=policy,
                      duration=2, prefault=True, timeseries=True)
-    result = simulate(scenario)
+    result = Simulation(scenario).run()
     task = result.tasks[0]
     # quantum 0 pays one cold walk; quantum 1 is pure TLB hits
     assert task.window_history[0]["total_cycles"] == 501 + 9 * 101
@@ -194,10 +198,10 @@ def test_window_rows_are_counter_differences_at_window_boundaries():
 def test_runs_without_timeseries_keep_no_window_history():
     spec = preset("gups_like", thread_count=2, footprint_pages=256)
     policy = PolicyKind("phoenix", window=2)
-    plain = simulate(build([spec], policy=policy, duration=9))
+    plain = Simulation(build([spec], policy=policy, duration=9)).run()
     assert [t.window_history for t in plain.tasks] == [[], []]
-    series = simulate(build([spec], policy=policy, duration=9,
-                            timeseries=True))
+    series = Simulation(build([spec], policy=policy, duration=9,
+                              timeseries=True)).run()
     assert [len(t.window_history) for t in series.tasks] == [5, 5]
 
 
@@ -205,7 +209,7 @@ def test_cycle_identity_holds_per_task():
     policy = PolicyKind("linux", force_replicas=2)
     scenario = build([preset("wrmem_like", thread_count=2)], policy=policy,
                      duration=25, prefault=True, seed=3)
-    result = simulate(scenario)
+    result = Simulation(scenario).run()
     assert result.tasks
     for task in result.tasks:
         c = task.counters
@@ -225,9 +229,9 @@ def test_walk_counters_sum_the_walks_each_task_made(seed):
     sums = {}  # task id -> [cycles, memory accesses, remote accesses]
     faults = 0
 
-    def recording_walk(space, vpn, core_id, contention=None):
+    def recording_walk(space, vpn, core_id):
         nonlocal faults
-        walk = page_walk(space, vpn, core_id, contention)
+        walk = page_walk(space, vpn, core_id)
         task = sim.cores[core_id].runqueue[0]  # the task running there
         row = sums.setdefault(task.task_id, [0, 0, 0])
         row[0] += walk.cycles
@@ -251,7 +255,7 @@ def test_traffic_conservation_between_tasks_and_nodes():
                              footprint_pages=1024),
                       preset("stream_like", thread_count=2)],
                      duration=25, seed=3)
-    result = simulate(scenario)
+    result = Simulation(scenario).run()
     task_bytes = total(result, field="bandwidth_bytes")
     node_bytes = sum(c.bandwidth_bytes for c in result.node_counters.values())
     assert task_bytes > 0
@@ -263,7 +267,7 @@ def test_simulation_is_deterministic():
         scenario = build([preset("gups_like", thread_count=2,
                                  footprint_pages=512)],
                          duration=15, seed=11)
-        result = simulate(scenario)
+        result = Simulation(scenario).run()
         return [(t.task_id, t.counters.total_cycles, t.counters.dtlb_misses,
                  t.counters.bandwidth_bytes) for t in result.tasks]
     assert run() == run()
@@ -273,7 +277,7 @@ def test_mitosis_replicates_everywhere_at_spawn():
     scenario = build([preset("gups_like", footprint_pages=256)],
                      nodes=4, cores=1, policy=PolicyKind("mitosis"),
                      duration=3)
-    result = simulate(scenario)
+    result = Simulation(scenario).run()
     assert result.processes[0].space.replica_count == 4
     assert result.processes[0].space.lock_mode == "global"
 
@@ -281,7 +285,7 @@ def test_mitosis_replicates_everywhere_at_spawn():
 def test_linux_keeps_a_single_replica():
     scenario = build([preset("gups_like", footprint_pages=256)],
                      nodes=4, cores=1, duration=3)
-    result = simulate(scenario)
+    result = Simulation(scenario).run()
     assert result.processes[0].space.replica_count == 1
     assert result.processes[0].space.lock_mode == "per_table"
 
@@ -290,7 +294,7 @@ def test_forced_replica_count_is_honored():
     policy = PolicyKind("linux", force_replicas=3)
     scenario = build([preset("gups_like", footprint_pages=256)],
                      nodes=4, cores=1, policy=policy, duration=3)
-    assert simulate(scenario).processes[0].space.replica_count == 3
+    assert Simulation(scenario).run().processes[0].space.replica_count == 3
 
 
 @pytest.mark.parametrize("policy", ["linux", "mitosis", "phoenix"])
@@ -315,9 +319,9 @@ def test_a_finished_simulation_needs_no_cyclic_collection(policy):
 
 def test_antagonist_never_speeds_up_the_victim():
     victim = preset("gups_like", thread_count=2, footprint_pages=2048)
-    alone = simulate(build([victim], duration=30, quantum=1000))
-    paired = simulate(build([victim, preset("stream_like", thread_count=2)],
-                            duration=30, quantum=1000))
+    alone = Simulation(build([victim], duration=30, quantum=1000)).run()
+    paired = Simulation(build([victim, preset("stream_like", thread_count=2)],
+                              duration=30, quantum=1000)).run()
     victim_alone = total(alone, lambda t: t.st.process_id == 0)
     victim_paired = total(paired, lambda t: t.st.process_id == 0)
     assert victim_paired > victim_alone
@@ -325,20 +329,20 @@ def test_antagonist_never_speeds_up_the_victim():
 
 def test_consolidation_beats_spreading_for_a_shared_footprint():
     spec = preset("gups_like", thread_count=2, footprint_pages=2048)
-    linux = simulate(build([spec], duration=30))
-    phoenix = simulate(build([spec], duration=30,
-                             policy=PolicyKind("phoenix")))
+    linux = Simulation(build([spec], duration=30)).run()
+    phoenix = Simulation(build([spec], duration=30,
+                               policy=PolicyKind("phoenix"))).run()
     assert total(phoenix) < total(linux)
 
 
 def test_extra_replicas_amplify_vm_op_cost():
     spec = preset("wrmem_like", thread_count=1)
-    one = simulate(build([spec], nodes=2, cores=1, duration=30, seed=5,
-                         prefault=True,
-                         policy=PolicyKind("linux", force_replicas=1)))
-    two = simulate(build([spec], nodes=2, cores=1, duration=30, seed=5,
-                         prefault=True,
-                         policy=PolicyKind("linux", force_replicas=2)))
+    one = Simulation(build([spec], nodes=2, cores=1, duration=30, seed=5,
+                           prefault=True,
+                           policy=PolicyKind("linux", force_replicas=1))).run()
+    two = Simulation(build([spec], nodes=2, cores=1, duration=30, seed=5,
+                           prefault=True,
+                           policy=PolicyKind("linux", force_replicas=2))).run()
     assert total(two, field="replica_update_cycles") \
         > total(one, field="replica_update_cycles")
     assert total(two) > total(one)
@@ -421,7 +425,7 @@ def test_phoenix_throttles_the_interfering_process():
     scenario = build([victim, hog], nodes=1, cores=2,
                      policy=PolicyKind("phoenix"), duration=30, quantum=400,
                      prefault=True)
-    result = simulate(scenario)
+    result = Simulation(scenario).run()
     assert result.actions
     first = result.actions[0]
     assert first["kind"] == "throttle"
@@ -456,7 +460,7 @@ def seq_interleaved_spec():
 def test_locality_scan_migrates_remote_data_home():
     scenario = build([seq_interleaved_spec()], nodes=2, cores=1,
                      duration=60, prefault=True)
-    result = simulate(scenario)
+    result = Simulation(scenario).run()
     # interleaving left pages 1,3,5,7 remote; the quantum-50 scan fixes that
     assert total(result, field="data_migrations") == 4
     space = result.processes[0].space
@@ -468,7 +472,7 @@ def test_locality_scan_respects_the_autonuma_switch():
     policy = PolicyKind("linux", autonuma=False)
     scenario = build([seq_interleaved_spec()], nodes=2, cores=1,
                      duration=60, prefault=True, policy=policy)
-    result = simulate(scenario)
+    result = Simulation(scenario).run()
     assert total(result, field="data_migrations") == 0
     space = result.processes[0].space
     assert {space.lookup(v).pfn_node for v in range(8)} == {0, 1}
@@ -478,7 +482,7 @@ def test_late_starters_spawn_on_schedule():
     victim = preset("gups_like", thread_count=2, footprint_pages=256)
     hog = preset("stream_like", thread_count=2)
     scenario = build([(victim, 0), (hog, 7)], nodes=2, cores=4, duration=12)
-    result = simulate(scenario)
+    result = Simulation(scenario).run()
     hog_tasks = [t for t in result.tasks if t.st.process_id == 1]
     assert all(t.counters.events_issued == (12 - 7) * 256 for t in hog_tasks)
     victim_tasks = [t for t in result.tasks if t.st.process_id == 0]
@@ -499,7 +503,7 @@ def test_fingerprints_isolate_the_policy():
 def test_empty_scenario_runs_and_reports_zeros():
     scenario = Scenario({"nodes": 1, "cores_per_node": 1}, [],
                         PolicyKind("linux"), duration_quanta=5)
-    result = simulate(scenario)
+    result = Simulation(scenario).run()
     assert result.tasks == []
     assert all(c.total_cycles == 0 for c in result.node_counters.values())
     assert result.quantum == 5
@@ -512,7 +516,7 @@ def test_node_counters_keep_charges_made_after_a_task_last_ran():
                     accesses_per_quantum_per_thread=30),
              preset("stream_like", thread_count=2)]
     policy = PolicyKind("linux", window=2, scan_period=2, rebalance_interval=2)
-    result = simulate(build(specs, policy=policy, duration=5, seed=3))
+    result = Simulation(build(specs, policy=policy, duration=5, seed=3)).run()
     for name in WINDOW_COUNTERS:
         assert sum(getattr(c, name) for c in result.node_counters.values()) \
             == total(result, field=name), name
@@ -537,7 +541,9 @@ def test_vm_op_shoots_down_each_page_on_the_other_cores(kind):
     for c in cores:  # every core of the process caches every doomed page
         for vpn in doomed:
             sim.mmu.page_walk(proc.space, vpn, c)
-    price = sim.mmu.shootdown_price(core.node_id, others)
+    # one IPI to each other core, priced from the initiator's node
+    prices = sim.mmu.ipi_prices[core.node_id]
+    price = int(sum(prices[c] for c in others) + 0.5)
     assert price > 0
     before = task.counters.shootdown_cycles
 
@@ -550,3 +556,33 @@ def test_vm_op_shoots_down_each_page_on_the_other_cores(kind):
     before = task.counters.shootdown_cycles
     sim._do_vm_op(task, core, VmOp("map", start, k))
     assert task.counters.shootdown_cycles == before
+
+
+def test_a_scan_charges_each_vpn_what_a_vm_op_charges():
+    # three threads on 2 nodes x 2 cores leave a core idle: a VM op issued
+    # there shoots down every core of the process, as a scan does
+    spec = preset("gups_like", thread_count=3, footprint_pages=64)
+    policy = PolicyKind("linux", autonuma=False, scan_share=0.5)
+    sim = Simulation(build([spec], policy=policy, duration=2, prefault=True))
+    sim.step()
+    proc = sim.processes[0]
+    tasks = proc.tasks
+    spare = next(c for c in sim.cores if not c.runqueue)
+    before = [t.counters.shootdown_cycles for t in tasks]
+    rr, n = proc.charge_rr, len(tasks)
+    count = int(policy.scan_share * proc.space.mappings_count)
+    sim._numa_scan(proc)
+
+    vm_op = tasks[0].counters.shootdown_cycles
+    sim._do_vm_op(tasks[0], spare, VmOp("unmap", 8, 1))
+    per_vpn = tasks[0].counters.shootdown_cycles - vm_op
+    assert per_vpn > 0
+    compared = 0
+    for i, task in enumerate(tasks):
+        if sim.cores[task.st.current_core].node_id != spare.node_id:
+            continue  # its scan share is priced from another node
+        share = len(range((i - rr) % n, count, n))  # sample[k::n]
+        assert share > 0
+        assert task.counters.shootdown_cycles - before[i] == share * per_vpn
+        compared += 1
+    assert compared

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from numasim.engine import Scenario, WorkloadEntry, run_scenario, simulate
+from numasim.engine import Scenario, Simulation, WorkloadEntry, run_scenario
 from numasim.metrics import (
     CSV_COLUMNS,
     MetricsReport,
@@ -28,7 +28,7 @@ def small_scenario(policy_kind="linux", seed=1, timeseries=False, name="t"):
 
 def small_report(**kw):
     scenario = small_scenario(**kw)
-    return finalize(simulate(scenario), scenario), scenario
+    return finalize(Simulation(scenario).run(), scenario), scenario
 
 
 def test_report_tables_are_consistent():

@@ -130,10 +130,12 @@ def test_fault_on_missing_subtree_stops_early():
 def test_shootdown_costs_scale_with_distance():
     topo = make_topo(2, 2)
     mmu = Mmu(topo)
-    assert mmu.tlb_shootdown(0, 0, [0, 1]) == 100           # two local IPIs
-    assert mmu.tlb_shootdown(0, 0, [2]) == 65               # remote pays 1.3x
-    assert mmu.tlb_shootdown(0, 0, [1, 2]) == 115
-    assert Mmu(topo, ipi_cycles=10).tlb_shootdown(0, 0, [0, 1]) == 20
+    assert mmu.tlb_shootdown((0,), 0, [0, 1]) == 100        # two local IPIs
+    assert mmu.tlb_shootdown((0,), 0, [2]) == 65            # remote pays 1.3x
+    assert mmu.tlb_shootdown((0,), 0, [1, 2]) == 115
+    assert Mmu(topo, ipi_cycles=10).tlb_shootdown((0,), 0, [0, 1]) == 20
+    # one IPI per vpn; the initiator's own core drops its entries unpriced
+    assert mmu.tlb_shootdown((0, 1, 2), 0, [1, 2], 0) == 3 * 115
 
 
 def test_shootdown_drops_tlb_and_covering_pwc_entries():
@@ -141,7 +143,7 @@ def test_shootdown_drops_tlb_and_covering_pwc_entries():
     space = mapped_space(topo, [5, 6])
     mmu = Mmu(topo)
     mmu.page_walk(space, 5, 0)
-    mmu.tlb_shootdown(5, 0, [0])
+    mmu.tlb_shootdown((5,), 0, [0])
     assert mmu.tlb_lookup(0, 5) is None
     # covering prefixes went too: the next walk is cold again
     assert mmu.page_walk(space, 6, 0).mem_accesses == 4
@@ -292,23 +294,26 @@ def _cache_states(mmu):
 @st.composite
 def _scans(draw):
     """A replicated space of arity 8, walks that fill small TLBs and PWCs,
-    and a scan sample with its target cores."""
+    and a scan sample larger than a TLB with its initiator and targets."""
     replicas = draw(st.integers(1, 4))
-    mapped = sorted(draw(st.sets(st.integers(0, 300), min_size=1, max_size=60)))
+    mapped = sorted(draw(st.sets(st.integers(0, 300), min_size=7, max_size=60)))
     # half the walks hit mapped pages, the rest mostly fault
     walks = draw(st.lists(st.tuples(st.integers(0, 3),
                                     st.sampled_from(mapped) | st.integers(0, 300)),
                           min_size=10, max_size=120))
-    sample = draw(st.lists(st.sampled_from(mapped), min_size=1, unique=True))
-    targets = draw(st.lists(st.integers(0, 3), min_size=1, max_size=6))
     sizes = draw(st.tuples(*[st.integers(1, 6)] * 4))
-    return replicas, mapped, walks, sample, targets, sizes
+    sample = draw(st.lists(st.sampled_from(mapped), min_size=sizes[0] + 1,
+                           unique=True))
+    targets = draw(st.lists(st.integers(0, 3), min_size=1, max_size=6))
+    initiator = draw(st.tuples(st.integers(0, 3),
+                               st.none() | st.integers(0, 3)))
+    return replicas, mapped, walks, sample, targets, sizes, initiator
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(_scans())
 def test_batched_invalidation_matches_per_vpn_shootdowns(scan):
-    replicas, mapped, walks, sample, targets, sizes = scan
+    replicas, mapped, walks, sample, targets, sizes, initiator = scan
     topo = make_topo(4, 1, arity=8)
     space = AddressSpace(topo, 0, alloc_policy=FIRST_TOUCH)
     for vpn in mapped:
@@ -324,7 +329,9 @@ def test_batched_invalidation_matches_per_vpn_shootdowns(scan):
             mmu.page_walk(space, vpn, core)
     assert _cache_states(batched) == _cache_states(single)
 
-    batched.invalidate(sample, targets)
-    for vpn in sample:
-        single.tlb_shootdown(vpn, 0, targets)
+    # one scan-sized request takes the batched pass, each single vpn the pops
+    node, core = initiator
+    cycles = batched.tlb_shootdown(sample, node, targets, core)
+    assert cycles == sum(single.tlb_shootdown((vpn,), node, targets, core)
+                         for vpn in sample)
     assert _cache_states(batched) == _cache_states(single)

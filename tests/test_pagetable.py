@@ -33,7 +33,7 @@ from numasim.pagetable import (
     unmap_page,
 )
 
-from conftest import StubContention, make_topo
+from conftest import contend, make_topo
 
 
 def space_on(topo, home=0, policy=HOME_NODE):
@@ -100,29 +100,28 @@ def test_map_contention_scales_cost():
     space = space_on(topo)
     map_page(space, 0, 1, 0, requesting_core=0)
     space.begin_quantum()
-    cost = map_page(space, 1, 2, 0, requesting_core=0,
-                    contention=StubContention(topo, node=3.25))
+    contend(topo, node=3.25)
+    cost = map_page(space, 1, 2, 0, requesting_core=0)
     assert cost.cycles == 325
 
 
 @pytest.mark.parametrize("replicas", [1, 3])
 def test_map_pages_matches_one_map_page_per_vpn(replicas):
     topo = make_topo(4, 1, arity=8)
-    contention = StubContention(topo, 1.5, 1.25)
     batched, single = (space_on(topo, policy=INTERLEAVE) for _ in range(2))
     for space in (batched, single):
         for node in range(1, replicas):
             add_replica(space, node)
+    contend(topo, 1.5, 1.25)
     vpns = list(range(5, 21))  # three PTE tables, the first entered mid-table
     batched.begin_quantum()
     cost = map_pages(batched, vpns, [100 + v for v in vpns],
-                     [v % 4 for v in vpns], requesting_core=2,
-                     contention=contention)
+                     [v % 4 for v in vpns], requesting_core=2)
     costs = []
     for vpn in vpns:
         single.begin_quantum()
         costs.append(map_page(single, vpn, 100 + vpn, vpn % 4,
-                              requesting_core=2, contention=contention))
+                              requesting_core=2))
     assert cost == summed(costs)
     assert leaves(batched) == leaves(single)
     assert batched.mappings_count == single.mappings_count == len(vpns)
@@ -540,26 +539,26 @@ def _build(replicas, mapped):
 @given(_batches())
 def test_batched_leaf_writes_match_per_vpn_calls(batch):
     replicas, mapped, sample, protect, node, multipliers = batch
-    topo, batched = _build(replicas, mapped)
+    _, batched = _build(replicas, mapped)
     _, single = _build(replicas, mapped)
-    contention = None if multipliers is None \
-        else StubContention(topo, *multipliers)
+    if multipliers is not None:
+        for space in (batched, single):
+            contend(space.topo, *multipliers)
 
     batched.begin_quantum()
-    hint = set_access_hint(batched, sample, node, contention)
+    hint = set_access_hint(batched, sample, node)
     batched.begin_quantum()
     prot = protect_range(batched, protect.start, len(protect), PROT_READ,
-                         requesting_core=node, contention=contention)
+                         requesting_core=node)
 
     hints, prots = [], []
     for vpn in sample:
         single.begin_quantum()
-        hints.append(set_access_hint(single, [vpn], node, contention))
+        hints.append(set_access_hint(single, [vpn], node))
     for vpn in protect:
         single.begin_quantum()
         prots.append(protect_range(single, vpn, 1, PROT_READ,
-                                   requesting_core=node,
-                                   contention=contention))
+                                   requesting_core=node))
 
     assert hint == summed(hints)
     assert prot == summed(prots)

@@ -8,7 +8,7 @@ from numasim.topology import (
     build_topology,
 )
 
-from conftest import StubContention, make_topo
+from conftest import contend, make_topo
 
 
 def test_default_two_node_shape():
@@ -69,8 +69,8 @@ def test_remote_access_scales_by_link_factor():
 def test_contended_remote_access():
     # 100 * 1.3 * 3.25 = 422.5, rounded half up
     topo = make_topo()
-    contended = StubContention(topo, node=3.25)
-    assert access_latency(topo, 0, 1, contended) == 423
+    contend(topo, node=3.25)
+    assert access_latency(topo, 0, 1) == 423
 
 
 def test_rounding_is_half_up():
@@ -83,9 +83,9 @@ def test_rounding_is_half_up():
 
 def test_link_contention_applies_only_off_node():
     topo = make_topo()
-    c = StubContention(topo, link=2.0)
-    assert access_latency(topo, 0, 0, c) == 100
-    assert access_latency(topo, 0, 1, c) == 260
+    contend(topo, link=2.0)
+    assert access_latency(topo, 0, 0) == 100
+    assert access_latency(topo, 0, 1) == 260
 
 
 def test_custom_latency_and_factor():
