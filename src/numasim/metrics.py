@@ -112,7 +112,7 @@ def finalize(result, scenario) -> MetricsReport:
         row = {"task_id": task.task_id, "process_id": proc.pid,
                "workload": proc.spec.name,
                "priority": proc.priority,
-               "home_node": task.st.home_node,
+               "home_node": proc.space.home_node,
                "final_core": task.st.current_core,
                **_counter_row([task.counters]),
                "replica_count": proc.space.replica_count}

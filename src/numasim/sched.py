@@ -64,7 +64,6 @@ class PolicyKind:
 class TaskState:
     task_id: int
     process_id: int
-    home_node: Optional[int] = None
     allowed_nodes: List[int] = field(default_factory=list)
     current_core: Optional[int] = None
     last_phoenix_action: Optional[str] = None
@@ -100,17 +99,17 @@ class Action:
 
 def on_fork(parent: Optional[TaskState], task_id: int,
             process_id: int) -> TaskState:
-    """Threads inherit the parent's home; new processes wait for placement."""
+    """Threads share the parent's allowed nodes; new processes wait for
+    placement."""
     task = TaskState(task_id, process_id)
     if parent is not None:
-        task.home_node = parent.home_node
         task.allowed_nodes = parent.allowed_nodes  # shared per process
     return task
 
 
 def place_process(task: TaskState, policy: PolicyKind,
                   loads: Dict[int, NodeLoad]) -> int:
-    """Pick and record the home node for a newly exec'd process."""
+    """Pick the home node for a newly exec'd process and allow it only there."""
     if policy.kind == "phoenix":
         # quietest memory first, then the most idle cores, then lowest id
         node = min(loads.values(),
@@ -119,7 +118,6 @@ def place_process(task: TaskState, policy: PolicyKind,
     else:
         node = min(loads.values(),
                    key=lambda l: (l.running_tasks, l.node_id)).node_id
-    task.home_node = node
     task.allowed_nodes = [node]
     return node
 

@@ -41,7 +41,7 @@ DIGESTS = {
         "mitosis":
             "aa0df7b5a2b365a40959678a88c05625da5924c51433bc25089a1da1dd9ac842",
         "phoenix":
-            "be418a8dfd0b0ac473f19564cf2ea79b6f0d731b767eed3a24d29f9637fc4bd9",
+            "5aee057401a1386f0c2f164edda0e4c4025ca0ceef9aa9cd503b9fb15678b381",
     },
     "mba": {
         "linux":

@@ -78,13 +78,12 @@ def test_pmc_window_arithmetic():
 
 
 def test_fork_inherits_home_and_shares_the_allowed_set():
+    # a thread's home is its process's allowed set
     parent = on_fork(None, task_id=0, process_id=1)
-    assert parent.home_node is None
     assert parent.allowed_nodes == []
-    parent.home_node = 1
     parent.allowed_nodes = [1]
     child = on_fork(parent, task_id=1, process_id=1)
-    assert child.home_node == 1
+    assert child.allowed_nodes == [1]
     assert child.allowed_nodes is parent.allowed_nodes
 
 
@@ -95,7 +94,6 @@ def test_place_process_phoenix_prefers_quiet_memory():
         1: NodeLoad(1, bandwidth_bytes_this_epoch=2_000_000, idle_cores=1),
     }
     assert place_process(task, PolicyKind("phoenix"), loads) == 1
-    assert task.home_node == 1
     assert task.allowed_nodes == [1]
 
 
@@ -120,11 +118,11 @@ def test_place_thread_phoenix_fills_home_before_annexing():
     loads = {0: NodeLoad(0, idle_cores=2), 1: NodeLoad(1, idle_cores=2)}
     slots = slots_for(topo)
     task = on_fork(None, 0, 1)
-    place_process(task, policy, loads)
+    home = place_process(task, policy, loads)
     core = place_thread(task, policy, loads, slots, topo)
-    assert topo.node_of_core(core) == task.home_node
-    assert task.allowed_nodes == [task.home_node]
-    assert loads[task.home_node].running_tasks == 1
+    assert topo.node_of_core(core) == home
+    assert task.allowed_nodes == [home]
+    assert loads[home].running_tasks == 1
 
 
 def test_place_thread_phoenix_annexes_when_home_is_full():
@@ -132,7 +130,7 @@ def test_place_thread_phoenix_annexes_when_home_is_full():
     policy = PolicyKind("phoenix")
     loads = {0: NodeLoad(0, idle_cores=0), 1: NodeLoad(1, idle_cores=1)}
     slots = slots_for(topo, occupancy={0: 1})
-    task = TaskState(5, 1, home_node=0, allowed_nodes=[0])
+    task = TaskState(5, 1, allowed_nodes=[0])
     core = place_thread(task, policy, loads, slots, topo)
     assert topo.node_of_core(core) == 1
     assert task.allowed_nodes == [0, 1]
@@ -150,7 +148,7 @@ def test_place_thread_phoenix_annexes_the_closest_idle_node():
                          bandwidth_bytes_this_epoch=100 if n == 2 else 0)
              for n in range(4)}
     slots = slots_for(topo, occupancy={0: 1})
-    task = TaskState(5, 1, home_node=0, allowed_nodes=[0])
+    task = TaskState(5, 1, allowed_nodes=[0])
     place_thread(task, PolicyKind("phoenix"), loads, slots, topo)
     # nodes 2 and 3 tie on latency factor; quieter node 3 wins
     assert task.allowed_nodes == [0, 3]
@@ -160,7 +158,7 @@ def test_place_thread_phoenix_time_shares_once_everything_is_busy():
     topo = make_topo(2, 1)
     loads = {0: NodeLoad(0, idle_cores=0), 1: NodeLoad(1, idle_cores=0)}
     slots = slots_for(topo, occupancy={0: 2, 1: 1})
-    task = TaskState(5, 1, home_node=0, allowed_nodes=[0, 1])
+    task = TaskState(5, 1, allowed_nodes=[0, 1])
     core = place_thread(task, PolicyKind("phoenix"), loads, slots, topo)
     assert core == 1  # least-loaded allowed core; no new node annexed
     assert task.allowed_nodes == [0, 1]
@@ -171,7 +169,7 @@ def test_place_thread_linux_spreads_to_the_least_loaded_node():
     loads = {0: NodeLoad(0, running_tasks=5, idle_cores=1),
              1: NodeLoad(1, running_tasks=3, idle_cores=2)}
     slots = slots_for(topo, occupancy={0: 1})
-    task = TaskState(9, 1, home_node=0, allowed_nodes=[0])
+    task = TaskState(9, 1, allowed_nodes=[0])
     core = place_thread(task, PolicyKind("linux"), loads, slots, topo)
     assert topo.node_of_core(core) == 1
 
@@ -180,7 +178,7 @@ def test_placement_prefers_cores_with_idle_smt_siblings():
     topo = make_topo(1, 4, smt=True)
     loads = {0: NodeLoad(0, idle_cores=3)}
     slots = slots_for(topo, occupancy={1: 1})  # phys 0 is half busy
-    task = TaskState(9, 1, home_node=0, allowed_nodes=[0])
+    task = TaskState(9, 1, allowed_nodes=[0])
     core = place_thread(task, PolicyKind("linux"), loads, slots, topo)
     assert core == 2  # both threads of phys 1 are free
 
@@ -193,7 +191,7 @@ def test_rebalance_moves_tasks_until_within_tolerance():
         node = 0 if i < 16 else 1
         core = cores_on(topo, node)[i % 4]
         slots[core].occupancy += 1
-        tasks.append(TaskState(i, 1, home_node=node, allowed_nodes=[node],
+        tasks.append(TaskState(i, 1, allowed_nodes=[node],
                                current_core=core))
     moves = rebalance(PolicyKind("linux"), tasks, slots)
     assert len(moves) == 3  # 16/8 settles at 13/11 under 25% tolerance
@@ -222,7 +220,7 @@ def test_rebalance_phoenix_respects_allowed_nodes():
     for i in range(4):
         core = cores_on(topo, 0)[i]
         slots[core].occupancy += 1
-        tasks.append(TaskState(i, 1, home_node=0, allowed_nodes=[0],
+        tasks.append(TaskState(i, 1, allowed_nodes=[0],
                                current_core=core))
     # node 1 is idle, but the process is consolidated on node 0
     assert rebalance(PolicyKind("phoenix"), tasks, slots) == []
@@ -294,7 +292,7 @@ def test_bandwidth_estimate_is_misses_times_line_size():
 
 
 def breach_task(pid=1):
-    return TaskState(0, pid, home_node=0, allowed_nodes=[0])
+    return TaskState(0, pid, allowed_nodes=[0])
 
 
 BREACH = 0.3  # a window's page-walk ratio above the default threshold
