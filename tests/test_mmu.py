@@ -136,6 +136,9 @@ def test_shootdown_costs_scale_with_distance():
     assert Mmu(topo, ipi_cycles=10).tlb_shootdown((0,), 0, [0, 1]) == 20
     # one IPI per vpn; the initiator's own core drops its entries unpriced
     assert mmu.tlb_shootdown((0, 1, 2), 0, [1, 2], 0) == 3 * 115
+    # each vpn's price is rounded before the vpns are summed: 62.5 -> 63
+    halves = Mmu(make_topo(2, 2, remote_factor=1.25))
+    assert halves.tlb_shootdown((0, 1, 2), 0, [2]) == 3 * 63
 
 
 def test_shootdown_drops_tlb_and_covering_pwc_entries():
