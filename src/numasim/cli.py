@@ -18,10 +18,8 @@ from __future__ import annotations
 
 import argparse
 import copy
-import csv
 import dataclasses
 import hashlib
-import io
 import json
 import os
 import sys
@@ -383,12 +381,7 @@ def cmd_sweep(args) -> int:
         print(f"  {args.param}={value} {kind:>8}: cycles={total} "
               f"pw_ratio={report.totals['pw_ratio']:.4f} "
               f"speedup={speedup:.4f}")
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()),
-                             lineterminator="\n")
-    writer.writeheader()
-    writer.writerows(rows)
-    _write(args, scenarios[0], {".sweep.csv": buf.getvalue(),
+    _write(args, scenarios[0], {".sweep.csv": metrics.csv_text(rows[0], rows),
                                 ".sweep.json": json.dumps(rows, indent=2) + "\n"})
     return 0
 

@@ -216,7 +216,8 @@ class SimProcess:
         self.tasks: List[SimTask] = []
         self.data_rr = 0
         self.charge_rr = 0
-        self.access_stats: Dict[int, Dict[int, int]] = {}
+        # with autonuma: node -> event -> times issued there since the scan
+        self.access_counts: Dict[int, Counter] = {}
 
 
 class CoreState:
@@ -382,11 +383,12 @@ class Simulation:
                     initiator_node: int, initiator_core: Optional[int]) -> None:
         """Drop vpns on every core running proc and charge task the IPIs.
 
-        Each vpn is one IPI to the other cores, priced from initiator_node;
-        the initiator's own core, when given, drops it unpriced.
+        Each vpn is one IPI to each other core, however many of proc's tasks
+        it queues, priced from initiator_node; the initiator's own core,
+        when given, drops it unpriced.
         """
-        targets = [t.st.current_core for t in proc.tasks
-                   if t.st.current_core != initiator_core]
+        cores = dict.fromkeys(t.st.current_core for t in proc.tasks)
+        targets = [core for core in cores if core != initiator_core]
         cycles = self.mmu.tlb_shootdown(vpns, initiator_node, targets,
                                         initiator_core)
         task.counters.shootdown_cycles += cycles
@@ -399,9 +401,13 @@ class Simulation:
 
         Contention, and so every price, is fixed for the quantum: each
         access reads its stall from the quantum's price row for the core's
-        node, and the counts, walk cycles and traffic gather in locals that
-        are added to the task once, after the loop.  The stream holds each
-        data access as its vpn, an int; a VmOp goes to _do_vm_op.
+        node, and the counts, walk cycles (from page_walk's tuples) and
+        traffic gather in locals added to the task once, after the loop.
+        The stream holds each data access as its vpn, an int; a VmOp goes
+        to _do_vm_op.  With autonuma, one Counter update per batch adds it
+        to the process's counts for the core's node.  An LLC miss is a draw
+        below llc_miss_rate from the task-quantum's own generator, built
+        only when the rate is neither 0 nor 1.
 
         A task with events queued behind its MBA cap defers its new quantum
         as an index; a deferred quantum is generated when its first event
@@ -424,8 +430,11 @@ class Simulation:
             volume = len(backlog)
         issue = apply_mba(self.mba_caps.get((core.node_id, proc.pid), 1.0),
                           volume)
+        llc_miss_rate = spec.llc_miss_rate
+        # float() is 0.0: below a rate of 1, never below a rate of 0
         llc_random = random.Random(
-            f"{seed}:llc:{task.task_id}:{self.quantum}").random
+            f"{seed}:llc:{task.task_id}:{self.quantum}").random \
+            if 0.0 < llc_miss_rate < 1.0 else float
 
         space = proc.space
         tlb_lookup = self.mmu.tlb_lookup
@@ -433,11 +442,10 @@ class Simulation:
         node = core.node_id
         core_id = core.core_id
         price = self.topo.cycles[node]  # cycles to each node's memory
-        llc_miss_rate = spec.llc_miss_rate
         line_bytes = int(CACHELINE_BYTES * spec.bandwidth_intensity)
         bytes_to = [0] * len(self.topo.nodes)  # traffic by destination node
-        autonuma = self.policy.autonuma
-        issued: Counter = Counter()  # with autonuma: event -> times issued
+        issued = proc.access_counts.setdefault(node, Counter()) \
+            if self.policy.autonuma else None
         accesses = hits = llc_misses = stall = 0
         walk_cycles = walk_accesses = walk_remote = 0
 
@@ -448,7 +456,7 @@ class Simulation:
             batch = backlog[:issue]
             del backlog[:issue]
             issue -= len(batch)
-            if autonuma:
+            if issued is not None:
                 issued.update(batch)
             for event in batch:
                 if type(event) is VmOp:
@@ -462,13 +470,13 @@ class Simulation:
                 # a miss walks; a first touch faults, installs the page and
                 # walks again, and every walk is charged here
                 while mapping is None:
-                    walk = page_walk(space, vpn, core_id)
-                    walk_cycles += walk.cycles
-                    walk_accesses += walk.mem_accesses
-                    walk_remote += walk.remote_accesses
-                    for touched in walk.touched_nodes:
+                    cycles, reads, remote, mapping, touched_nodes = \
+                        page_walk(space, vpn, core_id)
+                    walk_cycles += cycles
+                    walk_accesses += reads
+                    walk_remote += remote
+                    for touched in touched_nodes:
                         bytes_to[touched] += CACHELINE_BYTES
-                    mapping = walk.mapping
                     if mapping is None:
                         pfn_node = self._data_node(proc, node)
                         cost = map_page(space, vpn, self._alloc_pfn(), pfn_node,
@@ -498,10 +506,6 @@ class Simulation:
         for to_node, nbytes in enumerate(bytes_to):
             if nbytes:
                 self._traffic(task, node, to_node, nbytes)
-        for event, count in issued.items():
-            if type(event) is not VmOp:
-                stats = proc.access_stats.setdefault(event, {})
-                stats[node] = stats.get(node, 0) + count
 
     def _do_vm_op(self, task: SimTask, core: CoreState, op: VmOp) -> None:
         proc = self.processes[task.st.process_id]
@@ -593,10 +597,10 @@ class Simulation:
             proc.charge_rr += count
             space.begin_quantum()
 
-        for vpn, to_node in sched.autonuma_step(space, proc.access_stats,
+        for vpn, to_node in sched.autonuma_step(space, proc.access_counts,
                                                 self.policy):
             self._migrate_page(proc, vpn, to_node)
-        proc.access_stats.clear()
+        proc.access_counts.clear()
 
     def _migrate_page(self, proc: SimProcess, vpn: int, to_node: int) -> None:
         space = proc.space

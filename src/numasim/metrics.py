@@ -29,6 +29,16 @@ TIMESERIES_COLUMNS = [
 ]
 
 
+def csv_text(columns, rows) -> str:
+    """rows as CSV under columns; missing cells empty, extra keys dropped."""
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=columns, restval="",
+                            extrasaction="ignore", lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
 def _ratio(num: float, den: float) -> float:
     return round(num / den, RATIO_DECIMALS) if den else 0.0
 
@@ -69,32 +79,17 @@ class MetricsReport:
 
     def to_csv(self) -> str:
         """One row per task and per node, plus a summary row, fixed columns."""
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS,
-                                restval="", extrasaction="ignore",
-                                lineterminator="\n")
-        writer.writeheader()
-        for row in self.per_task:
-            writer.writerow({**row, "task_id": row["task_id"],
-                             "process": row["process_id"],
-                             "policy": self.policy_kind})
-        for row in self.per_node:
-            writer.writerow({**row, "task_id": f"node{row['node_id']}",
-                             "process": "", "policy": self.policy_kind,
-                             "replica_count": ""})
-        writer.writerow({**self.totals, "task_id": "total", "process": "",
-                         "policy": self.policy_kind, "replica_count": ""})
-        return buf.getvalue()
+        kind = self.policy_kind
+        rows = [{**row, "process": row["process_id"], "policy": kind}
+                for row in self.per_task]
+        rows += [{**row, "task_id": f"node{row['node_id']}", "process": "",
+                  "policy": kind, "replica_count": ""} for row in self.per_node]
+        rows.append({**self.totals, "task_id": "total", "process": "",
+                     "policy": kind, "replica_count": ""})
+        return csv_text(CSV_COLUMNS, rows)
 
     def timeseries_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=TIMESERIES_COLUMNS,
-                                restval="", extrasaction="ignore",
-                                lineterminator="\n")
-        writer.writeheader()
-        for row in self.timeseries:
-            writer.writerow(row)
-        return buf.getvalue()
+        return csv_text(TIMESERIES_COLUMNS, self.timeseries)
 
 
 def finalize(result, scenario) -> MetricsReport:
@@ -118,11 +113,9 @@ def finalize(result, scenario) -> MetricsReport:
                "replica_count": proc.space.replica_count}
         report.per_task.append(row)
         for i, window in enumerate(task.window_history):  # timeseries only
-            entry = dict(window)
-            entry["task_id"] = task.task_id
-            entry["window"] = i
-            entry["pw_ratio"] = round(entry["pw_ratio"], RATIO_DECIMALS)
-            report.timeseries.append(entry)
+            report.timeseries.append({
+                **window, "task_id": task.task_id, "window": i,
+                "pw_ratio": round(window["pw_ratio"], RATIO_DECIMALS)})
 
     for proc in result.processes:
         space = proc.space
@@ -140,11 +133,10 @@ def finalize(result, scenario) -> MetricsReport:
             {"node_id": node_id,
              **_counter_row([result.node_counters[node_id]])})
 
-    totals = _counter_row([t.counters for t in result.tasks])
-    totals["tasks"] = len(result.tasks)
-    totals["processes"] = len(result.processes)
-    totals["actions"] = len(result.actions)
-    report.totals = totals
+    report.totals = _counter_row([t.counters for t in result.tasks])
+    report.totals.update(tasks=len(result.tasks),
+                         processes=len(result.processes),
+                         actions=len(result.actions))
     return report
 
 
@@ -183,9 +175,5 @@ def compare_csv(comparison: dict) -> str:
     columns = ["scenario", "policy", "total_cycles", "pagewalk_cycles",
                "stall_cycles", "bandwidth_bytes", "pw_ratio", "actions",
                "speedup"]
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=columns, lineterminator="\n")
-    writer.writeheader()
-    for row in comparison["policies"]:
-        writer.writerow({**row, "scenario": comparison["scenario_name"]})
-    return buf.getvalue()
+    return csv_text(columns, ({**row, "scenario": comparison["scenario_name"]}
+                              for row in comparison["policies"]))

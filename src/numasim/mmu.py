@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import pagetable
 from .pagetable import AddressSpace, Level, Mapping
@@ -47,15 +46,6 @@ class _LruCache:
         self.entries.clear()
 
 
-@dataclass(slots=True)
-class WalkResult:
-    cycles: int
-    mem_accesses: int
-    remote_accesses: int
-    mapping: Optional[Mapping]  # None on a fault
-    touched_nodes: List[int]  # the node of each table read, in walk order
-
-
 class Mmu:
     """Per-core translation state over a shared topology."""
 
@@ -64,6 +54,7 @@ class Mmu:
                  ipi_cycles: int = DEFAULT_IPI_CYCLES):
         self.topo = topo
         self.tlb_entries = tlb_entries
+        self.core_nodes = [core.node_id for core in topo.cores]  # by core id
         # initiator node -> target core -> IPI cycles: the base latency,
         # scaled by the link factor when the target sits on another node
         self.ipi_prices: Dict[int, Dict[int, float]] = {
@@ -108,40 +99,38 @@ class Mmu:
 
     # -- walks ------------------------------------------------------------------
 
-    def page_walk(self, space: AddressSpace, vpn: int,
-                  core_id: int) -> WalkResult:
+    def page_walk(self, space: AddressSpace, vpn: int, core_id: int
+                  ) -> Tuple[int, int, int, Optional[Mapping], List[int]]:
         """Walk the nearest replica, skipping levels the PWC already caches.
 
-        Each level not served by the PWC is one memory access priced from the
-        walker's node to the node holding that table page.  A hole in the
-        tree is a fault: the cycles spent reaching it are still charged and
-        nothing is inserted into the TLB or PWC.  On success only the levels
-        that missed are inserted: a hit's lookup already made it most recent.
+        Returns (cycles, mem_accesses, remote_accesses, mapping,
+        touched_nodes): touched_nodes holds the node of each table read, in
+        walk order.  Each level not served by the PWC is one memory access
+        priced from the walker's node to the node holding that table page.
+        A hole in the tree is a fault: mapping is None, the cycles spent
+        reaching it are still charged and nothing is inserted into the TLB
+        or PWC.  On success only the levels that missed are inserted: a
+        hit's lookup already made it most recent.
         """
         topo = self.topo
-        core_node = topo.node_of_core(core_id)
+        core_node = self.core_nodes[core_id]
         mapping, residents = pagetable.translate(space, vpn, core_node)
         a = space.arity
+        pmd = vpn // a
+        pud = pmd // a
         touched_nodes: List[int] = []
         # the PWC levels the walk reached, PGD first; a level's key is vpn's
         # prefix above it
-        depth = len(residents)
-        level = 0
-        span = a * a * a
-        for cache in self.pwcs[core_id]:
-            if level == depth:
-                break
-            prefix = vpn // span
+        for cache, prefix, node in zip(self.pwcs[core_id],
+                                       (pud // a, pud, pmd), residents):
             entries = cache.entries
             if entries.pop(prefix, None) is not None:
                 entries[prefix] = True  # a hit, made most recent
             else:
-                touched_nodes.append(residents[level])
+                touched_nodes.append(node)
                 if mapping is not None:
                     cache.put(prefix, True)
-            level += 1
-            span //= a
-        if depth > _PTE:  # the PTE level is never cached
+        if len(residents) > _PTE:  # the PTE level is never cached
             touched_nodes.append(residents[_PTE])
         cycles = remote = 0
         for node in touched_nodes:
@@ -151,12 +140,10 @@ class Mmu:
         if mapping is not None:  # _LruCache.put, inline
             tlb = self.tlbs[core_id]
             entries = tlb.entries
-            entries.pop(vpn, None)
-            entries[vpn] = mapping
-            if len(entries) > tlb.limit:
+            if entries.pop(vpn, None) is None and len(entries) >= tlb.limit:
                 del entries[next(iter(entries))]
-        return WalkResult(cycles, len(touched_nodes), remote, mapping,
-                          touched_nodes)
+            entries[vpn] = mapping
+        return cycles, len(touched_nodes), remote, mapping, touched_nodes
 
     # -- shootdowns ---------------------------------------------------------------
 

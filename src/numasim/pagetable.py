@@ -290,7 +290,7 @@ def _mutate_leaf(space: AddressSpace, vpns: Sequence[int], updater_node: int,
         key = vpn // a
         table = tables.get(key)
         if table is None:
-            path = _path(space, vpn, alloc)
+            path = space.paths.get(key) or _path(space, vpn, alloc)
             if len(path) < _DEPTH:
                 raise NotMappedError(f"vpn {vpn} is not mapped")
             pte = path[_PTE]
@@ -483,11 +483,15 @@ def translate(space: AddressSpace, vpn: int,
     position in the list is its Level.  A fault on a missing table reads
     fewer than four.
     """
-    replica = space.replica_for(walker_node)
-    path = _path(space, vpn)
-    if len(path) < _DEPTH:
-        return None, [table.resident[replica] for table in path]
+    replica = walker_node if walker_node in space.root.resident \
+        else space.home_node  # space.replica_for, inline
+    a = space.arity
+    path = space.paths.get(vpn // a)
+    if path is None:  # not indexed yet: descend
+        path = _path(space, vpn)
+        if len(path) < _DEPTH:
+            return None, [table.resident[replica] for table in path]
     pgd, pud, pmd, pte = path
-    return pte.entries.get(vpn % space.arity), [
+    return pte.entries.get(vpn % a), [
         pgd.resident[replica], pud.resident[replica], pmd.resident[replica],
         pte.resident[replica]]

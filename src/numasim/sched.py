@@ -10,6 +10,7 @@ the last resort, and page tables follow the process when it moves.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -296,29 +297,39 @@ def phoenix_evaluate(task: TaskState, pw_ratio: float,
     return Action("already_handled")
 
 
-def autonuma_step(space: AddressSpace, access_stats: Dict[int, Dict[int, int]],
+def autonuma_step(space: AddressSpace, access_counts: Dict[int, Counter],
                   policy: PolicyKind) -> List[Tuple[int, int]]:
     """Pick pages whose remote access counts justify moving the data.
 
-    A page migrates to its dominant accessor node once accesses from nodes
-    other than the backing node reach the migrate threshold since the last
-    scan.  Ties go to the lowest node id.
+    access_counts maps each accessing node to a Counter of what its cores
+    issued since the last scan; keys that are not ints (VM ops) are not
+    pages.  A page migrates to its dominant accessor node once accesses
+    from nodes other than the backing node reach the migrate threshold.
+    Ties go to the lowest node id.
     """
-    migrations: List[Tuple[int, int]] = []
     threshold = policy.migrate_threshold
-    for vpn in sorted(access_stats):
-        counts = access_stats[vpn]
-        # remote samples are a subset of all samples: with too few, the
-        # page cannot migrate, so skip its lookup
-        if sum(counts.values()) < threshold:
+    nodes = sorted(access_counts)
+    counters = [access_counts[node] for node in nodes]
+    # remote samples are a subset of all samples, and only a page one node
+    # counted that often, or two nodes both counted, can have enough
+    candidates = set()
+    for i, counter in enumerate(counters):
+        candidates.update(k for k, n in counter.items() if n >= threshold)
+        for other in counters[i + 1:]:
+            candidates |= counter.keys() & other.keys()
+    migrations: List[Tuple[int, int]] = []
+    for vpn in sorted(k for k in candidates if type(k) is int):
+        counts = [c.get(vpn, 0) for c in counters]
+        if sum(counts) < threshold:
             continue
         mapping = space.lookup(vpn)
         if mapping is None:
             continue
-        remote = sum(c for node, c in counts.items() if node != mapping.pfn_node)
+        remote = sum(count for node, count in zip(nodes, counts)
+                     if node != mapping.pfn_node)
         if remote < threshold:
             continue
-        dominant = max(sorted(counts), key=lambda n: counts[n])
+        dominant = nodes[counts.index(max(counts))]
         if dominant != mapping.pfn_node:
             migrations.append((vpn, dominant))
     return migrations

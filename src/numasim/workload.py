@@ -129,6 +129,7 @@ def preset(name: str, /, **overrides) -> WorkloadSpec:
 
 _ZIPF_CACHE: Dict[Tuple[int, float], np.ndarray] = {}
 _PERM_CACHE: Dict[int, int] = {}
+_MIX_CACHE: Dict[tuple, Tuple[List[str], np.ndarray]] = {}
 
 
 def _zipf_cdf(footprint: int, theta: float) -> np.ndarray:
@@ -140,6 +141,18 @@ def _zipf_cdf(footprint: int, theta: float) -> np.ndarray:
         cdf /= cdf[-1]
         _ZIPF_CACHE[key] = cdf
     return cdf
+
+
+def _mix_cdf(mix: tuple) -> Tuple[List[str], np.ndarray]:
+    """A vm_op_mix's kinds and the CDF that Generator.choice(p=weights)
+    builds from its normalized weights."""
+    if mix not in _MIX_CACHE:
+        weights = dict(mix)
+        p = np.array(list(weights.values()), dtype=np.float64)
+        p /= p.sum()
+        cdf = p.cumsum()
+        _MIX_CACHE[mix] = (list(weights), cdf / cdf[-1])
+    return _MIX_CACHE[mix]
 
 
 def _rank_multiplier(footprint: int) -> int:
@@ -190,18 +203,18 @@ def _quantum_draws(spec: WorkloadSpec, thread_id: int, rng_seed: int,
         p = min(1.0, spec.vm_ops_per_kilo_access / 1000.0)
         count = int(rng.binomial(n, p))
         if count:
+            fp = spec.footprint_pages
             slots = np.sort(rng.choice(n, size=count, replace=False))
-            kinds = list(dict(spec.vm_op_mix))
-            weights = np.array([dict(spec.vm_op_mix)[k] for k in kinds],
-                               dtype=np.float64)
-            weights /= weights.sum()
-            chosen = rng.choice(len(kinds), size=count, p=weights)
-            starts = rng.integers(0, spec.footprint_pages, size=count)
+            # rng.choice(len(kinds), size=count, p=weights), without its
+            # per-call validation: the same uniform draws and CDF search
+            kinds, cdf = _mix_cdf(spec.vm_op_mix)
+            chosen = cdf.searchsorted(rng.random(count), side="right")
+            starts = rng.integers(0, fp, size=count)
             lengths = rng.geometric(1.0 / spec.vm_range_mean_pages, size=count)
-            for slot, k, start, length in zip(slots, chosen, starts, lengths):
-                op = VmOp(kinds[int(k)], int(start),
-                          int(min(length, spec.footprint_pages)))
-                vm_ops.append((int(slot), op))
+            for slot, k, start, length in zip(
+                    slots.tolist(), chosen.tolist(), starts.tolist(),
+                    lengths.tolist()):
+                vm_ops.append((slot, VmOp(kinds[k], start, min(length, fp))))
     return vpns, vm_ops
 
 

@@ -312,10 +312,10 @@ def test_criterion_08_walk_cost_model():
     space = AddressSpace(topo, 0)
     map_page(space, 5, 77, 0, 0)
     mmu = Mmu(topo)  # build_topology puts the uncontended prices in force
-    local = mmu.page_walk(space, 5, 0)
-    assert local.cycles == 4 * 100
-    remote = mmu.page_walk(space, 5, 1)
-    assert remote.cycles == int(4 * 100 * 1.3)
+    local_cycles, _, _, _, _ = mmu.page_walk(space, 5, 0)
+    assert local_cycles == 4 * 100
+    remote_cycles, _, _, _, _ = mmu.page_walk(space, 5, 1)
+    assert remote_cycles == int(4 * 100 * 1.3)
 
     raw = {
         "machine": {"nodes": 1, "cores_per_node": 4},

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from numasim.cli import load_scenario_file, scenario_from_dict
 from numasim.engine import (
+    CACHELINE_BYTES,
     CONTENTION_CAP,
     CONTENTION_KNEE,
     CONTENTION_SLOPE,
@@ -232,12 +233,13 @@ def test_walk_counters_sum_the_walks_each_task_made(seed):
     def recording_walk(space, vpn, core_id):
         nonlocal faults
         walk = page_walk(space, vpn, core_id)
+        cycles, mem_accesses, remote, mapping, _ = walk
         task = sim.cores[core_id].runqueue[0]  # the task running there
         row = sums.setdefault(task.task_id, [0, 0, 0])
-        row[0] += walk.cycles
-        row[1] += walk.mem_accesses
-        row[2] += walk.remote_accesses
-        faults += walk.mapping is None
+        row[0] += cycles
+        row[1] += mem_accesses
+        row[2] += remote
+        faults += mapping is None
         return walk
 
     sim.mmu.page_walk = recording_walk
@@ -248,6 +250,22 @@ def test_walk_counters_sum_the_walks_each_task_made(seed):
         c = task.counters
         assert [c.pagewalk_cycles, c.walk_mem_accesses,
                 c.walk_remote_accesses] == sums[task.task_id]
+
+
+@pytest.mark.parametrize("rate", [0.0, 1.0])
+def test_llc_miss_rates_of_zero_and_one_decide_every_access(rate):
+    # no VM ops, so every issued event is an access; without autonuma the
+    # only other traffic is the walks' table reads
+    spec = preset("gups_like", thread_count=3, footprint_pages=512,
+                  llc_miss_rate=rate)
+    policy = PolicyKind("linux", autonuma=False)
+    result = Simulation(build([spec], policy=policy, duration=6)).run()
+    for task in result.tasks:
+        c = task.counters
+        assert c.events_issued > 0
+        assert c.llc_misses == (c.events_issued if rate else 0)
+        assert c.bandwidth_bytes == CACHELINE_BYTES * (
+            c.walk_mem_accesses + c.llc_misses)
 
 
 def test_traffic_conservation_between_tasks_and_nodes():
@@ -520,6 +538,25 @@ def test_node_counters_keep_charges_made_after_a_task_last_ran():
     for name in WINDOW_COUNTERS:
         assert sum(getattr(c, name) for c in result.node_counters.values()) \
             == total(result, field=name), name
+
+
+def test_a_shootdown_prices_each_other_core_once():
+    # three threads on 2 nodes x 1 core: one core queues two of them
+    spec = preset("gups_like", thread_count=3, footprint_pages=64)
+    policy = PolicyKind("linux", autonuma=False)
+    sim = Simulation(build([spec], cores=1, policy=policy, duration=2,
+                           prefault=True))
+    sim.step()
+    proc = sim.processes[0]
+    shared = [c for c in sim.cores if len(c.runqueue) == 2]
+    alone = [c for c in sim.cores if len(c.runqueue) == 1]
+    assert len(shared) == len(alone) == 1
+    core = alone[0]
+    task = core.runqueue[0]
+    price = int(sim.mmu.ipi_prices[core.node_id][shared[0].core_id] + 0.5)
+    before = task.counters.shootdown_cycles
+    sim._do_vm_op(task, core, VmOp("unmap", 8, 1))
+    assert task.counters.shootdown_cycles - before == price
 
 
 @pytest.mark.parametrize("kind", ["unmap", "protect"])

@@ -19,6 +19,12 @@ from numasim.pagetable import (
 from conftest import make_topo
 
 
+def accesses(mmu, space, vpn, core_id):
+    """The memory accesses of one walk."""
+    _, mem_accesses, _, _, _ = mmu.page_walk(space, vpn, core_id)
+    return mem_accesses
+
+
 def mapped_space(topo, vpns, home=0):
     space = AddressSpace(topo, home)
     for i, vpn in enumerate(vpns):
@@ -29,43 +35,47 @@ def mapped_space(topo, vpns, home=0):
 def test_cold_local_walk_costs_four_local_accesses():
     topo = make_topo(2, 1)
     space = mapped_space(topo, [5])
-    walk = Mmu(topo).page_walk(space, 5, core_id=0)
-    assert walk.cycles == 400
-    assert walk.mem_accesses == 4
-    assert walk.remote_accesses == 0
-    assert walk.mapping.pfn == 100
-    assert walk.touched_nodes == [0, 0, 0, 0]
+    cycles, mem_accesses, remote, mapping, touched = \
+        Mmu(topo).page_walk(space, 5, core_id=0)
+    assert cycles == 400
+    assert mem_accesses == 4
+    assert remote == 0
+    assert mapping.pfn == 100
+    assert touched == [0, 0, 0, 0]
 
 
 def test_cold_remote_walk_pays_the_link_factor_per_level():
     topo = make_topo(2, 1)
     space = mapped_space(topo, [5])
-    walk = Mmu(topo).page_walk(space, 5, core_id=1)
-    assert walk.cycles == 520
-    assert walk.mem_accesses == 4
-    assert walk.remote_accesses == 4
+    cycles, mem_accesses, remote, _, touched = \
+        Mmu(topo).page_walk(space, 5, core_id=1)
+    assert cycles == 520
+    assert mem_accesses == 4
+    assert remote == 4
+    assert touched == [0, 0, 0, 0]
 
 
 def test_local_replica_turns_remote_walks_local():
     topo = make_topo(2, 1)
     space = mapped_space(topo, [5])
     add_replica(space, 1)
-    walk = Mmu(topo).page_walk(space, 5, core_id=1)
-    assert walk.cycles == 400
-    assert walk.remote_accesses == 0
+    cycles, _, remote, _, touched = Mmu(topo).page_walk(space, 5, core_id=1)
+    assert cycles == 400
+    assert remote == 0
+    assert touched == [1, 1, 1, 1]
 
 
 def test_pwc_serves_upper_levels_on_nearby_walks():
     topo = make_topo(2, 1)
     space = mapped_space(topo, [5, 6, 5 + 512])
     mmu = Mmu(topo)
-    assert mmu.page_walk(space, 5, 0).mem_accesses == 4
+    assert accesses(mmu, space, 5, 0) == 4
     # same PMD region: only the PTE level reads memory
-    walk = mmu.page_walk(space, 6, 0)
-    assert walk.mem_accesses == 1
-    assert walk.cycles == 100
+    cycles, mem_accesses, _, _, _ = mmu.page_walk(space, 6, 0)
+    assert mem_accesses == 1
+    assert cycles == 100
     # sibling PMD region: PGD and PUD prefixes still apply
-    assert mmu.page_walk(space, 5 + 512, 0).mem_accesses == 2
+    assert accesses(mmu, space, 5 + 512, 0) == 2
 
 
 def test_walk_fills_the_tlb():
@@ -110,21 +120,24 @@ def test_fault_charges_the_walk_but_caches_nothing():
     topo = make_topo(2, 1)
     space = mapped_space(topo, [0])
     mmu = Mmu(topo)
-    walk = mmu.page_walk(space, 1, 0)  # PTE table exists, entry absent
-    assert walk.mapping is None
-    assert walk.cycles == 400
+    # PTE table exists, entry absent
+    cycles, _, _, mapping, _ = mmu.page_walk(space, 1, 0)
+    assert mapping is None
+    assert cycles == 400
     assert mmu.tlb_lookup(0, 1) is None
     # the fault primed no PWC levels, so a fresh walk pays in full
-    assert mmu.page_walk(space, 0, 0).mem_accesses == 4
+    assert accesses(mmu, space, 0, 0) == 4
 
 
 def test_fault_on_missing_subtree_stops_early():
     topo = make_topo(2, 1)
     space = mapped_space(topo, [0])
-    walk = Mmu(topo).page_walk(space, 512 ** 2, 0)
-    assert walk.mapping is None
-    assert walk.mem_accesses == 2  # PGD and PUD reads reach the hole
-    assert walk.cycles == 200
+    cycles, mem_accesses, _, mapping, touched = \
+        Mmu(topo).page_walk(space, 512 ** 2, 0)
+    assert mapping is None
+    assert mem_accesses == 2  # PGD and PUD reads reach the hole
+    assert touched == [0, 0]
+    assert cycles == 200
 
 
 def test_shootdown_costs_scale_with_distance():
@@ -149,7 +162,7 @@ def test_shootdown_drops_tlb_and_covering_pwc_entries():
     mmu.tlb_shootdown((5,), 0, [0])
     assert mmu.tlb_lookup(0, 5) is None
     # covering prefixes went too: the next walk is cold again
-    assert mmu.page_walk(space, 6, 0).mem_accesses == 4
+    assert accesses(mmu, space, 6, 0) == 4
 
 
 def test_flush_core_clears_all_translation_state():
@@ -159,7 +172,7 @@ def test_flush_core_clears_all_translation_state():
     mmu.page_walk(space, 5, 0)
     mmu.flush_core(0)
     assert mmu.tlb_lookup(0, 5) is None
-    assert mmu.page_walk(space, 6, 0).mem_accesses == 4
+    assert accesses(mmu, space, 6, 0) == 4
 
 
 def test_pwc_capacity_is_per_level():
@@ -168,7 +181,7 @@ def test_pwc_capacity_is_per_level():
     mmu = Mmu(topo, pwc_entries={Level.PGD: 4, Level.PUD: 4, Level.PMD: 1})
     mmu.page_walk(space, 0, 0)
     mmu.page_walk(space, 512, 0)  # different PMD prefix evicts the first
-    assert mmu.page_walk(space, 1, 0).mem_accesses == 2
+    assert accesses(mmu, space, 1, 0) == 2
 
 
 def test_tlb_entry_reflects_later_mapping_updates():
@@ -203,9 +216,9 @@ def test_walks_order_tlb_and_pwc_entries_as_lru_put_does():
                 cache.set_partition(True)
         vpn = rng.choice(pool)
         tlb_rewalks += vpn in tlb.entries
-        walk = mmu.page_walk(space, vpn, 0)
+        _, _, _, walked, _ = mmu.page_walk(space, vpn, 0)
         mapping = space.lookup(vpn)
-        assert walk.mapping is mapping
+        assert walked is mapping
         depth = 1 if vpn == 3500 else 3  # the PWC levels the walk reached
         for level in range(depth):
             prefix = vpn // 8 ** (3 - level)

@@ -1,5 +1,7 @@
 """Policy logic: placement, balancing, windows, and phoenix decisions."""
 
+from collections import Counter
+
 import pytest
 
 from numasim import sched
@@ -18,7 +20,7 @@ from numasim.sched import (
     place_thread,
     rebalance,
 )
-from numasim.workload import preset
+from numasim.workload import VmOp, preset
 
 from conftest import make_topo
 
@@ -396,21 +398,34 @@ def test_phoenix_evaluate_ignores_non_phoenix_tasks(monkeypatch):
 
 
 def test_autonuma_migrates_remote_heavy_pages():
+    # inputs map each accessing node to a Counter of the events it issued
     topo = make_topo(4, 1)
     space = AddressSpace(topo, 0)
     map_page(space, 0, 1, 0, requesting_core=0)
     map_page(space, 1, 2, 0, requesting_core=0)
     policy = PolicyKind("linux")  # migrate_threshold 4
-    assert autonuma_step(space, {0: {1: 4}}, policy) == [(0, 1)]
-    assert autonuma_step(space, {0: {1: 3}}, policy) == []
+    assert autonuma_step(space, {1: Counter({0: 4})}, policy) == [(0, 1)]
+    assert autonuma_step(space, {1: Counter({0: 3})}, policy) == []
     # local traffic dominates: remote count met but page stays put
-    assert autonuma_step(space, {0: {0: 10, 1: 4}}, policy) == []
+    assert autonuma_step(space, {0: Counter({0: 10}), 1: Counter({0: 4})},
+                         policy) == []
     # remote nodes tie: the lowest id wins
-    assert autonuma_step(space, {1: {1: 2, 2: 2}}, policy) == [(1, 1)]
+    assert autonuma_step(space, {1: Counter({1: 2}), 2: Counter({1: 2})},
+                         policy) == [(1, 1)]
     # unmapped pages are skipped
-    assert autonuma_step(space, {99: {1: 8}}, policy) == []
+    assert autonuma_step(space, {1: Counter({99: 8})}, policy) == []
     # sub-threshold remote counts across several pages move nothing
-    assert autonuma_step(space, {0: {1: 1}, 1: {2: 1}}, policy) == []
+    assert autonuma_step(space, {1: Counter({0: 1}), 2: Counter({1: 1})},
+                         policy) == []
+    # a VM op in the stream is counted with the pages but is not one
+    op = VmOp("unmap", 0, 1)
+    assert autonuma_step(space, {1: Counter({op: 8})}, policy) == []
+    assert autonuma_step(space, {1: Counter({op: 8, 0: 4})},
+                         policy) == [(0, 1)]
+    # a page seen from two nodes sums its samples and is picked once:
+    # neither node alone reaches the threshold
+    assert autonuma_step(space, {2: Counter({0: 2}), 1: Counter({0: 3})},
+                         policy) == [(0, 1)]
 
 
 def test_on_exit_detaches_the_core():

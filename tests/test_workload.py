@@ -2,6 +2,7 @@
 
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +11,7 @@ from numasim.workload import (
     PRESETS,
     VmOp,
     WorkloadSpec,
+    _mix_cdf,
     _quantum_draws,
     generate_quantum_events,
     preset,
@@ -129,6 +131,27 @@ def test_stream_holds_the_draws_in_order_with_ops_after_their_slots(seed):
     assert events == expected
     assert [type(e) for e in events] == [type(e) for e in expected]
     assert {type(e) for e in events} == {int, VmOp}
+
+
+@pytest.mark.parametrize("mix", [
+    *(spec.vm_op_mix for spec in PRESETS.values() if spec.vm_op_mix),
+    (("map", 0.2), ("unmap", 0.0), ("protect", 0.3), ("remap", 0.5)),
+    (("protect", 1.0),)])
+def test_vm_op_kinds_are_the_draws_generator_choice_makes(mix):
+    # the cached CDF searched with uniform draws is Generator.choice(p=...):
+    # the same kinds, and the generator left in the same state
+    weights = np.array([dict(mix)[k] for k in dict(mix)], dtype=np.float64)
+    weights /= weights.sum()
+    kinds, cdf = _mix_cdf(mix)
+    assert kinds == list(dict(mix))
+    for seed in range(200):
+        for n in (1, 11, 64):
+            choice = np.random.default_rng(seed)
+            search = np.random.default_rng(seed)
+            expected = choice.choice(len(kinds), size=n, p=weights)
+            drawn = cdf.searchsorted(search.random(n), side="right")
+            assert drawn.tolist() == expected.tolist()
+            assert search.random() == choice.random()
 
 
 def test_vm_range_respects_the_footprint_cap():
