@@ -139,6 +139,9 @@ def scenario_from_dict(raw: dict, source: str = "scenario") -> Scenario:
 
     run_raw = raw.get("run", {})
     _reject_unknown(run_raw, RUN_KEYS, f"{source}.run")
+    name = expect(raw.get("name", "scenario"), str, f"{source}.name")
+    if name in ("", ".", "..") or Path(name).name != name:
+        raise ConfigError(f"{source}.name: must be a file name, got {name!r}")
 
     return Scenario(
         machine=machine,
@@ -154,7 +157,7 @@ def scenario_from_dict(raw: dict, source: str = "scenario") -> Scenario:
                           f"{source}.run.timeseries"),
         prefault=expect(run_raw.get("prefault", False), bool,
                         f"{source}.run.prefault"),
-        name=str(raw.get("name", "scenario")))
+        name=name)
 
 
 def load_scenario_file(path: str) -> dict:
@@ -179,20 +182,21 @@ def apply_set(raw: dict, assignment: str) -> None:
         value = json.loads(text)
     except json.JSONDecodeError:
         value = text
-    parts = path.split(".")
+    *parents, last = path.split(".")
     node = raw
-    for i, part in enumerate(parts[:-1]):
-        key: object = int(part) if part.lstrip("-").isdigit() else part
+    for part in parents:
         try:
-            node = node[key]
+            node = node[int(part) if part.lstrip("-").isdigit() else part]
         except (KeyError, IndexError, TypeError):
             raise ConfigError(
                 f"--set {assignment!r}: no such path element {part!r}")
-    last = parts[-1]
     if isinstance(node, list):
         if not last.lstrip("-").isdigit():
             raise ConfigError(
                 f"--set {assignment!r}: list index expected, got {last!r}")
+        if not -len(node) <= int(last) < len(node):
+            raise ConfigError(
+                f"--set {assignment!r}: no such path element {last!r}")
         node[int(last)] = value
     elif isinstance(node, dict):
         node[last] = value

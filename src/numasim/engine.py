@@ -235,7 +235,7 @@ class Simulation:
         self.scenario = scenario
         self.policy = scenario.policy
         self.topo = build_topology(scenario.machine)
-        self.mmu = Mmu(self.topo, tlb_entries=self.topo.tlb_entries)
+        self.mmu = Mmu(self.topo)
         self.contention = ContentionState()
         self.cores = [CoreState(c.core_id, c.node_id, c.physical_core_id)
                       for c in self.topo.cores]
@@ -332,8 +332,8 @@ class Simulation:
         """Warm start: install the whole footprint without charging anyone.
 
         Page vpn is touched by task vpn % threads.  Each PTE table's pages
-        are mapped in one call on behalf of its first page's toucher, the
-        one that allocates the table when pages are mapped one at a time.
+        are mapped in one call from the node of its first page's toucher,
+        which allocates the table when pages are mapped one at a time.
         """
         space = proc.space
         tasks = proc.tasks
@@ -345,8 +345,8 @@ class Simulation:
                 core = self.cores[tasks[vpn % len(tasks)].st.current_core]
                 pfn_nodes.append(self._data_node(proc, core.node_id))
                 pfns.append(self._alloc_pfn())
-            map_pages(space, vpns, pfns, pfn_nodes,
-                      tasks[first % len(tasks)].st.current_core)
+            toucher = tasks[first % len(tasks)].st.current_core
+            map_pages(space, vpns, pfns, pfn_nodes, self.cores[toucher].node_id)
         space.begin_quantum()
 
     def _alloc_pfn(self) -> int:
@@ -479,8 +479,7 @@ class Simulation:
                         bytes_to[touched] += CACHELINE_BYTES
                     if mapping is None:
                         pfn_node = self._data_node(proc, node)
-                        cost = map_page(space, vpn, self._alloc_pfn(), pfn_node,
-                                        core_id)
+                        cost = map_page(space, vpn, self._alloc_pfn(), pfn_node, node)
                         self._charge_pt_cost(task, cost)
 
                 if mapping.numa_hint:
@@ -521,12 +520,12 @@ class Simulation:
                 if space.lookup(vpn) is None:
                     pfn_node = self._data_node(proc, core.node_id)
                     cost = map_page(space, vpn, self._alloc_pfn(), pfn_node,
-                                    core.core_id)
+                                    core.node_id)
                     self._charge_pt_cost(task, cost)
         elif op.kind == "unmap":
             for vpn in pages:
                 if space.lookup(vpn) is not None:
-                    cost = unmap_page(space, vpn, core.core_id)
+                    cost = unmap_page(space, vpn, core.node_id)
                     self._charge_pt_cost(task, cost)
                     self._shoot_down(proc, task, (vpn,), core.node_id,
                                      core.core_id)
@@ -540,7 +539,7 @@ class Simulation:
                     continue
                 if run:
                     cost = protect_range(space, run[0], len(run), PROT_READ,
-                                         core.core_id)
+                                         core.node_id)
                     self._charge_pt_cost(task, cost)
                     self._shoot_down(proc, task, run, core.node_id,
                                      core.core_id)
@@ -552,7 +551,7 @@ class Simulation:
                 if mapping is None:
                     continue
                 pfn, pfn_node, prot = mapping.pfn, mapping.pfn_node, mapping.prot
-                cost = unmap_page(space, vpn, core.core_id)
+                cost = unmap_page(space, vpn, core.node_id)
                 self._charge_pt_cost(task, cost)
                 self._shoot_down(proc, task, (vpn,), core.node_id,
                                  core.core_id)
@@ -560,7 +559,7 @@ class Simulation:
                 if target is None:
                     continue
                 dest = (target + 1) % fp
-                cost = map_page(space, target, pfn, pfn_node, core.core_id,
+                cost = map_page(space, target, pfn, pfn_node, core.node_id,
                                 prot=prot)
                 self._charge_pt_cost(task, cost)
 

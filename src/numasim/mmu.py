@@ -6,54 +6,27 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import pagetable
 from .pagetable import AddressSpace, Level, Mapping
-from .topology import DEFAULT_TLB_ENTRIES, Topology, access_latency
+from .topology import Topology, access_latency
 
-# PGD, PUD, PMD entry caches; the PTE level is never cached
-DEFAULT_PWC_ENTRIES = {Level.PGD: 4, Level.PUD: 16, Level.PMD: 32}
+# PGD, PUD and PMD entry caches; the PTE level is never cached
+DEFAULT_PWC_ENTRIES = (4, 16, 32)
 DEFAULT_IPI_CYCLES = 50
-_CACHED_LEVELS = (Level.PGD, Level.PUD, Level.PMD)
 _PTE = int(Level.PTE)
 
 
-class _LruCache:
-    """Bounded LRU map over an insertion-ordered dict, oldest entry first.
+class Mmu:
+    """Per-core translation state over a shared topology.
 
-    Capacity halves while the SMT sibling is busy.  The MMU works on the
-    entries inline where it is hot: a hit is made most recent by popping and
-    reinserting its entry, a shootdown pops it, and a walk fills the TLB as
-    put does.
+    Each core's TLB (vpn -> Mapping) and PGD, PUD and PMD caches (vpn's
+    prefix above the level -> True) are dicts kept in LRU order, oldest
+    first.  A hit is popped and reinserted.  A fill evicts the oldest entry
+    only when the key is absent and the cache is full, then inserts it last.
     """
 
-    def __init__(self, capacity: int):
-        self.capacity = capacity
-        self.limit = capacity  # effective capacity, set with the partition
-        self.entries: Dict[int, object] = {}
-
-    def set_partition(self, active: bool) -> None:
-        self.limit = max(1, self.capacity // 2) if active else self.capacity
-        entries = self.entries
-        while len(entries) > self.limit:
-            del entries[next(iter(entries))]
-
-    def put(self, key: int, value) -> None:
-        entries = self.entries
-        entries.pop(key, None)
-        entries[key] = value
-        if len(entries) > self.limit:
-            del entries[next(iter(entries))]
-
-    def clear(self) -> None:
-        self.entries.clear()
-
-
-class Mmu:
-    """Per-core translation state over a shared topology."""
-
-    def __init__(self, topo: Topology, tlb_entries: int = DEFAULT_TLB_ENTRIES,
-                 pwc_entries: Optional[Dict[Level, int]] = None,
+    def __init__(self, topo: Topology,
+                 pwc_entries: Sequence[int] = DEFAULT_PWC_ENTRIES,
                  ipi_cycles: int = DEFAULT_IPI_CYCLES):
         self.topo = topo
-        self.tlb_entries = tlb_entries
         self.core_nodes = [core.node_id for core in topo.cores]  # by core id
         # initiator node -> target core -> IPI cycles: the base latency,
         # scaled by the link factor when the target sits on another node
@@ -62,39 +35,41 @@ class Mmu:
                 topo.links[(node, core.node_id)].latency_factor
                 if core.node_id != node else 1.0) for core in topo.cores}
             for node in topo.node_ids}
-        if pwc_entries is None:
-            pwc_entries = DEFAULT_PWC_ENTRIES
-        # per core: the TLB, and the page-walk caches indexed by level
-        self.tlbs: Dict[int, _LruCache] = {}
-        self.pwcs: Dict[int, List[_LruCache]] = {}
-        for core in topo.cores:
-            self.tlbs[core.core_id] = _LruCache(tlb_entries)
-            self.pwcs[core.core_id] = [_LruCache(pwc_entries[lvl])
-                                       for lvl in _CACHED_LEVELS]
+        self.pwc_entries = tuple(pwc_entries)
+        # by core id: the TLB, the PGD, PUD and PMD caches, and their limits
+        n = len(topo.cores)
+        self.tlbs: List[Dict[int, Mapping]] = [{} for _ in range(n)]
+        self.pwcs = [({}, {}, {}) for _ in range(n)]
+        self.tlb_limits = [topo.tlb_entries] * n
+        self.pwc_limits = [self.pwc_entries] * n
 
     # -- TLB ------------------------------------------------------------------
 
     def tlb_lookup(self, core_id: int, vpn: int) -> Optional[Mapping]:
-        """Hit returns the cached mapping and refreshes recency.
-
-        The lookup itself is free: a hit costs the access's compute and data
-        price, which the engine charges.
-        """
-        entries = self.tlbs[core_id].entries
-        mapping = entries.pop(vpn, None)
+        """A hit returns the cached mapping, made most recent.  The lookup
+        is free: the engine charges a hit's compute and data price."""
+        tlb = self.tlbs[core_id]
+        mapping = tlb.pop(vpn, None)
         if mapping is not None:
-            entries[vpn] = mapping
+            tlb[vpn] = mapping
         return mapping
 
     def set_partition(self, core_id: int, active: bool) -> None:
-        self.tlbs[core_id].set_partition(active)
-        for cache in self.pwcs[core_id]:
-            cache.set_partition(active)
+        """Halve the core's limits (at least 1) while its SMT sibling is
+        busy, else restore them; a cache over its limit sheds at once."""
+        limits = (self.topo.tlb_entries, *self.pwc_entries)
+        if active:
+            limits = tuple(max(1, limit // 2) for limit in limits)
+        self.tlb_limits[core_id] = limits[0]
+        self.pwc_limits[core_id] = limits[1:]
+        for cache, limit in zip((self.tlbs[core_id], *self.pwcs[core_id]),
+                                limits):
+            while len(cache) > limit:
+                del cache[next(iter(cache))]
 
     def flush_core(self, core_id: int) -> None:
         """Context switch: translation state is not shared across tasks."""
-        self.tlbs[core_id].clear()
-        for cache in self.pwcs[core_id]:
+        for cache in (self.tlbs[core_id], *self.pwcs[core_id]):
             cache.clear()
 
     # -- walks ------------------------------------------------------------------
@@ -108,9 +83,8 @@ class Mmu:
         walk order.  Each level not served by the PWC is one memory access
         priced from the walker's node to the node holding that table page.
         A hole in the tree is a fault: mapping is None, the cycles spent
-        reaching it are still charged and nothing is inserted into the TLB
-        or PWC.  On success only the levels that missed are inserted: a
-        hit's lookup already made it most recent.
+        reaching it are still charged and nothing is filled.  On success
+        the TLB and the PWC levels that missed are filled.
         """
         topo = self.topo
         core_node = self.core_nodes[core_id]
@@ -121,15 +95,17 @@ class Mmu:
         touched_nodes: List[int] = []
         # the PWC levels the walk reached, PGD first; a level's key is vpn's
         # prefix above it
-        for cache, prefix, node in zip(self.pwcs[core_id],
-                                       (pud // a, pud, pmd), residents):
-            entries = cache.entries
-            if entries.pop(prefix, None) is not None:
-                entries[prefix] = True  # a hit, made most recent
+        for cache, limit, prefix, node in zip(
+                self.pwcs[core_id], self.pwc_limits[core_id],
+                (pud // a, pud, pmd), residents):
+            if cache.pop(prefix, None) is not None:
+                cache[prefix] = True  # a hit, made most recent
             else:
                 touched_nodes.append(node)
-                if mapping is not None:
-                    cache.put(prefix, True)
+                if mapping is not None:  # a fill of an absent key
+                    if len(cache) >= limit:
+                        del cache[next(iter(cache))]
+                    cache[prefix] = True
         if len(residents) > _PTE:  # the PTE level is never cached
             touched_nodes.append(residents[_PTE])
         cycles = remote = 0
@@ -137,12 +113,12 @@ class Mmu:
             cycles += access_latency(topo, core_node, node)
             if node != core_node:
                 remote += 1
-        if mapping is not None:  # _LruCache.put, inline
+        if mapping is not None:  # the TLB fill, by the same rule
             tlb = self.tlbs[core_id]
-            entries = tlb.entries
-            if entries.pop(vpn, None) is None and len(entries) >= tlb.limit:
-                del entries[next(iter(entries))]
-            entries[vpn] = mapping
+            if tlb.pop(vpn, None) is None \
+                    and len(tlb) >= self.tlb_limits[core_id]:
+                del tlb[next(iter(tlb))]
+            tlb[vpn] = mapping
         return cycles, len(touched_nodes), remote, mapping, touched_nodes
 
     # -- shootdowns ---------------------------------------------------------------
@@ -164,21 +140,21 @@ class Mmu:
         cores = core_ids if initiator_core is None \
             else (*core_ids, initiator_core)
         a = self.topo.arity
-        if len(vpns) <= self.tlb_entries:
+        if len(vpns) <= self.topo.tlb_entries:
             for vpn in vpns:
                 pmd = vpn // a
                 pud = pmd // a
                 pgd = pud // a
                 for core in cores:
-                    tlbs[core].entries.pop(vpn, None)
+                    tlbs[core].pop(vpn, None)
                     pgd_cache, pud_cache, pmd_cache = pwcs[core]
-                    pgd_cache.entries.pop(pgd, None)
-                    pud_cache.entries.pop(pud, None)
-                    pmd_cache.entries.pop(pmd, None)
+                    pgd_cache.pop(pgd, None)
+                    pud_cache.pop(pud, None)
+                    pmd_cache.pop(pmd, None)
         else:
             cores = set(cores)
             # the TLBs are far smaller than the request: intersect with them
-            cached = set().union(*(tlbs[core].entries for core in cores))
+            cached = set().union(*(tlbs[core] for core in cores))
             # each level's prefixes from the level below: vpn // a**2 is
             # (vpn // a) // a, so only the PMD set is built from every vpn
             pmd = {vpn // a for vpn in vpns}
@@ -187,11 +163,8 @@ class Mmu:
                       {prefix // a for prefix in pud}, pud, pmd)
             for core in cores:
                 for cache, keys in zip((tlbs[core], *pwcs[core]), doomed):
-                    entries = cache.entries
-                    for key in [k for k in entries if k in keys]:
-                        del entries[key]
+                    for key in [k for k in cache if k in keys]:
+                        del cache[key]
         prices = self.ipi_prices[initiator_node]
-        cycles = 0.0
-        for core_id in core_ids:
-            cycles += prices[core_id]
+        cycles = sum(prices[core_id] for core_id in core_ids)
         return len(vpns) * int(cycles + 0.5)

@@ -122,7 +122,7 @@ class AddressSpace:
 
         home_node places each replica's tables on that replica's own node,
         so walks stay local wherever a replica exists.  first_touch follows
-        the requesting core; interleave round-robins over all nodes.
+        the requesting node; interleave round-robins over all nodes.
         """
         if self.alloc_policy == HOME_NODE:
             return replica_key
@@ -332,15 +332,15 @@ _CLEAR_HINT = _set_field("numa_hint", False)
 
 
 def map_pages(space: AddressSpace, vpns: Sequence[int], pfns: Sequence[int],
-              pfn_nodes: Sequence[int], requesting_core: int,
+              pfn_nodes: Sequence[int], requesting_node: int,
               prot: int = PROT_RW) -> PtOpCost:
     """Install each vpns[i]->pfns[i] (on pfn_nodes[i]) in every replica,
     allocating missing tables.
 
     The vpns must be distinct.  Raises MappingExistsError, before any write,
     when a vpn is mapped.  Cost: one entry write per replica (plus one write
-    per allocated table page), each priced as an access from the requester's
-    node to the node holding the written table page.
+    per allocated table page), each priced as an access from
+    requesting_node to the node holding the written table page.
     """
     frames = dict(zip(vpns, zip(pfns, pfn_nodes)))
 
@@ -348,39 +348,36 @@ def map_pages(space: AddressSpace, vpns: Sequence[int], pfns: Sequence[int],
         pfn, pfn_node = frames[vpn]
         entries[idx] = Mapping(vpn, pfn, prot, pfn_node)
 
-    cost = _mutate_leaf(space, vpns, space.topo.node_of_core(requesting_core),
-                        install, allocate=True)
+    cost = _mutate_leaf(space, vpns, requesting_node, install, allocate=True)
     space.mappings_count += len(vpns)
     return cost
 
 
 def map_page(space: AddressSpace, vpn: int, pfn: int, pfn_node: int,
-             requesting_core: int, prot: int = PROT_RW) -> PtOpCost:
+             requesting_node: int, prot: int = PROT_RW) -> PtOpCost:
     """Install vpn->pfn in every replica; map_pages for one page."""
-    return map_pages(space, (vpn,), (pfn,), (pfn_node,), requesting_core, prot)
+    return map_pages(space, (vpn,), (pfn,), (pfn_node,), requesting_node, prot)
 
 
-def unmap_page(space: AddressSpace, vpn: int, requesting_core: int) -> PtOpCost:
+def unmap_page(space: AddressSpace, vpn: int, requesting_node: int) -> PtOpCost:
     """Clear vpn in every replica."""
     def clear(entries: Dict[int, object], idx: int, vpn: int) -> None:
         del entries[idx]
 
-    cost = _mutate_leaf(space, (vpn,), space.topo.node_of_core(requesting_core),
-                        clear)
+    cost = _mutate_leaf(space, (vpn,), requesting_node, clear)
     space.mappings_count -= 1
     return cost
 
 
 def protect_range(space: AddressSpace, vpn_start: int, n_pages: int, prot: int,
-                  requesting_core: int) -> PtOpCost:
+                  requesting_node: int) -> PtOpCost:
     """Update protection bits on a mapped range.
 
     The whole range is validated before anything is written; a hole anywhere
     leaves the space untouched.
     """
     return _mutate_leaf(space, range(vpn_start, vpn_start + n_pages),
-                        space.topo.node_of_core(requesting_core),
-                        _set_field("prot", prot))
+                        requesting_node, _set_field("prot", prot))
 
 
 def set_access_hint(space: AddressSpace, vpns: Sequence[int],

@@ -115,9 +115,6 @@ class Topology:
         return [c.core_id for c in self.cores
                 if c.physical_core_id == phys and c.core_id != core_id]
 
-    def node_of_core(self, core_id: int) -> int:
-        return self.cores[core_id].node_id
-
 
 def build_topology(config: dict) -> Topology:
     """Construct a validated Topology from a machine description.

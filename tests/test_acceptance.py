@@ -95,7 +95,7 @@ def test_criterion_01_coherence_oracle():
     for op_index in range(100_000):
         if op_index % 50 == 0:
             space.begin_quantum()
-        core = rng.randrange(8)
+        node = topo.cores[rng.randrange(8)].node_id  # the updater's
         roll = rng.random()
         touched = []
 
@@ -103,13 +103,13 @@ def test_criterion_01_coherence_oracle():
             vpn = free_vpn()
             prot = PROT_RW if rng.random() < 0.7 else PROT_READ
             pfn_node = rng.randrange(4)
-            map_page(space, vpn, next_pfn, pfn_node, core, prot=prot)
+            map_page(space, vpn, next_pfn, pfn_node, node, prot=prot)
             remember(vpn, (next_pfn, prot, pfn_node))
             next_pfn += 1
             touched = [vpn]
         elif roll < 0.58:
             vpn = rng.choice(mapped)
-            unmap_page(space, vpn, core)
+            unmap_page(space, vpn, node)
             forget(vpn)
             touched = [vpn]
         elif roll < 0.76:
@@ -119,7 +119,7 @@ def test_criterion_01_coherence_oracle():
             while n < want and start + n in shadow:
                 n += 1
             prot = PROT_READ if rng.random() < 0.5 else PROT_RW
-            protect_range(space, start, n, prot, core)
+            protect_range(space, start, n, prot, node)
             for vpn in range(start, start + n):
                 pfn, _, pfn_node = shadow[vpn]
                 shadow[vpn] = (pfn, prot, pfn_node)
@@ -128,9 +128,9 @@ def test_criterion_01_coherence_oracle():
             src = rng.choice(mapped)
             dst = free_vpn()
             entry = shadow[src]
-            unmap_page(space, src, core)
+            unmap_page(space, src, node)
             forget(src)
-            map_page(space, dst, entry[0], entry[2], core, prot=entry[1])
+            map_page(space, dst, entry[0], entry[2], node, prot=entry[1])
             remember(dst, entry)
             touched = [src, dst]
         elif roll < 0.99:

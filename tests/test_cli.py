@@ -115,6 +115,37 @@ def test_set_rejects_unknown_paths(tmp_path, capsys):
     assert cli.main(["run", str(path), "--set", "no-equals-sign"]) == 1
 
 
+def test_set_rejects_a_list_index_out_of_range(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv(cli.OUT_ENV_VAR, str(tmp_path / "out"))
+    path = write_scenario(tmp_path, base_raw())
+    assert cli.main(["run", str(path), "--set", "workloads.7=3"]) == 1
+    assert "--set 'workloads.7=3': no such path element '7'" \
+        in capsys.readouterr().err
+    assert cli.main(["run", str(path), "--set", "workloads.-2=3"]) == 1
+    assert "no such path element '-2'" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["scen.json"]
+
+
+@pytest.mark.parametrize("name, extra, error", [
+    ("../escaped", [], "must be a file name, got '../escaped'"),
+    ("a/b", [], "must be a file name, got 'a/b'"),
+    ("..", [], "must be a file name, got '..'"),
+    ("", [], "must be a file name, got ''"),
+    (["a"], [], "expected a string, got ['a']"),
+    ("scen", ["--set", "name=7"], "expected a string, got 7"),
+], ids=["parent_dir", "separator", "dot_dot", "empty", "list", "set_int"])
+def test_scenario_name_must_be_a_file_name(tmp_path, monkeypatch, capsys,
+                                           name, extra, error):
+    # the name becomes part of the output path under $NUMASIM_OUT
+    monkeypatch.setenv(cli.OUT_ENV_VAR, str(tmp_path / "out"))
+    raw = base_raw()
+    raw["name"] = name
+    path = write_scenario(tmp_path, raw)
+    assert cli.main(["run", str(path), *extra]) == 1
+    assert f"error: scenario.name: {error}" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["scen.json"]
+
+
 def test_timeseries_flag_writes_the_extra_csv(tmp_path):
     path = write_scenario(tmp_path, base_raw())
     out = tmp_path / "ts"

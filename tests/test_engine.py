@@ -587,7 +587,7 @@ def test_vm_op_shoots_down_each_page_on_the_other_cores(kind):
     sim._do_vm_op(task, core, VmOp(kind, start, k))
     assert task.counters.shootdown_cycles - before == k * price
     for c in cores:
-        assert not set(doomed) & set(sim.mmu.tlbs[c].entries)
+        assert not set(doomed) & set(sim.mmu.tlbs[c])
 
     # mapping the pages back (or over the protected ones) shoots nothing
     before = task.counters.shootdown_cycles

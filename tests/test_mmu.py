@@ -6,11 +6,10 @@ from collections import OrderedDict
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from numasim.mmu import Mmu, _LruCache
+from numasim.mmu import Mmu
 from numasim.pagetable import (
     FIRST_TOUCH,
     AddressSpace,
-    Level,
     add_replica,
     map_page,
     set_frame_node,
@@ -28,7 +27,7 @@ def accesses(mmu, space, vpn, core_id):
 def mapped_space(topo, vpns, home=0):
     space = AddressSpace(topo, home)
     for i, vpn in enumerate(vpns):
-        map_page(space, vpn, 100 + i, home, requesting_core=home)
+        map_page(space, vpn, 100 + i, home, requesting_node=home)
     return space
 
 
@@ -89,9 +88,9 @@ def test_walk_fills_the_tlb():
 
 
 def test_tlb_evicts_least_recently_used():
-    topo = make_topo(1, 1)
+    topo = make_topo(1, 1, tlb_entries=4)
     space = mapped_space(topo, range(5))
-    mmu = Mmu(topo, tlb_entries=4)
+    mmu = Mmu(topo)
     for vpn in range(4):
         mmu.page_walk(space, vpn, 0)
     mmu.tlb_lookup(0, 0)  # refresh 0; vpn 1 becomes the eviction victim
@@ -102,18 +101,26 @@ def test_tlb_evicts_least_recently_used():
 
 
 def test_partition_halves_capacity_and_sheds_entries_eagerly():
-    topo = make_topo(1, 2, smt=True)
-    space = mapped_space(topo, range(8))
-    mmu = Mmu(topo, tlb_entries=8)
-    for vpn in range(8):
+    # one page per PMD region: eight PMD prefixes under one PUD and one PGD
+    topo = make_topo(1, 2, smt=True, tlb_entries=8)
+    vpns = [512 * i for i in range(8)]
+    space = mapped_space(topo, vpns)
+    mmu = Mmu(topo, pwc_entries=(4, 16, 6))
+    for vpn in vpns:
         mmu.page_walk(space, vpn, 0)
+    assert [list(cache) for cache in mmu.pwcs[0]] == [[0], [0], [2, 3, 4, 5, 6, 7]]
     mmu.set_partition(0, True)
-    assert mmu.tlbs[0].limit == 4
-    assert len(mmu.tlbs[0].entries) == 4
-    assert mmu.tlb_lookup(0, 3) is None   # older half evicted
-    assert mmu.tlb_lookup(0, 7) is not None
+    assert mmu.tlb_limits[0] == 4
+    assert mmu.pwc_limits[0] == (2, 8, 3)
+    assert len(mmu.tlbs[0]) == 4
+    assert list(mmu.tlbs[0]) == vpns[4:]
+    assert [list(cache) for cache in mmu.pwcs[0]] == [[0], [0], [5, 6, 7]]
+    assert mmu.tlb_lookup(0, vpns[3]) is None   # older half evicted
+    assert mmu.tlb_lookup(0, vpns[7]) is not None
     mmu.set_partition(0, False)
-    assert mmu.tlbs[0].limit == mmu.tlbs[0].capacity == 8
+    assert mmu.tlb_limits[0] == topo.tlb_entries == 8
+    assert mmu.pwc_limits[0] == (4, 16, 6)
+    assert list(mmu.tlbs[0]) == vpns[4:]  # restoring sheds nothing
 
 
 def test_fault_charges_the_walk_but_caches_nothing():
@@ -178,7 +185,7 @@ def test_flush_core_clears_all_translation_state():
 def test_pwc_capacity_is_per_level():
     topo = make_topo(1, 1)
     space = mapped_space(topo, [0, 512, 1])
-    mmu = Mmu(topo, pwc_entries={Level.PGD: 4, Level.PUD: 4, Level.PMD: 1})
+    mmu = Mmu(topo, pwc_entries=(4, 4, 1))
     mmu.page_walk(space, 0, 0)
     mmu.page_walk(space, 512, 0)  # different PMD prefix evicts the first
     assert accesses(mmu, space, 1, 0) == 2
@@ -196,17 +203,17 @@ def test_tlb_entry_reflects_later_mapping_updates():
 def test_walks_order_tlb_and_pwc_entries_as_lru_put_does():
     # arity 8 and caches of two or three entries, so walks hit, miss and
     # evict at every level; the model refreshes a hit and inserts a miss
-    # (only when the walk found a mapping) with _LruCache.put
-    topo = make_topo(1, 1, arity=8)
+    # (only when the walk found a mapping) with _ReferenceLru.put
+    topo = make_topo(1, 1, arity=8, tlb_entries=3)
     mapped = [0, 1, 9, 70, 75, 600, 1100, 1101, 2100, 3000, 4000]
     space = mapped_space(topo, mapped)
     # unmapped: 2 and 3001 in existing PTE tables; 2944's PTE table is
     # missing, below 3000's PGD and PUD tables; 3500's PUD table is missing
     pool = mapped + [2, 3001, 2944, 3500]
-    sizes = {Level.PGD: 2, Level.PUD: 2, Level.PMD: 3}
-    mmu = Mmu(topo, tlb_entries=3, pwc_entries=sizes)
-    tlb = _LruCache(3)
-    pwc = [_LruCache(sizes[level]) for level in (Level.PGD, Level.PUD, Level.PMD)]
+    sizes = (2, 2, 3)  # PGD, PUD, PMD
+    mmu = Mmu(topo, pwc_entries=sizes)
+    tlb = _ReferenceLru(3)
+    pwc = [_ReferenceLru(size) for size in sizes]
     hits, misses, tlb_rewalks = [0] * 3, [0] * 3, 0
     rng = random.Random(5)
     for step in range(300):
@@ -231,9 +238,9 @@ def test_walks_order_tlb_and_pwc_entries_as_lru_put_does():
                     pwc[level].put(prefix, True)
         if mapping is not None:
             tlb.put(vpn, mapping)
-        assert list(mmu.tlbs[0].entries.items()) == list(tlb.entries.items())
+        assert list(mmu.tlbs[0].items()) == list(tlb.entries.items())
         for cache, model in zip(mmu.pwcs[0], pwc):
-            assert list(cache.entries.items()) == list(model.entries.items())
+            assert list(cache.items()) == list(model.entries.items())
     assert min(hits) > 0 and min(misses) > 0 and tlb_rewalks > 0
 
 
@@ -276,7 +283,7 @@ class _ReferenceLru:
 _KEYS = st.integers(0, 11)
 _OPS = st.lists(st.one_of(
     st.tuples(st.just("get"), _KEYS),
-    st.tuples(st.just("put"), _KEYS, st.integers(0, 99)),
+    st.tuples(st.just("put"), _KEYS),
     st.tuples(st.just("drop"), _KEYS),
     st.tuples(st.just("clear")),
     st.tuples(st.just("set_partition"), st.booleans())), max_size=80)
@@ -285,26 +292,35 @@ _OPS = st.lists(st.one_of(
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(st.integers(1, 9), _OPS)
 def test_lru_cache_matches_the_ordered_dict_model(capacity, ops):
-    # a hit's recency is refreshed inline by the MMU, so get is a TLB lookup
-    mmu = Mmu(make_topo(1, 1), tlb_entries=capacity)
-    cache, model = mmu.tlbs[0], _ReferenceLru(capacity)
+    # the TLB through the MMU's own calls: a lookup is get, a walk's fill is
+    # put, a one-vpn shootdown is drop and a context switch is clear
+    topo = make_topo(1, 1, tlb_entries=capacity)
+    space = mapped_space(topo, range(12))
+    mmu, model = Mmu(topo), _ReferenceLru(capacity)
+    cache = mmu.tlbs[0]
     for name, *args in ops:
         if name == "get":
             assert mmu.tlb_lookup(0, *args) == model.get(*args)
-        elif name == "drop":  # as a shootdown drops an entry
-            cache.entries.pop(*args, None)
+        elif name == "put":
+            _, _, _, walked, _ = mmu.page_walk(space, *args, 0)
+            assert walked is space.lookup(*args)
+            model.put(*args, walked)
+        elif name == "drop":
+            mmu.tlb_shootdown(args, 0, [0])
             model.drop(*args)
+        elif name == "clear":
+            assert mmu.flush_core(0) == model.clear()
         else:
-            assert getattr(cache, name)(*args) == getattr(model, name)(*args)
-        assert list(cache.entries.items()) == list(model.entries.items())
-        assert len(cache.entries) == len(model.entries)
+            assert mmu.set_partition(0, *args) == model.set_partition(*args)
+        assert list(cache.items()) == list(model.entries.items())
+        assert len(cache) == len(model.entries)
 
 
 def _cache_states(mmu):
     """Every core's TLB and PWC contents, in recency order."""
-    return {core: [list(cache.entries.items())
+    return {core: [list(cache.items())
                    for cache in (mmu.tlbs[core], *mmu.pwcs[core])]
-            for core in mmu.tlbs}
+            for core in range(len(mmu.tlbs))}
 
 
 @st.composite
@@ -330,16 +346,14 @@ def _scans(draw):
 @given(_scans())
 def test_batched_invalidation_matches_per_vpn_shootdowns(scan):
     replicas, mapped, walks, sample, targets, sizes, initiator = scan
-    topo = make_topo(4, 1, arity=8)
+    tlb, *pwc = sizes
+    topo = make_topo(4, 1, arity=8, tlb_entries=tlb)
     space = AddressSpace(topo, 0, alloc_policy=FIRST_TOUCH)
     for vpn in mapped:
-        map_page(space, vpn, vpn, 0, requesting_core=vpn % 4)
+        map_page(space, vpn, vpn, 0, requesting_node=vpn % 4)
     for node in range(1, replicas):
         add_replica(space, node)
-    tlb, *pwc = sizes
-    batched, single = (Mmu(topo, tlb_entries=tlb,
-                           pwc_entries=dict(zip(Level, pwc)))
-                       for _ in range(2))
+    batched, single = (Mmu(topo, pwc_entries=pwc) for _ in range(2))
     for mmu in (batched, single):
         for core, vpn in walks:  # faults included
             mmu.page_walk(space, vpn, core)

@@ -63,7 +63,7 @@ def test_fresh_space_has_one_replica_pgd_only():
 
 def test_first_map_allocates_full_path():
     space = space_on(make_topo(2, 1))
-    cost = map_page(space, 0, pfn=7, pfn_node=0, requesting_core=0)
+    cost = map_page(space, 0, pfn=7, pfn_node=0, requesting_node=0)
     # PUD, PMD, PTE allocations plus the entry itself, all local
     assert cost.writes_performed == 4
     assert cost.cycles == 400
@@ -74,9 +74,9 @@ def test_first_map_allocates_full_path():
 
 def test_map_into_existing_tables_is_one_write_per_replica():
     space = space_on(make_topo(2, 1))
-    map_page(space, 0, 1, 0, requesting_core=0)
+    map_page(space, 0, 1, 0, requesting_node=0)
     space.begin_quantum()
-    cost = map_page(space, 1, 2, 0, requesting_core=0)
+    cost = map_page(space, 1, 2, 0, requesting_node=0)
     assert cost.writes_performed == 1
     assert cost.cycles == 100
     assert cost.lock_wait_cycles == 0
@@ -88,9 +88,9 @@ def test_map_cost_on_four_replicas():
     space = space_on(topo)
     for node in (1, 2, 3):
         add_replica(space, node)
-    map_page(space, 0, 1, 0, requesting_core=0)
+    map_page(space, 0, 1, 0, requesting_node=0)
     space.begin_quantum()
-    cost = map_page(space, 1, 2, 0, requesting_core=0)
+    cost = map_page(space, 1, 2, 0, requesting_node=0)
     assert cost.writes_performed == 4
     assert cost.cycles == 100 + 3 * 130  # 490
 
@@ -98,10 +98,10 @@ def test_map_cost_on_four_replicas():
 def test_map_contention_scales_cost():
     topo = make_topo(2, 1)
     space = space_on(topo)
-    map_page(space, 0, 1, 0, requesting_core=0)
+    map_page(space, 0, 1, 0, requesting_node=0)
     space.begin_quantum()
     contend(topo, node=3.25)
-    cost = map_page(space, 1, 2, 0, requesting_core=0)
+    cost = map_page(space, 1, 2, 0, requesting_node=0)
     assert cost.cycles == 325
 
 
@@ -116,12 +116,12 @@ def test_map_pages_matches_one_map_page_per_vpn(replicas):
     vpns = list(range(5, 21))  # three PTE tables, the first entered mid-table
     batched.begin_quantum()
     cost = map_pages(batched, vpns, [100 + v for v in vpns],
-                     [v % 4 for v in vpns], requesting_core=2)
+                     [v % 4 for v in vpns], requesting_node=2)
     costs = []
     for vpn in vpns:
         single.begin_quantum()
         costs.append(map_page(single, vpn, 100 + vpn, vpn % 4,
-                              requesting_core=2))
+                              requesting_node=2))
     assert cost == summed(costs)
     assert leaves(batched) == leaves(single)
     assert batched.mappings_count == single.mappings_count == len(vpns)
@@ -129,41 +129,56 @@ def test_map_pages_matches_one_map_page_per_vpn(replicas):
         [t.resident for t in single.iter_tables()]
     assert_every_table_in_every_replica(batched)
     with pytest.raises(MappingExistsError):
-        map_pages(batched, [30, 12], [1, 2], [0, 0], requesting_core=0)
+        map_pages(batched, [30, 12], [1, 2], [0, 0], requesting_node=0)
     assert batched.lookup(30) is None  # checked before anything is written
 
 
 def test_map_duplicate_rejected():
     space = space_on(make_topo(2, 1))
-    map_page(space, 3, 1, 0, requesting_core=0)
+    map_page(space, 3, 1, 0, requesting_node=0)
     with pytest.raises(MappingExistsError):
-        map_page(space, 3, 9, 0, requesting_core=0)
+        map_page(space, 3, 9, 0, requesting_node=0)
 
 
 def test_unmap_clears_the_shared_leaf():
     space = space_on(make_topo(2, 1))
-    map_page(space, 5, 1, 0, requesting_core=0)
+    map_page(space, 5, 1, 0, requesting_node=0)
     space.begin_quantum()
-    cost = unmap_page(space, 5, requesting_core=0)
+    cost = unmap_page(space, 5, requesting_node=0)
     assert cost.writes_performed == 1
     assert cost.cycles == 100
     assert space.lookup(5) is None
     assert space.mappings_count == 0
 
 
+def test_mutations_are_priced_from_the_requesting_node():
+    # two cores per node, so node 1 is not core 1 (which sits on node 0)
+    space = space_on(make_topo(2, 2))
+    map_page(space, 0, 1, 0, requesting_node=0)
+    space.begin_quantum()
+    assert map_page(space, 1, 2, 0, requesting_node=1).cycles == 130
+    space.begin_quantum()
+    assert protect_range(space, 0, 2, PROT_READ, requesting_node=1).cycles \
+        == 2 * 130
+    space.begin_quantum()
+    assert unmap_page(space, 1, requesting_node=1).cycles == 130
+    space.begin_quantum()
+    assert unmap_page(space, 0, requesting_node=0).cycles == 100
+
+
 def test_unmap_unmapped_rejected():
     space = space_on(make_topo(2, 1))
     with pytest.raises(NotMappedError):
-        unmap_page(space, 5, requesting_core=0)
+        unmap_page(space, 5, requesting_node=0)
 
 
 def test_protect_thousand_pages_on_two_replicas():
     space = space_on(make_topo(2, 1))
     for vpn in range(1000):
-        map_page(space, vpn, vpn, 0, requesting_core=0)
+        map_page(space, vpn, vpn, 0, requesting_node=0)
     add_replica(space, 1)
     space.begin_quantum()
-    cost = protect_range(space, 0, 1000, PROT_READ, requesting_core=0)
+    cost = protect_range(space, 0, 1000, PROT_READ, requesting_node=0)
     assert cost.writes_performed == 2000
     assert space.lookup(0).prot == PROT_READ
     assert space.lookup(999).prot == PROT_READ
@@ -172,9 +187,9 @@ def test_protect_thousand_pages_on_two_replicas():
 def test_protect_hole_fails_without_partial_update():
     space = space_on(make_topo(2, 1))
     for vpn in (0, 1, 3):
-        map_page(space, vpn, vpn, 0, requesting_core=0)
+        map_page(space, vpn, vpn, 0, requesting_node=0)
     with pytest.raises(NotMappedError):
-        protect_range(space, 0, 4, PROT_READ, requesting_core=0)
+        protect_range(space, 0, 4, PROT_READ, requesting_node=0)
     assert space.lookup(0).prot == PROT_RW
     assert space.lookup(1).prot == PROT_RW
 
@@ -191,8 +206,8 @@ def test_add_replica_on_empty_space_copies_just_the_pgd():
 
 def test_add_replica_copies_every_table_and_adds_residencies():
     space = space_on(make_topo(2, 1))
-    map_page(space, 0, 10, 0, requesting_core=0)
-    map_page(space, 512, 11, 0, requesting_core=0)  # second PTE table
+    map_page(space, 0, 10, 0, requesting_node=0)
+    map_page(space, 512, 11, 0, requesting_node=0)  # second PTE table
     pages = table_pages(space)
     assert pages == 5
     cost = add_replica(space, 1)
@@ -209,14 +224,14 @@ def test_add_replica_copies_every_table_and_adds_residencies():
 
 def test_replica_updates_stay_coherent():
     space = space_on(make_topo(2, 1))
-    map_page(space, 0, 10, 0, requesting_core=0)
+    map_page(space, 0, 10, 0, requesting_node=0)
     add_replica(space, 1)
     set_frame_node(space, 0, new_node=1, requesting_node=0)
     for walker in (0, 1):
         m, _ = translate(space, 0, walker_node=walker)
         assert m.pfn_node == 1
     space.begin_quantum()
-    map_page(space, 1, 20, 0, requesting_core=0)
+    map_page(space, 1, 20, 0, requesting_node=0)
     for walker in (0, 1):
         m, _ = translate(space, 1, walker_node=walker)
         assert m.pfn == 20
@@ -224,7 +239,7 @@ def test_replica_updates_stay_coherent():
 
 def test_drop_replica_frees_every_copy():
     space = space_on(make_topo(2, 1))
-    map_page(space, 0, 10, 0, requesting_core=0)
+    map_page(space, 0, 10, 0, requesting_node=0)
     add_replica(space, 1)
     cost = drop_replica(space, 1)
     assert cost.writes_performed == 4
@@ -239,7 +254,7 @@ def test_drop_replica_frees_every_copy():
 
 def test_drop_home_replica_reassigns_home():
     space = space_on(make_topo(4, 1))
-    map_page(space, 0, 10, 0, requesting_core=0)
+    map_page(space, 0, 10, 0, requesting_node=0)
     add_replica(space, 2)
     add_replica(space, 3)
     drop_replica(space, 0)
@@ -260,8 +275,8 @@ def test_drop_replica_errors():
 
 def test_migrate_single_replica_exempts_the_pgd():
     space = space_on(make_topo(2, 1))
-    map_page(space, 0, 10, 0, requesting_core=0)
-    map_page(space, 1, 11, 0, requesting_core=0)
+    map_page(space, 0, 10, 0, requesting_node=0)
+    map_page(space, 1, 11, 0, requesting_node=0)
     pages = table_pages(space)
     cost = migrate_tables(space, 0, 1)
     assert cost.pages_copied == pages - 1
@@ -280,7 +295,7 @@ def test_migrate_single_replica_exempts_the_pgd():
 
 def test_migrate_with_other_replicas_pays_full_copy():
     space = space_on(make_topo(4, 1))
-    map_page(space, 0, 10, 0, requesting_core=0)
+    map_page(space, 0, 10, 0, requesting_node=0)
     add_replica(space, 1)
     pages = table_pages(space)
     cost = migrate_tables(space, 1, 2)
@@ -294,7 +309,7 @@ def test_home_node_alloc_keeps_walks_replica_local():
     space = space_on(topo)
     add_replica(space, 3)
     space.begin_quantum()
-    map_page(space, 0, 10, 0, requesting_core=0)
+    map_page(space, 0, 10, 0, requesting_node=0)
     for walker in (0, 3):
         _, touches = translate(space, 0, walker_node=walker)
         assert touches == [walker] * 4
@@ -303,7 +318,7 @@ def test_home_node_alloc_keeps_walks_replica_local():
 def test_first_touch_alloc_follows_the_requester():
     topo = make_topo(4, 1)
     space = space_on(topo, policy=FIRST_TOUCH)
-    map_page(space, 0, 10, 2, requesting_core=2)  # core 2 sits on node 2
+    map_page(space, 0, 10, 2, requesting_node=2)
     _, touches = translate(space, 0, walker_node=0)
     assert touches == [0, 2, 2, 2]
 
@@ -311,7 +326,7 @@ def test_first_touch_alloc_follows_the_requester():
 def test_interleave_alloc_round_robins_tables():
     topo = make_topo(4, 1)
     space = space_on(topo, policy=INTERLEAVE)
-    map_page(space, 0, 10, 0, requesting_core=0)
+    map_page(space, 0, 10, 0, requesting_node=0)
     _, touches = translate(space, 0, walker_node=0)
     assert touches == [0, 1, 2, 3]
 
@@ -322,14 +337,14 @@ def test_interleave_places_copies_in_ring_order_from_the_updater():
     # on (from the home replica when the updater's node holds none)
     topo = make_topo(4, 1, arity=8)
     space = space_on(topo, policy=INTERLEAVE)
-    map_page(space, 0, 100, 0, requesting_core=0)
+    map_page(space, 0, 100, 0, requesting_node=0)
     add_replica(space, 2)
     add_replica(space, 3)
-    map_page(space, 8, 101, 0, requesting_core=2)     # new PTE table
-    map_page(space, 64, 102, 0, requesting_core=2)    # new PMD and PTE
-    map_page(space, 512, 103, 0, requesting_core=1)   # new PUD, PMD, PTE
+    map_page(space, 8, 101, 0, requesting_node=2)     # new PTE table
+    map_page(space, 64, 102, 0, requesting_node=2)    # new PMD and PTE
+    map_page(space, 512, 103, 0, requesting_node=1)   # new PUD, PMD, PTE
     add_replica(space, 1)
-    map_pages(space, [520, 600], [104, 105], [0, 0], requesting_core=3)
+    map_pages(space, [520, 600], [104, 105], [0, 0], requesting_node=3)
     assert space.replicas == [0, 1, 3, 2]
     expected = [
         (Level.PGD, {0: 0, 1: 1, 3: 3, 2: 2}),
@@ -353,7 +368,7 @@ def test_interleave_places_copies_in_ring_order_from_the_updater():
 
 def test_translate_reports_partial_touches_on_fault():
     space = space_on(make_topo(2, 1))
-    map_page(space, 0, 10, 0, requesting_core=0)
+    map_page(space, 0, 10, 0, requesting_node=0)
     m, touches = translate(space, 1, walker_node=0)  # PTE exists, entry absent
     assert m is None
     assert touches == [0, 0, 0, 0]  # PGD, PUD, PMD and PTE
@@ -365,16 +380,16 @@ def test_translate_reports_partial_touches_on_fault():
 
 def test_lock_wait_applies_only_on_table_overlap():
     space = space_on(make_topo(2, 1))
-    map_page(space, 0, 1, 0, requesting_core=0)
-    map_page(space, 512, 2, 0, requesting_core=0)
+    map_page(space, 0, 1, 0, requesting_node=0)
+    map_page(space, 512, 2, 0, requesting_node=0)
     space.begin_quantum()
-    first = map_page(space, 1, 3, 0, requesting_core=0)
-    disjoint = map_page(space, 513, 4, 0, requesting_core=0)
+    first = map_page(space, 1, 3, 0, requesting_node=0)
+    disjoint = map_page(space, 513, 4, 0, requesting_node=0)
     assert first.lock_wait_cycles == 0
     assert disjoint.lock_wait_cycles == 0
     space.begin_quantum()
-    map_page(space, 2, 5, 0, requesting_core=0)
-    overlapping = map_page(space, 3, 6, 0, requesting_core=0)
+    map_page(space, 2, 5, 0, requesting_node=0)
+    overlapping = map_page(space, 3, 6, 0, requesting_node=0)
     assert overlapping.lock_wait_cycles == 100
     assert overlapping.cycles == 200
 
@@ -382,11 +397,11 @@ def test_lock_wait_applies_only_on_table_overlap():
 def test_lock_wait_charges_predecessors_own_work_only():
     space = space_on(make_topo(2, 1))
     for vpn in (0, 1, 2):
-        map_page(space, vpn, vpn, 0, requesting_core=0)
+        map_page(space, vpn, vpn, 0, requesting_node=0)
     space.begin_quantum()
-    map_page(space, 3, 3, 0, requesting_core=0)
-    second = map_page(space, 4, 4, 0, requesting_core=0)
-    third = map_page(space, 5, 5, 0, requesting_core=0)
+    map_page(space, 3, 3, 0, requesting_node=0)
+    second = map_page(space, 4, 4, 0, requesting_node=0)
+    third = map_page(space, 5, 5, 0, requesting_node=0)
     assert second.lock_wait_cycles == 100
     assert second.cycles == 200
     # waits do not compound: the third op waits 100, not 200
@@ -395,26 +410,26 @@ def test_lock_wait_charges_predecessors_own_work_only():
 
 def test_global_lock_serializes_disjoint_ops():
     space = space_on(make_topo(2, 1))
-    map_page(space, 0, 1, 0, requesting_core=0)
-    map_page(space, 512, 2, 0, requesting_core=0)
+    map_page(space, 0, 1, 0, requesting_node=0)
+    map_page(space, 512, 2, 0, requesting_node=0)
     space.lock_mode = "global"
     space.begin_quantum()
-    map_page(space, 1, 3, 0, requesting_core=0)
-    disjoint = map_page(space, 513, 4, 0, requesting_core=0)
+    map_page(space, 1, 3, 0, requesting_node=0)
+    disjoint = map_page(space, 513, 4, 0, requesting_node=0)
     assert disjoint.lock_wait_cycles == 100
 
 
 def test_begin_quantum_resets_the_queue():
     space = space_on(make_topo(2, 1))
-    map_page(space, 0, 1, 0, requesting_core=0)
+    map_page(space, 0, 1, 0, requesting_node=0)
     space.begin_quantum()
-    cost = map_page(space, 1, 2, 0, requesting_core=0)
+    cost = map_page(space, 1, 2, 0, requesting_node=0)
     assert cost.lock_wait_cycles == 0
 
 
 def test_access_hints_round_trip():
     space = space_on(make_topo(2, 1))
-    map_page(space, 0, 10, 0, requesting_core=0)
+    map_page(space, 0, 10, 0, requesting_node=0)
     add_replica(space, 1)
     space.begin_quantum()
     cost = set_access_hint(space, [0], requesting_node=0)
@@ -452,7 +467,7 @@ def test_next_free_vpn_matches_a_page_by_page_scan():
         full = trial % 4 == 0  # every page mapped: the search must end
         for vpn in rng.sample(range(limit),
                               limit if full else rng.randrange(limit + 1)):
-            map_page(space, vpn, vpn, 0, requesting_core=0)
+            map_page(space, vpn, vpn, 0, requesting_node=0)
         for start in range(limit):
             expected = next(((start + i) % limit for i in range(limit)
                              if space.lookup((start + i) % limit) is None), None)
@@ -473,12 +488,12 @@ def test_random_op_soup_keeps_residencies_and_contents_coherent():
             vpn = rng.randrange(4096)
             if vpn not in shadow:
                 map_page(space, vpn, free_pfn, rng.randrange(4),
-                         requesting_core=rng.randrange(4))
+                         requesting_node=rng.randrange(4))
                 shadow[vpn] = free_pfn
                 free_pfn += 1
         elif roll < 0.65 and shadow:
             vpn = rng.choice(list(shadow))
-            unmap_page(space, vpn, requesting_core=rng.randrange(4))
+            unmap_page(space, vpn, requesting_node=rng.randrange(4))
             del shadow[vpn]
         elif roll < 0.80 and space.replica_count < 4:
             node = min(set(range(4)) - set(space.replicas))
@@ -529,7 +544,7 @@ def _build(replicas, mapped):
     topo = make_topo(4, 1, arity=8)
     space = space_on(topo, policy=FIRST_TOUCH)
     for vpn in mapped:  # first touch from every node spreads the tables
-        map_page(space, vpn, 1000 + vpn, vpn % 4, requesting_core=vpn % 4)
+        map_page(space, vpn, 1000 + vpn, vpn % 4, requesting_node=vpn % 4)
     for node in range(1, replicas):
         add_replica(space, node)
     return topo, space
@@ -549,7 +564,7 @@ def test_batched_leaf_writes_match_per_vpn_calls(batch):
     hint = set_access_hint(batched, sample, node)
     batched.begin_quantum()
     prot = protect_range(batched, protect.start, len(protect), PROT_READ,
-                         requesting_core=node)
+                         requesting_node=node)
 
     hints, prots = [], []
     for vpn in sample:
@@ -558,7 +573,7 @@ def test_batched_leaf_writes_match_per_vpn_calls(batch):
     for vpn in protect:
         single.begin_quantum()
         prots.append(protect_range(single, vpn, 1, PROT_READ,
-                                   requesting_core=node))
+                                   requesting_node=node))
 
     assert hint == summed(hints)
     assert prot == summed(prots)

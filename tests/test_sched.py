@@ -122,7 +122,7 @@ def test_place_thread_phoenix_fills_home_before_annexing():
     task = on_fork(None, 0, 1)
     home = place_process(task, policy, loads)
     core = place_thread(task, policy, loads, slots, topo)
-    assert topo.node_of_core(core) == home
+    assert topo.cores[core].node_id == home
     assert task.allowed_nodes == [home]
     assert loads[home].running_tasks == 1
 
@@ -134,7 +134,7 @@ def test_place_thread_phoenix_annexes_when_home_is_full():
     slots = slots_for(topo, occupancy={0: 1})
     task = TaskState(5, 1, allowed_nodes=[0])
     core = place_thread(task, policy, loads, slots, topo)
-    assert topo.node_of_core(core) == 1
+    assert topo.cores[core].node_id == 1
     assert task.allowed_nodes == [0, 1]
 
 
@@ -173,7 +173,7 @@ def test_place_thread_linux_spreads_to_the_least_loaded_node():
     slots = slots_for(topo, occupancy={0: 1})
     task = TaskState(9, 1, allowed_nodes=[0])
     core = place_thread(task, PolicyKind("linux"), loads, slots, topo)
-    assert topo.node_of_core(core) == 1
+    assert topo.cores[core].node_id == 1
 
 
 def test_placement_prefers_cores_with_idle_smt_siblings():
@@ -199,7 +199,7 @@ def test_rebalance_moves_tasks_until_within_tolerance():
     assert len(moves) == 3  # 16/8 settles at 13/11 under 25% tolerance
     counts = {0: 0, 1: 0}
     for t in tasks:
-        counts[topo.node_of_core(t.current_core)] += 1
+        counts[topo.cores[t.current_core].node_id] += 1
     assert counts == {0: 13, 1: 11}
 
 
@@ -230,7 +230,7 @@ def test_rebalance_phoenix_respects_allowed_nodes():
         task.allowed_nodes = [0, 1]
     moves = rebalance(PolicyKind("phoenix"), tasks, slots)
     assert len(moves) == 2
-    nodes = {topo.node_of_core(t.current_core) for t in tasks}
+    nodes = {topo.cores[t.current_core].node_id for t in tasks}
     assert nodes == {0, 1}
 
 
@@ -401,8 +401,8 @@ def test_autonuma_migrates_remote_heavy_pages():
     # inputs map each accessing node to a Counter of the events it issued
     topo = make_topo(4, 1)
     space = AddressSpace(topo, 0)
-    map_page(space, 0, 1, 0, requesting_core=0)
-    map_page(space, 1, 2, 0, requesting_core=0)
+    map_page(space, 0, 1, 0, requesting_node=0)
+    map_page(space, 1, 2, 0, requesting_node=0)
     policy = PolicyKind("linux")  # migrate_threshold 4
     assert autonuma_step(space, {1: Counter({0: 4})}, policy) == [(0, 1)]
     assert autonuma_step(space, {1: Counter({0: 3})}, policy) == []

@@ -16,7 +16,7 @@ def test_default_two_node_shape():
     assert topo.node_ids == [0, 1]
     assert len(topo.cores) == 8
     assert [c.core_id for c in topo.cores if c.node_id == 1] == [4, 5, 6, 7]
-    assert topo.node_of_core(5) == 1
+    assert topo.cores[5].node_id == 1
     # ordered pairs including self links
     assert len(topo.links) == 4
     assert topo.links[(0, 0)].latency_factor == 1.0
@@ -46,7 +46,7 @@ def test_smt_pairs_adjacent_cores():
     assert topo.siblings(1) == [0]
     # pairs never straddle nodes
     assert topo.cores[4].physical_core_id == topo.cores[5].physical_core_id
-    assert topo.node_of_core(4) == 1
+    assert topo.cores[4].node_id == 1
 
 
 def test_smt_requires_even_core_count():
