@@ -35,6 +35,7 @@ from .topology import (MACHINE_KEYS, ConfigError, build_topology, expect,
                        int_at_least)
 
 OUT_ENV_VAR = "NUMASIM_OUT"
+NAME_MAX = 255  # bytes in a file name on common file systems
 
 TOP_KEYS = {"name", "machine", "workloads", "policy", "run"}
 WORKLOAD_KEYS = {"preset", "spec", "start", "priority", "overrides"}
@@ -140,8 +141,14 @@ def scenario_from_dict(raw: dict, source: str = "scenario") -> Scenario:
     run_raw = raw.get("run", {})
     _reject_unknown(run_raw, RUN_KEYS, f"{source}.run")
     name = expect(raw.get("name", "scenario"), str, f"{source}.name")
-    if name in ("", ".", "..") or Path(name).name != name:
+    if name in ("", ".", "..") or Path(name).name != name or "\0" in name:
         raise ConfigError(f"{source}.name: must be a file name, got {name!r}")
+    seed = int_at_least(run_raw.get("seed", 1), 0, f"{source}.run.seed")
+    # the longest file _write makes under $NUMASIM_OUT
+    longest = f"{name}-{policy.kind}-s{seed}.timeseries.csv".encode()
+    if len(longest) > NAME_MAX:
+        raise ConfigError(f"{source}.name: too long, the output file name "
+                          f"would take {len(longest)} bytes, over {NAME_MAX}")
 
     return Scenario(
         machine=machine,
@@ -149,7 +156,7 @@ def scenario_from_dict(raw: dict, source: str = "scenario") -> Scenario:
         policy=policy,
         duration_quanta=int_at_least(run_raw.get("duration", 100), 1,
                                      f"{source}.run.duration"),
-        rng_seed=int_at_least(run_raw.get("seed", 1), 0, f"{source}.run.seed"),
+        rng_seed=seed,
         quantum_cycles=int_at_least(
             run_raw.get("quantum", DEFAULT_QUANTUM_CYCLES), 1,
             f"{source}.run.quantum"),

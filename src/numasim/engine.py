@@ -401,8 +401,10 @@ class Simulation:
 
         Contention, and so every price, is fixed for the quantum: each
         access reads its stall from the quantum's price row for the core's
-        node, and the counts, walk cycles (from page_walk's tuples) and
-        traffic gather in locals added to the task once, after the loop.
+        node, and the counts, walk cycles and traffic gather in locals
+        added to the task once, after the loop.  Each access makes one
+        tlb_lookup.  A miss on a mapped page walks inline by page_walk's
+        rules; any other miss, a fault among them, calls page_walk.
         The stream holds each data access as its vpn, an int; a VmOp goes
         to _do_vm_op.  With autonuma, one Counter update per batch adds it
         to the process's counts for the core's node.  An LLC miss is a draw
@@ -442,8 +444,20 @@ class Simulation:
         node = core.node_id
         core_id = core.core_id
         price = self.topo.cycles[node]  # cycles to each node's memory
+        # None of these is rebound within the quantum: set_partition runs in
+        # step before any _run_task; add_replica and migrate_tables run in
+        # _spawn, _tick and _rebalance, outside the run loop; flush_core
+        # clears in place; VM ops and shootdowns pop from these same dicts.
+        tlb = self.mmu.tlbs[core_id]
+        pgd_cache, pud_cache, pmd_cache = self.mmu.pwcs[core_id]
+        tlb_limit = self.mmu.tlb_limits[core_id]
+        pgd_limit, pud_limit, pmd_limit = self.mmu.pwc_limits[core_id]
+        paths = space.paths
+        a = space.arity
+        replica = space.replica_for(node)
         line_bytes = int(CACHELINE_BYTES * spec.bandwidth_intensity)
         bytes_to = [0] * len(self.topo.nodes)  # traffic by destination node
+        reads_to = [0] * len(bytes_to)  # inline walks' table reads by node
         issued = proc.access_counts.setdefault(node, Counter()) \
             if self.policy.autonuma else None
         accesses = hits = llc_misses = stall = 0
@@ -467,8 +481,37 @@ class Simulation:
                 mapping = tlb_lookup(core_id, vpn)
                 if mapping is not None:
                     hits += 1
-                # a miss walks; a first touch faults, installs the page and
-                # walks again, and every walk is charged here
+                else:
+                    pmd = vpn // a
+                    path = paths.get(pmd)
+                    if path is not None:
+                        mapping = path[3].entries.get(vpn % a)
+                    if mapping is not None:
+                        # page_walk's walk, unrolled: a read per PWC miss
+                        pud = pmd // a
+                        pgd = pud // a
+                        if pgd_cache.pop(pgd, None) is None:
+                            reads_to[path[0].resident[replica]] += 1
+                            if len(pgd_cache) >= pgd_limit:
+                                del pgd_cache[next(iter(pgd_cache))]
+                        pgd_cache[pgd] = True
+                        if pud_cache.pop(pud, None) is None:
+                            reads_to[path[1].resident[replica]] += 1
+                            if len(pud_cache) >= pud_limit:
+                                del pud_cache[next(iter(pud_cache))]
+                        pud_cache[pud] = True
+                        if pmd_cache.pop(pmd, None) is None:
+                            reads_to[path[2].resident[replica]] += 1
+                            if len(pmd_cache) >= pmd_limit:
+                                del pmd_cache[next(iter(pmd_cache))]
+                        pmd_cache[pmd] = True
+                        reads_to[path[3].resident[replica]] += 1
+                        # the lookup just missed, so vpn is absent: no pop
+                        if len(tlb) >= tlb_limit:
+                            del tlb[next(iter(tlb))]
+                        tlb[vpn] = mapping
+                # any other miss walks through page_walk; a first touch
+                # faults, installs the page and walks again
                 while mapping is None:
                     cycles, reads, remote, mapping, touched_nodes = \
                         page_walk(space, vpn, core_id)
@@ -491,6 +534,14 @@ class Simulation:
                 if llc_random() < llc_miss_rate:
                     llc_misses += 1
                     bytes_to[mapping.pfn_node] += line_bytes
+
+        # prices are fixed for the quantum: price the inline reads per node
+        for to_node, reads in enumerate(reads_to):
+            walk_cycles += reads * price[to_node]
+            walk_accesses += reads
+            if to_node != node:
+                walk_remote += reads
+            bytes_to[to_node] += reads * CACHELINE_BYTES
 
         c = task.counters
         c.events_issued += accesses

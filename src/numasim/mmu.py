@@ -84,7 +84,8 @@ class Mmu:
         priced from the walker's node to the node holding that table page.
         A hole in the tree is a fault: mapping is None, the cycles spent
         reaching it are still charged and nothing is filled.  On success
-        the TLB and the PWC levels that missed are filled.
+        the TLB and the PWC levels that missed are filled.  The engine walks
+        a mapped page inline by these same rules (Simulation._run_task).
         """
         topo = self.topo
         core_node = self.core_nodes[core_id]

@@ -2,6 +2,7 @@
 
 import re
 
+from numasim.mmu import Mmu
 from numasim.topology import build_topology, latency_table
 
 _acceptance_outcomes = {}
@@ -55,3 +56,96 @@ def make_topo(nodes=2, cores_per_node=4, **extra):
     config = {"nodes": nodes, "cores_per_node": cores_per_node}
     config.update(extra)
     return build_topology(config)
+
+
+def core_caches(mmu, core_id):
+    """The core's TLB and its PGD, PUD and PMD caches."""
+    return (mmu.tlbs[core_id], *mmu.pwcs[core_id])
+
+
+class WalkOracle:
+    """Checks every walk a simulation makes against Mmu.page_walk.
+
+    The live Mmu's tlb_lookup is wrapped: on a miss, page_walk runs on a
+    shadow Mmu holding in-order copies of that core's TLB, its PGD, PUD and
+    PMD caches and their limits.  When the shadow walk finds the page
+    mapped, its cycles, reads and remote reads are added to the sums of the
+    task running on the core, and that core's live caches must equal the
+    shadow's, in order, before the Mmu is next called, and at check.  A
+    fault is left to the engine's own page_walk calls, which are wrapped and
+    summed as they are made.
+    """
+
+    def __init__(self, sim):
+        self.sim = sim
+        mmu = sim.mmu
+        self.shadow = Mmu(sim.topo, mmu.pwc_entries)
+        self.sums = {}  # task id -> [cycles, reads, remote reads]
+        self.mapped_walks = self.faults = 0
+        self.pending = None  # (core id, vpn) of a mapped walk not yet settled
+        lookup, walk = mmu.tlb_lookup, mmu.page_walk
+
+        def tlb_lookup(core_id, vpn):
+            self.settle()
+            mapping = lookup(core_id, vpn)
+            if mapping is None:
+                self._shadow_walk(core_id, vpn)
+            return mapping
+
+        def page_walk(space, vpn, core_id):
+            self.settle()
+            result = walk(space, vpn, core_id)
+            self._add(core_id, result)
+            self.faults += result[3] is None
+            return result
+
+        def settling(method):
+            def settled(*args, **kwargs):
+                self.settle()
+                return method(*args, **kwargs)
+            return settled
+
+        mmu.tlb_lookup = tlb_lookup
+        mmu.page_walk = page_walk
+        for name in ("tlb_shootdown", "flush_core", "set_partition"):
+            setattr(mmu, name, settling(getattr(mmu, name)))
+
+    def _add(self, core_id, result):
+        task = self.sim.cores[core_id].runqueue[0]  # the task running there
+        row = self.sums.setdefault(task.task_id, [0, 0, 0])
+        row[0] += result[0]
+        row[1] += result[1]
+        row[2] += result[2]
+
+    def _shadow_walk(self, core_id, vpn):
+        live, shadow = self.sim.mmu, self.shadow
+        shadow.tlbs[core_id] = dict(live.tlbs[core_id])
+        shadow.pwcs[core_id] = tuple(dict(c) for c in live.pwcs[core_id])
+        shadow.tlb_limits[core_id] = live.tlb_limits[core_id]
+        shadow.pwc_limits[core_id] = live.pwc_limits[core_id]
+        task = self.sim.cores[core_id].runqueue[0]
+        space = self.sim.processes[task.st.process_id].space
+        result = shadow.page_walk(space, vpn, core_id)
+        if result[3] is not None:
+            self._add(core_id, result)
+            self.mapped_walks += 1
+            self.pending = (core_id, vpn)
+
+    def settle(self):
+        """The live caches of the last mapped walk's core equal the shadow's."""
+        if self.pending is None:
+            return
+        core_id, vpn = self.pending
+        self.pending = None
+        for live, shadow in zip(core_caches(self.sim.mmu, core_id),
+                                core_caches(self.shadow, core_id)):
+            assert list(live.items()) == list(shadow.items()), (core_id, vpn)
+
+    def check(self):
+        """Settle, then match each task's walk counters to its sums."""
+        self.settle()
+        for task in self.sim.tasks:
+            c = task.counters
+            assert [c.pagewalk_cycles, c.walk_mem_accesses,
+                    c.walk_remote_accesses] \
+                == self.sums.get(task.task_id, [0, 0, 0]), task.task_id

@@ -133,7 +133,11 @@ def test_set_rejects_a_list_index_out_of_range(tmp_path, monkeypatch, capsys):
     ("", [], "must be a file name, got ''"),
     (["a"], [], "expected a string, got ['a']"),
     ("scen", ["--set", "name=7"], "expected a string, got 7"),
-], ids=["parent_dir", "separator", "dot_dot", "empty", "list", "set_int"])
+    ("a\0b", [], "must be a file name, got 'a\\x00b'"),
+    ("n" * 300, [], "too long, the output file name would take 324 bytes, "
+                    "over 255"),
+], ids=["parent_dir", "separator", "dot_dot", "empty", "list", "set_int",
+        "nul", "too_long"])
 def test_scenario_name_must_be_a_file_name(tmp_path, monkeypatch, capsys,
                                            name, extra, error):
     # the name becomes part of the output path under $NUMASIM_OUT
@@ -144,6 +148,20 @@ def test_scenario_name_must_be_a_file_name(tmp_path, monkeypatch, capsys,
     assert cli.main(["run", str(path), *extra]) == 1
     assert f"error: scenario.name: {error}" in capsys.readouterr().err
     assert [p.name for p in tmp_path.iterdir()] == ["scen.json"]
+
+
+def test_the_longest_scenario_name_writes_every_file(tmp_path, monkeypatch):
+    # <name>-linux-s1.timeseries.csv, the longest output, takes 255 bytes
+    monkeypatch.setenv(cli.OUT_ENV_VAR, str(tmp_path / "out"))
+    raw = base_raw()
+    raw["name"] = "n" * (cli.NAME_MAX - len("-linux-s1.timeseries.csv"))
+    path = write_scenario(tmp_path, raw)
+    assert cli.main(["run", str(path), "--timeseries"]) == 0
+    sizes = sorted(len(p.name) for p in (tmp_path / "out").iterdir())
+    assert sizes == [244, 245, 254, cli.NAME_MAX]  # csv, json, manifest
+    raw["name"] += "n"
+    write_scenario(tmp_path, raw)
+    assert cli.main(["run", str(path), "--timeseries"]) == 1
 
 
 def test_timeseries_flag_writes_the_extra_csv(tmp_path):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from numasim import engine, pagetable
 from numasim.cli import load_scenario_file, scenario_from_dict
 from numasim.engine import (
     CACHELINE_BYTES,
@@ -29,7 +30,7 @@ from numasim.topology import access_latency, build_topology, latency_table
 from numasim.workload import (VmOp, WorkloadSpec, generate_quantum_events,
                               preset, quantum_volume)
 
-from conftest import make_topo
+from conftest import WalkOracle, core_caches, make_topo
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -221,35 +222,63 @@ def test_cycle_identity_holds_per_task():
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_walk_counters_sum_the_walks_each_task_made(seed):
     # no prefault, so first touches fault: the faulting walk and the walk
-    # after the page is installed both count
+    # after the page is installed both count, as does each mapped miss,
+    # which the engine walks inline and the oracle walks on its shadow
     scenario = build([preset("gups_like", thread_count=6,
                              footprint_pages=2048)],
                      policy=PolicyKind("mitosis"), duration=12, seed=seed)
     sim = Simulation(scenario)
-    page_walk = sim.mmu.page_walk
-    sums = {}  # task id -> [cycles, memory accesses, remote accesses]
-    faults = 0
-
-    def recording_walk(space, vpn, core_id):
-        nonlocal faults
-        walk = page_walk(space, vpn, core_id)
-        cycles, mem_accesses, remote, mapping, _ = walk
-        task = sim.cores[core_id].runqueue[0]  # the task running there
-        row = sums.setdefault(task.task_id, [0, 0, 0])
-        row[0] += cycles
-        row[1] += mem_accesses
-        row[2] += remote
-        faults += mapping is None
-        return walk
-
-    sim.mmu.page_walk = recording_walk
+    oracle = WalkOracle(sim)
     sim.run()
-    assert faults > 0
-    assert sum(row[2] for row in sums.values()) > 0
-    for task in sim.tasks:
-        c = task.counters
-        assert [c.pagewalk_cycles, c.walk_mem_accesses,
-                c.walk_remote_accesses] == sums[task.task_id]
+    oracle.check()
+    assert oracle.faults > 0
+    assert oracle.mapped_walks > 0
+    assert sum(row[2] for row in oracle.sums.values()) > 0
+
+
+def test_inline_walks_follow_a_shootdown_in_the_same_batch_and_hint_faults(
+        monkeypatch):
+    # a VM op shoots down the running core's own entries mid-quantum, and a
+    # scan arms hints each quantum, so mapped walks follow both
+    spec = preset("wrmem_like", thread_count=2, footprint_pages=256,
+                  vm_ops_per_kilo_access=100)
+    policy = PolicyKind("linux", scan_period=1, scan_share=1.0)
+    sim = Simulation(build([spec], policy=policy, duration=8, prefault=True))
+    oracle = WalkOracle(sim)
+    mmu = sim.mmu
+    shot = {}  # core id -> the quantum its own VM op last dropped an entry
+    walks_after_shootdown = hint_faults_after_walk = 0
+    shootdown, lookup = mmu.tlb_shootdown, mmu.tlb_lookup
+
+    def tlb_shootdown(vpns, initiator_node, core_ids, initiator_core=None):
+        if initiator_core is None:
+            return shootdown(vpns, initiator_node, core_ids, initiator_core)
+        before = sum(map(len, core_caches(mmu, initiator_core)))
+        cycles = shootdown(vpns, initiator_node, core_ids, initiator_core)
+        if sum(map(len, core_caches(mmu, initiator_core))) < before:
+            shot[initiator_core] = sim.quantum
+        return cycles
+
+    def tlb_lookup(core_id, vpn):
+        nonlocal walks_after_shootdown
+        mapping = lookup(core_id, vpn)
+        if oracle.pending == (core_id, vpn) \
+                and shot.get(core_id) == sim.quantum:
+            walks_after_shootdown += 1
+        return mapping
+
+    def clear_access_hint(space, vpn, node):
+        nonlocal hint_faults_after_walk
+        if oracle.pending is not None and oracle.pending[1] == vpn:
+            hint_faults_after_walk += 1
+        return pagetable.clear_access_hint(space, vpn, node)
+
+    mmu.tlb_shootdown, mmu.tlb_lookup = tlb_shootdown, tlb_lookup
+    monkeypatch.setattr(engine, "clear_access_hint", clear_access_hint)
+    sim.run()
+    oracle.check()
+    assert walks_after_shootdown > 0
+    assert hint_faults_after_walk > 0
 
 
 @pytest.mark.parametrize("rate", [0.0, 1.0])

@@ -1,16 +1,18 @@
 """Scenario fuzzer: one scenario key set to an odd value either is refused
 before the run with a path-naming ConfigError, or runs and keeps the
-report's invariants."""
+report's invariants and walks as page_walk does."""
 
 import copy
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from numasim import cli, metrics
 from numasim.engine import WINDOW_COUNTERS, Simulation, run_scenario
 from numasim.pagetable import Level
 from numasim.topology import ConfigError
+
+from conftest import WalkOracle
 
 # values every key is tried with; UNKNOWN sets a key no block accepts
 UNKNOWN = object()
@@ -83,14 +85,9 @@ def base_raw(kind):
     }
 
 
-@st.composite
-def scenarios(draw):
-    raw = base_raw(draw(st.sampled_from(VALID[("policy", "kind")])))
-    block = draw(st.sampled_from(BLOCKS))
-    keys = sorted(key for b, key in VALID if b == block)
-    key = draw(st.sampled_from(keys))
-    value = draw(st.one_of(st.sampled_from(POOL),
-                           st.sampled_from(VALID[(block, key)])))
+def variant(kind, block, key, value):
+    """base_raw(kind) with one key of one block set to value."""
+    raw = base_raw(kind)
     entry = raw["workloads"][0]
     section = dict(raw, workloads=entry, overrides=entry["overrides"])[block]
     if value is UNKNOWN:
@@ -100,6 +97,25 @@ def scenarios(draw):
     return raw
 
 
+@st.composite
+def scenarios(draw):
+    kind = draw(st.sampled_from(VALID[("policy", "kind")]))
+    block = draw(st.sampled_from(BLOCKS))
+    keys = sorted(key for b, key in VALID if b == block)
+    key = draw(st.sampled_from(keys))
+    value = draw(st.one_of(st.sampled_from(POOL),
+                           st.sampled_from(VALID[(block, key)])))
+    return variant(kind, block, key, value)
+
+
+# keys that shape the TLB, the page-walk caches and where tables live, run
+# whatever the draws; with arity 4 every cache level holds several
+# prefixes, so a wrong LRU order shows
+@example(variant("mitosis", "machine", "arity", 4))
+@example(variant("linux", "machine", "tlb_entries", 1))
+@example(variant("phoenix", "machine", "smt", True))
+@example(variant("linux", "policy", "alloc_policy", "interleave"))
+@example(variant("phoenix", "policy", "force_replicas", 4))
 @settings(derandomize=True, max_examples=300, deadline=None, database=None)
 @given(scenarios())
 def test_fuzzed_scenarios_are_refused_by_path_or_keep_the_invariants(raw):
@@ -109,7 +125,11 @@ def test_fuzzed_scenarios_are_refused_by_path_or_keep_the_invariants(raw):
         assert str(exc).startswith("scenario."), str(exc)
         return
     sim = Simulation(scenario)
+    oracle = WalkOracle(sim)
     report = metrics.finalize(sim.run(), scenario)
+
+    # every walk, inline or through page_walk, is page_walk's walk
+    oracle.check()
 
     for name in WINDOW_COUNTERS:
         assert sum(r[name] for r in report.per_node) \
