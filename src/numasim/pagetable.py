@@ -60,7 +60,7 @@ _PTE = int(Level.PTE)
 _DEPTH = len(Level)  # tables on a full path
 
 
-@dataclass
+@dataclass(slots=True)
 class Mapping:
     """Leaf translation entry, shared by every replica of its table."""
     vpn: int
@@ -385,7 +385,8 @@ def set_access_hint(space: AddressSpace, vpns: Sequence[int],
     """Arm access-sampling hints: per vpn, an entry write per replica.
 
     Models the periodic page unmapping that locality sampling performs; the
-    next touch takes a minor fault serviced by clear_access_hint.  Like
+    next touch takes a minor fault that clears the hint at
+    clear_access_hint's price.  Like
     protect_range, every vpn is validated before anything is written.
     """
     return _mutate_leaf(space, vpns, requesting_node, _ARM_HINT)

@@ -134,10 +134,12 @@ def test_set_rejects_a_list_index_out_of_range(tmp_path, monkeypatch, capsys):
     (["a"], [], "expected a string, got ['a']"),
     ("scen", ["--set", "name=7"], "expected a string, got 7"),
     ("a\0b", [], "must be a file name, got 'a\\x00b'"),
+    ("scen", ["--set", 'name="a\\ud800b"'],
+     "must be a file name, got 'a\\ud800b'"),
     ("n" * 300, [], "too long, the output file name would take 324 bytes, "
                     "over 255"),
 ], ids=["parent_dir", "separator", "dot_dot", "empty", "list", "set_int",
-        "nul", "too_long"])
+        "nul", "lone_surrogate", "too_long"])
 def test_scenario_name_must_be_a_file_name(tmp_path, monkeypatch, capsys,
                                            name, extra, error):
     # the name becomes part of the output path under $NUMASIM_OUT

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from numasim import engine, pagetable
+from numasim import pagetable
 from numasim.cli import load_scenario_file, scenario_from_dict
 from numasim.engine import (
     CACHELINE_BYTES,
@@ -236,8 +236,7 @@ def test_walk_counters_sum_the_walks_each_task_made(seed):
     assert sum(row[2] for row in oracle.sums.values()) > 0
 
 
-def test_inline_walks_follow_a_shootdown_in_the_same_batch_and_hint_faults(
-        monkeypatch):
+def test_inline_walks_follow_a_shootdown_in_the_same_batch_and_hint_faults():
     # a VM op shoots down the running core's own entries mid-quantum, and a
     # scan arms hints each quantum, so mapped walks follow both
     spec = preset("wrmem_like", thread_count=2, footprint_pages=256,
@@ -248,6 +247,7 @@ def test_inline_walks_follow_a_shootdown_in_the_same_batch_and_hint_faults(
     mmu = sim.mmu
     shot = {}  # core id -> the quantum its own VM op last dropped an entry
     walks_after_shootdown = hint_faults_after_walk = 0
+    armed = None  # the leaf of a mapped walk's page that was armed then
     shootdown, lookup = mmu.tlb_shootdown, mmu.tlb_lookup
 
     def tlb_shootdown(vpns, initiator_node, core_ids, initiator_core=None):
@@ -260,25 +260,75 @@ def test_inline_walks_follow_a_shootdown_in_the_same_batch_and_hint_faults(
         return cycles
 
     def tlb_lookup(core_id, vpn):
-        nonlocal walks_after_shootdown
+        nonlocal walks_after_shootdown, hint_faults_after_walk, armed
+        # the access after a walk of an armed page: its fault, which only
+        # the engine's access loop services, has cleared the hint
+        if armed is not None and not armed.numa_hint:
+            hint_faults_after_walk += 1
+        armed = None
         mapping = lookup(core_id, vpn)
-        if oracle.pending == (core_id, vpn) \
-                and shot.get(core_id) == sim.quantum:
-            walks_after_shootdown += 1
+        if oracle.pending == (core_id, vpn):
+            if shot.get(core_id) == sim.quantum:
+                walks_after_shootdown += 1
+            leaf = sim.processes[0].space.lookup(vpn)
+            if leaf.numa_hint:
+                armed = leaf
         return mapping
 
-    def clear_access_hint(space, vpn, node):
-        nonlocal hint_faults_after_walk
-        if oracle.pending is not None and oracle.pending[1] == vpn:
-            hint_faults_after_walk += 1
-        return pagetable.clear_access_hint(space, vpn, node)
-
     mmu.tlb_shootdown, mmu.tlb_lookup = tlb_shootdown, tlb_lookup
-    monkeypatch.setattr(engine, "clear_access_hint", clear_access_hint)
     sim.run()
     oracle.check()
     assert walks_after_shootdown > 0
     assert hint_faults_after_walk > 0
+
+
+def test_hint_faults_cost_what_clear_access_hint_prices():
+    # two replicas with their tables on their own nodes, so the PTE table
+    # has a local and a remote copy; without autonuma only the test arms
+    # hints, on two pages of that table the task touches each quantum
+    spec = WorkloadSpec(name="hints", thread_count=1, footprint_pages=8,
+                        pattern="sequential",
+                        accesses_per_quantum_per_thread=64)
+    policy = PolicyKind("linux", autonuma=False, force_replicas=2,
+                        alloc_policy="home_node")
+    armed = (2, 5)
+    fields = ("replica_update_cycles", "lock_wait_cycles", "total_cycles")
+
+    def after_one_quantum(arm):
+        sim = Simulation(build([spec], nodes=2, cores=1, policy=policy,
+                               duration=2, prefault=True))
+        sim.step()
+        space = sim.processes[0].space
+        for vpn in arm:
+            space.lookup(vpn).numa_hint = True
+        return sim, space
+
+    def quantum_delta(sim):
+        c = sim.tasks[0].counters
+        before = [getattr(c, f) for f in fields]
+        sim.step()
+        return [getattr(c, f) - b for f, b in zip(fields, before)]
+
+    sim, space = after_one_quantum(armed)
+    plain, _ = after_one_quantum(())
+    reference, ref_space = after_one_quantum(armed)
+    node = sim.cores[sim.tasks[0].st.current_core].node_id
+    assert sorted(space.paths[0][3].resident.values()) == [0, 1]
+    ref_space.begin_quantum()
+    first, second = [pagetable.clear_access_hint(ref_space, vpn, node)
+                     for vpn in armed]
+    own = access_latency(reference.topo, node, 0) \
+        + access_latency(reference.topo, node, 1)
+    assert (first.cycles, first.lock_wait_cycles) == (own, 0)
+    # the second fault queues behind the first's own cycles
+    assert second.lock_wait_cycles == own
+    assert second.cycles == 2 * own
+
+    replica, lock_wait, total = quantum_delta(sim)
+    assert quantum_delta(plain) == [0, 0, total - first.cycles - second.cycles]
+    assert replica == first.cycles + second.cycles
+    assert lock_wait == first.lock_wait_cycles + second.lock_wait_cycles
+    assert not any(space.lookup(vpn).numa_hint for vpn in armed)
 
 
 @pytest.mark.parametrize("rate", [0.0, 1.0])
