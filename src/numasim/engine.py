@@ -221,6 +221,14 @@ class SimProcess:
         self.charge_rr = 0
         # with autonuma: node -> event -> times issued there since the scan
         self.access_counts: Dict[int, Counter] = {}
+        self.cores: Tuple[int, ...] = ()  # its tasks' cores, each once
+        self.targets: Dict[int, Tuple[int, ...]] = {}  # core -> the others
+
+    def keep_cores(self) -> None:
+        """Record where the tasks run; called whenever one moves."""
+        cores = self.cores = tuple(dict.fromkeys(t.st.current_core
+                                                 for t in self.tasks))
+        self.targets = {c: tuple(o for o in cores if o != c) for c in cores}
 
 
 class CoreState:
@@ -316,6 +324,7 @@ class Simulation:
             proc.tasks.append(task)
             sched.place_thread(st, self.policy, loads, slots, self.topo)
             self.cores[st.current_core].runqueue.append(task)
+        proc.keep_cores()
 
         replicate_on: List[int] = []
         if self.policy.kind == "mitosis":
@@ -382,20 +391,25 @@ class Simulation:
         c.replica_update_cycles += cost.cycles
         c.lock_wait_cycles += cost.lock_wait_cycles
 
-    def _shoot_down(self, proc: SimProcess, task: SimTask, vpns: Sequence[int],
+    def _shoot_down(self, proc: SimProcess, task: SimTask,
+                    cost: pagetable.PtOpCost, vpns: Sequence[int],
                     initiator_node: int, initiator_core: Optional[int]) -> None:
-        """Drop vpns on every core running proc and charge task the IPIs.
+        """Charge task a leaf write of vpns, as _charge_pt_cost does, then
+        drop vpns on every core running proc and charge task the IPIs.
 
         Each vpn is one IPI to each other core, however many of proc's tasks
         it queues, priced from initiator_node; the initiator's own core,
         when given, drops it unpriced.
         """
-        cores = dict.fromkeys(t.st.current_core for t in proc.tasks)
-        targets = [core for core in cores if core != initiator_core]
-        cycles = self.mmu.tlb_shootdown(vpns, initiator_node, targets,
-                                        initiator_core)
-        task.counters.shootdown_cycles += cycles
-        task.counters.total_cycles += cycles
+        ipis = self.mmu.tlb_shootdown(
+            vpns, initiator_node, proc.targets.get(initiator_core, proc.cores),
+            initiator_core)
+        c = task.counters
+        c.total_cycles += cost.cycles + ipis
+        c.stall_cycles += cost.cycles
+        c.replica_update_cycles += cost.cycles
+        c.lock_wait_cycles += cost.lock_wait_cycles
+        c.shootdown_cycles += ipis
 
     # -- event execution -----------------------------------------------------------
 
@@ -411,10 +425,11 @@ class Simulation:
         hint fault is priced inline by clear_access_hint's rule, and its
         cycles and lock waits gather in locals as well.
         The stream holds each data access as its vpn, an int; a VmOp goes
-        to _do_vm_op.  With autonuma, one Counter update per batch adds it
-        to the process's counts for the core's node.  An LLC miss is a draw
-        below llc_miss_rate from the task-quantum's own generator, built
-        only when the rate is neither 0 nor 1.
+        to _do_vm_op but is counted, and charged its compute cycle, here.
+        With autonuma, one Counter update per batch adds it to the process's
+        counts for the core's node.  An LLC miss is a draw below
+        llc_miss_rate from the task-quantum's own generator, built only when
+        the rate is neither 0 nor 1.
 
         A task with events queued behind its MBA cap defers its new quantum
         as an index; a deferred quantum is generated when its first event
@@ -465,7 +480,7 @@ class Simulation:
         reads_to = [0] * len(bytes_to)  # inline walks' table reads by node
         issued = proc.access_counts.setdefault(node, Counter()) \
             if self.policy.autonuma else None
-        accesses = hits = llc_misses = stall = 0
+        events = accesses = hits = llc_misses = stall = 0
         walk_cycles = walk_accesses = walk_remote = 0
         hint_own = hint_waits = 0  # hint faults' own cycles, lock waits
 
@@ -476,6 +491,7 @@ class Simulation:
             batch = backlog[:issue]
             del backlog[:issue]
             issue -= len(batch)
+            events += len(batch)
             if issued is not None:
                 issued.update(batch)
             for event in batch:
@@ -558,9 +574,9 @@ class Simulation:
             bytes_to[to_node] += reads * CACHELINE_BYTES
 
         c = task.counters
-        c.events_issued += accesses
+        c.events_issued += events
         hint_cycles = hint_own + hint_waits
-        c.total_cycles += accesses * COMPUTE_CYCLES_PER_EVENT + stall \
+        c.total_cycles += events * COMPUTE_CYCLES_PER_EVENT + stall \
             + walk_cycles + hint_cycles
         c.stall_cycles += stall + walk_cycles + hint_cycles
         c.replica_update_cycles += hint_cycles
@@ -579,58 +595,51 @@ class Simulation:
         proc = self.processes[task.st.process_id]
         space = proc.space
         fp = proc.spec.footprint_pages
-        start = op.start
-        pages = [(start + i) % fp for i in range(op.pages)]
-        task.counters.events_issued += 1
-        task.counters.total_cycles += COMPUTE_CYCLES_PER_EVENT
+        node, core_id = core.node_id, core.core_id
+        start, end, kind = op.start, op.start + op.pages, op.kind
+        # op.pages is at most fp, so the pages wrap to 0 at most once
+        pages = range(start, end) if end <= fp \
+            else [*range(start, fp), *range(end - fp)]
 
-        if op.kind == "map":
-            for vpn in pages:
-                if space.lookup(vpn) is None:
-                    pfn_node = self._data_node(proc, core.node_id)
-                    cost = map_page(space, vpn, self._alloc_pfn(), pfn_node,
-                                    core.node_id)
-                    self._charge_pt_cost(task, cost)
-        elif op.kind == "unmap":
-            for vpn in pages:
-                if space.lookup(vpn) is not None:
-                    cost = unmap_page(space, vpn, core.node_id)
-                    self._charge_pt_cost(task, cost)
-                    self._shoot_down(proc, task, (vpn,), core.node_id,
-                                     core.core_id)
-        elif op.kind == "protect":
-            # one protect_range per run of contiguous mapped pages
-            run: List[int] = []
-            for vpn in pages + [None]:
-                mapped = vpn is not None and space.lookup(vpn) is not None
-                if mapped and (not run or vpn == run[-1] + 1):
-                    run.append(vpn)
-                    continue
-                if run:
-                    cost = protect_range(space, run[0], len(run), PROT_READ,
-                                         core.node_id)
-                    self._charge_pt_cost(task, cost)
-                    self._shoot_down(proc, task, run, core.node_id,
-                                     core.core_id)
-                run = [vpn] if mapped else []
-        elif op.kind == "remap":
+        if kind == "remap":
             dest = (start + fp // 2) % fp
             for vpn in pages:
                 mapping = space.lookup(vpn)
                 if mapping is None:
                     continue
-                pfn, pfn_node, prot = mapping.pfn, mapping.pfn_node, mapping.prot
-                cost = unmap_page(space, vpn, core.node_id)
-                self._charge_pt_cost(task, cost)
-                self._shoot_down(proc, task, (vpn,), core.node_id,
-                                 core.core_id)
+                self._shoot_down(proc, task, unmap_page(space, vpn, node),
+                                 (vpn,), node, core_id)
+                # vpn is free now, so the search always finds a page
                 target = space.next_free_vpn(dest, fp)
-                if target is None:
-                    continue
                 dest = (target + 1) % fp
-                cost = map_page(space, target, pfn, pfn_node, core.node_id,
-                                prot=prot)
+                cost = map_page(space, target, mapping.pfn, mapping.pfn_node,
+                                node, prot=mapping.prot)
                 self._charge_pt_cost(task, cost)
+        elif kind == "protect":
+            # one protect_range per run [first, end) of contiguous mapped pages
+            runs: List[List[int]] = []
+            for vpn in pages:
+                if space.lookup(vpn) is not None:
+                    if runs and runs[-1][1] == vpn:
+                        runs[-1][1] += 1
+                    else:
+                        runs.append([vpn, vpn + 1])
+            for first, end in runs:
+                cost = protect_range(space, first, end - first, PROT_READ, node)
+                self._shoot_down(proc, task, cost, range(first, end), node,
+                                 core_id)
+        elif kind == "map":
+            for vpn in pages:
+                if space.lookup(vpn) is None:
+                    pfn_node = self._data_node(proc, node)
+                    cost = map_page(space, vpn, self._alloc_pfn(), pfn_node,
+                                    node)
+                    self._charge_pt_cost(task, cost)
+        elif kind == "unmap":
+            for vpn in pages:
+                if space.lookup(vpn) is not None:
+                    self._shoot_down(proc, task, unmap_page(space, vpn, node),
+                                     (vpn,), node, core_id)
 
     # -- locality scanning -----------------------------------------------------------
 
@@ -657,11 +666,10 @@ class Simulation:
             for k in range(min(count, n)):
                 task = tasks[(proc.charge_rr + k) % n]
                 node = self.cores[task.st.current_core].node_id
-                vpns = sample[k::n]
+                vpns = sorted(sample[k::n])  # so each PTE table is priced once
                 space.begin_quantum()
-                cost = set_access_hint(space, vpns, node)
-                self._charge_pt_cost(task, cost)
-                self._shoot_down(proc, task, vpns, node, None)
+                self._shoot_down(proc, task, set_access_hint(space, vpns, node),
+                                 vpns, node, None)
             proc.charge_rr += count
             space.begin_quantum()
 
@@ -681,9 +689,8 @@ class Simulation:
         task.counters.total_cycles += copy_cycles
         task.counters.stall_cycles += copy_cycles
         self._traffic(task, from_node, to_node, PAGE_BYTES)
-        cost = set_frame_node(space, vpn, to_node, node)
-        self._charge_pt_cost(task, cost)
-        self._shoot_down(proc, task, (vpn,), node, None)
+        self._shoot_down(proc, task, set_frame_node(space, vpn, to_node, node),
+                         (vpn,), node, None)
         task.counters.data_migrations += 1
 
     # -- policy actions ---------------------------------------------------------------
@@ -758,6 +765,8 @@ class Simulation:
             if source.node_id != self.cores[new_core].node_id:
                 task.counters.thread_migrations += 1
             old_core[task_id] = new_core
+        for proc in self.processes:
+            proc.keep_cores()
         if self.policy.kind == "phoenix":
             self._follow_tables()
 

@@ -42,6 +42,8 @@ class Mmu:
         self.pwcs = [({}, {}, {}) for _ in range(n)]
         self.tlb_limits = [topo.tlb_entries] * n
         self.pwc_limits = [self.pwc_entries] * n
+        # plans by tlb_shootdown's other arguments; caches are never rebound
+        self._shootdowns: Dict[tuple, Tuple[int, List[tuple]]] = {}
 
     # -- TLB ------------------------------------------------------------------
 
@@ -137,35 +139,42 @@ class Mmu:
         over each core's caches.  The same entries go either way, and the
         survivors keep their order.
         """
-        tlbs, pwcs = self.tlbs, self.pwcs
-        cores = core_ids if initiator_core is None \
-            else (*core_ids, initiator_core)
+        key = (initiator_node, tuple(core_ids), initiator_core)
+        plan = self._shootdowns.get(key)
+        if plan is None:  # one vpn's IPIs, rounded, and each core's caches
+            tlbs, pwcs = self.tlbs, self.pwcs
+            cores = dict.fromkeys(core_ids if initiator_core is None
+                                  else (*core_ids, initiator_core))
+            plan = self._shootdowns[key] = (int(sum(map(
+                self.ipi_prices[initiator_node].__getitem__, core_ids)) + 0.5),
+                [(tlbs[core], *pwcs[core]) for core in cores])
+        price, caches = plan
         a = self.topo.arity
         if len(vpns) <= self.topo.tlb_entries:
+            # most entries are gone already, so test before deleting
             for vpn in vpns:
                 pmd = vpn // a
                 pud = pmd // a
                 pgd = pud // a
-                for core in cores:
-                    tlbs[core].pop(vpn, None)
-                    pgd_cache, pud_cache, pmd_cache = pwcs[core]
-                    pgd_cache.pop(pgd, None)
-                    pud_cache.pop(pud, None)
-                    pmd_cache.pop(pmd, None)
+                for tlb, pgd_cache, pud_cache, pmd_cache in caches:
+                    if vpn in tlb:
+                        del tlb[vpn]
+                    if pgd in pgd_cache:
+                        del pgd_cache[pgd]
+                    if pud in pud_cache:
+                        del pud_cache[pud]
+                    if pmd in pmd_cache:
+                        del pmd_cache[pmd]
         else:
-            cores = set(cores)
-            # the TLBs are far smaller than the request: intersect with them
-            cached = set().union(*(tlbs[core] for core in cores))
             # each level's prefixes from the level below: vpn // a**2 is
-            # (vpn // a) // a, so only the PMD set is built from every vpn
-            pmd = {vpn // a for vpn in vpns}
-            pud = {prefix // a for prefix in pmd}
-            doomed = (cached.intersection(vpns),
-                      {prefix // a for prefix in pud}, pud, pmd)
-            for core in cores:
-                for cache, keys in zip((tlbs[core], *pwcs[core]), doomed):
-                    for key in [k for k in cache if k in keys]:
+            # (vpn // a) // a, so only the PMD set is built from every vpn;
+            # the TLBs are far smaller than the request: intersect with them
+            pmd = set(map(a.__rfloordiv__, vpns))
+            pud = set(map(a.__rfloordiv__, pmd))
+            doomed = (set().union(*(core[0] for core in caches)).intersection(
+                vpns), set(map(a.__rfloordiv__, pud)), pud, pmd)
+            for core in caches:
+                for cache, keys in zip(core, doomed):
+                    for key in list(filter(keys.__contains__, cache)):
                         del cache[key]
-        prices = self.ipi_prices[initiator_node]
-        cycles = sum(prices[core_id] for core_id in core_ids)
-        return len(vpns) * int(cycles + 0.5)
+        return len(vpns) * price

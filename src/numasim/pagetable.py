@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import partial
+from itertools import filterfalse, repeat
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .topology import Topology, access_latency
@@ -28,7 +30,6 @@ INTERLEAVE = "interleave"
 HOME_NODE = "home_node"
 ALLOC_POLICIES = (FIRST_TOUCH, INTERLEAVE, HOME_NODE)
 
-LeafWrite = Callable[[Dict[int, object], int, int], None]  # (entries, idx, vpn)
 # the tables over one PTE table's pages, from the PGD down
 TablePath = Tuple["PageTableNode", ...]
 
@@ -165,9 +166,11 @@ class AddressSpace:
 
     def lookup(self, vpn: int) -> Optional[Mapping]:
         """Uncosted translation."""
-        path = _path(self, vpn)
-        return path[_PTE].entries.get(vpn % self.arity) \
-            if len(path) == _DEPTH else None
+        a = self.arity
+        path = self.paths.get(vpn // a)
+        if path is None and len(path := _path(self, vpn)) < _DEPTH:
+            return None
+        return path[_PTE].entries.get(vpn % a)
 
     def next_free_vpn(self, start: int, limit: int) -> Optional[int]:
         """The first unmapped vpn of start, start + 1, ..., wrapping at limit.
@@ -178,16 +181,18 @@ class AddressSpace:
         a = self.arity
         vpn, left = start, limit
         while left:
+            base = vpn - vpn % a  # the first vpn of vpn's PTE table
             # the candidates up to the end of this PTE table, the wrap or the
             # last unchecked page, whichever comes first
-            end = min((vpn // a + 1) * a, limit, vpn + left)
-            path = _path(self, vpn)
-            if len(path) < _DEPTH:
+            end = min(base + a, limit, vpn + left)
+            path = self.paths.get(base // a)  # which holds every PTE table
+            if path is None:
                 return vpn
-            entries = path[_PTE].entries
-            for candidate in range(vpn, end):
-                if candidate % a not in entries:
-                    return candidate
+            # the first of the candidates' indices the table lacks
+            free = next(filterfalse(path[_PTE].entries.__contains__,
+                                    range(vpn - base, end - base)), None)
+            if free is not None:
+                return base + free
             left -= end - vpn
             vpn = end % limit
         return None
@@ -263,69 +268,69 @@ def _path(space: AddressSpace, vpn: int,
 
 
 def _mutate_leaf(space: AddressSpace, vpns: Sequence[int], updater_node: int,
-                 write: LeafWrite, allocate: bool = False) -> PtOpCost:
+                 write: Callable[[Dict[int, object], int, object], None],
+                 arg: object = None, allocate: bool = False) -> PtOpCost:
     """The one leaf-mutation path: write each vpn's leaf in every replica.
 
-    Each PTE table is found once per call, allocating missing tables when
-    allocate is set; its copies are priced then, one price read per
-    replica, and every vpn in the table is charged that sum and one write
-    per replica.  All vpns are checked before anything is written: with
-    allocate each must be unmapped (MappingExistsError), otherwise mapped
-    (NotMappedError).  write(entries, idx, vpn) is applied once, to the leaf
-    every replica shares.  A single lock wait covers every table the
-    operation touched.  TLB shootdowns are the caller's.
+    Each PTE table is found, allocating missing tables when allocate is
+    set, and priced from the updater's price row, one read per copy, once
+    per run of its vpns.  Every vpn is charged that price and one write per
+    copy.  All vpns are checked before anything is written: with allocate
+    each must be unmapped (MappingExistsError), otherwise mapped
+    (NotMappedError).  Then write(entries, idx, arg) is applied to each
+    vpn's leaf, which every replica shares, in vpns order.  A single lock
+    wait covers every table the operation touched.  TLB shootdowns are the
+    caller's.
     """
-    cost = PtOpCost()
     touched: set = set()
-    alloc = None
-    if allocate:
-        def alloc(parent: PageTableNode, idx: int) -> PageTableNode:
-            return _alloc_child(space, parent, idx, updater_node, cost,
-                                touched)
-    topo = space.topo
+    price = space.topo.cycles[updater_node]  # access_latency's row
     a = space.arity
-    # vpn // arity -> (the PTE table's entries, its copies, their price)
-    tables: Dict[int, Tuple[Dict[int, object], int, int]] = {}
+    leaves: List[Tuple[Dict[int, object], int]] = []  # checked, to write
+    cycles = writes = 0
+    grown = None  # the cost of the tables allocated, if any
+    key = None
     for vpn in vpns:
-        key = vpn // a
-        table = tables.get(key)
-        if table is None:
-            path = space.paths.get(key) or _path(space, vpn, alloc)
-            if len(path) < _DEPTH:
-                raise NotMappedError(f"vpn {vpn} is not mapped")
+        if vpn // a != key:  # a new PTE table: find and price it
+            key = vpn // a
+            path = space.paths.get(key)
+            if path is None:
+                if allocate:
+                    grown = grown or PtOpCost()
+                path = _path(space, vpn, partial(
+                    _alloc_child, space, updater_node=updater_node,
+                    cost=grown, touched=touched) if allocate else None)
+                if len(path) < _DEPTH:
+                    raise NotMappedError(f"vpn {vpn} is not mapped")
             pte = path[_PTE]
-            resident = pte.resident
-            price = 0
-            for node in resident.values():
-                price += access_latency(topo, updater_node, node)
+            entries = pte.entries
+            copies = len(pte.resident)
+            table_price = sum(map(price.__getitem__, pte.resident.values()))
             touched.add(id(pte))
-            table = tables[key] = (pte.entries, len(resident), price)
-        if (vpn % a in table[0]) == allocate:
+        idx = vpn % a
+        if (idx in entries) == allocate:
             if allocate:
                 raise MappingExistsError(f"vpn {vpn} already mapped")
             raise NotMappedError(f"vpn {vpn} is not mapped")
-
-    cycles = writes = 0
-    for vpn in vpns:
-        entries, copies, price = tables[vpn // a]
-        write(entries, vpn % a, vpn)
+        leaves.append((entries, idx))
         writes += copies
-        cycles += price
-    cost.writes_performed += writes
-    cost.cycles += cycles
-    cost.lock_wait_cycles = space._lock_wait(touched, cost.cycles)
-    cost.cycles += cost.lock_wait_cycles
-    return cost
+        cycles += table_price
+
+    for entries, idx in leaves:
+        write(entries, idx, arg)
+    if grown is not None:
+        cycles += grown.cycles
+        writes += grown.writes_performed
+    wait = space._lock_wait(touched, cycles)
+    return PtOpCost(cycles + wait, writes, wait)
 
 
-def _set_field(name: str, value) -> LeafWrite:
-    def write(entries: Dict[int, object], idx: int, vpn: int) -> None:
-        setattr(entries[idx], name, value)
-    return write
+def _install(entries: Dict[int, object], idx: int, leaves: Iterator) -> None:
+    entries[idx] = next(leaves)
 
 
-_ARM_HINT = _set_field("numa_hint", True)
-_CLEAR_HINT = _set_field("numa_hint", False)
+def _set_field(entries: Dict[int, object], idx: int,
+               change: Tuple[str, object]) -> None:
+    setattr(entries[idx], *change)  # change is (field name, value)
 
 
 # -- public operations --------------------------------------------------------
@@ -342,13 +347,8 @@ def map_pages(space: AddressSpace, vpns: Sequence[int], pfns: Sequence[int],
     per allocated table page), each priced as an access from
     requesting_node to the node holding the written table page.
     """
-    frames = dict(zip(vpns, zip(pfns, pfn_nodes)))
-
-    def install(entries: Dict[int, object], idx: int, vpn: int) -> None:
-        pfn, pfn_node = frames[vpn]
-        entries[idx] = Mapping(vpn, pfn, prot, pfn_node)
-
-    cost = _mutate_leaf(space, vpns, requesting_node, install, allocate=True)
+    cost = _mutate_leaf(space, vpns, requesting_node, _install, map(
+        Mapping, vpns, pfns, repeat(prot), pfn_nodes), allocate=True)
     space.mappings_count += len(vpns)
     return cost
 
@@ -361,10 +361,7 @@ def map_page(space: AddressSpace, vpn: int, pfn: int, pfn_node: int,
 
 def unmap_page(space: AddressSpace, vpn: int, requesting_node: int) -> PtOpCost:
     """Clear vpn in every replica."""
-    def clear(entries: Dict[int, object], idx: int, vpn: int) -> None:
-        del entries[idx]
-
-    cost = _mutate_leaf(space, (vpn,), requesting_node, clear)
+    cost = _mutate_leaf(space, (vpn,), requesting_node, dict.pop)
     space.mappings_count -= 1
     return cost
 
@@ -377,7 +374,7 @@ def protect_range(space: AddressSpace, vpn_start: int, n_pages: int, prot: int,
     leaves the space untouched.
     """
     return _mutate_leaf(space, range(vpn_start, vpn_start + n_pages),
-                        requesting_node, _set_field("prot", prot))
+                        requesting_node, _set_field, ("prot", prot))
 
 
 def set_access_hint(space: AddressSpace, vpns: Sequence[int],
@@ -389,20 +386,22 @@ def set_access_hint(space: AddressSpace, vpns: Sequence[int],
     clear_access_hint's price.  Like
     protect_range, every vpn is validated before anything is written.
     """
-    return _mutate_leaf(space, vpns, requesting_node, _ARM_HINT)
+    return _mutate_leaf(space, vpns, requesting_node, _set_field,
+                        ("numa_hint", True))
 
 
 def clear_access_hint(space: AddressSpace, vpn: int,
                       requesting_node: int) -> PtOpCost:
     """Disarm a sampling hint after the fault; entry write per replica."""
-    return _mutate_leaf(space, (vpn,), requesting_node, _CLEAR_HINT)
+    return _mutate_leaf(space, (vpn,), requesting_node, _set_field,
+                        ("numa_hint", False))
 
 
 def set_frame_node(space: AddressSpace, vpn: int, new_node: int,
                    requesting_node: int) -> PtOpCost:
     """Point a mapping at a frame on new_node in every replica (data migration)."""
-    return _mutate_leaf(space, (vpn,), requesting_node,
-                        _set_field("pfn_node", new_node))
+    return _mutate_leaf(space, (vpn,), requesting_node, _set_field,
+                        ("pfn_node", new_node))
 
 
 def add_replica(space: AddressSpace, target_node: int) -> PtOpCost:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, replace
-from typing import Dict, List, NamedTuple, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -51,6 +51,8 @@ class WorkloadSpec:
             raise ValueError("accesses_per_quantum_per_thread must be positive")
         if self.vm_ops_per_kilo_access < 0:
             raise ValueError("vm_ops_per_kilo_access cannot be negative")
+        if self.vm_ops_per_kilo_access > 1000:  # one op after every access
+            raise ValueError("vm_ops_per_kilo_access must be at most 1000")
         mix = self.vm_op_mix
         if not isinstance(mix, tuple) or not all(
                 isinstance(pair, tuple) and len(pair) == 2 for pair in mix):
@@ -173,7 +175,7 @@ def _rng(spec: WorkloadSpec, rng_seed: int, quantum_index: int,
     return np.random.Generator(np.random.PCG64(seq))
 
 
-def _draw_vpns(spec: WorkloadSpec, rng: np.random.Generator,
+def _draw_vpns(spec: WorkloadSpec, rng: Optional[np.random.Generator],
                quantum_index: int, thread_id: int, n: int) -> np.ndarray:
     fp = spec.footprint_pages
     if spec.pattern == "uniform_random":
@@ -194,14 +196,15 @@ def _quantum_draws(spec: WorkloadSpec, thread_id: int, rng_seed: int,
                    ) -> Tuple[np.ndarray, List[Tuple[int, VmOp]]]:
     """Every RNG draw of one thread-quantum: its access vpns and its VM ops
     as (slot, op), in slot order."""
-    rng = _rng(spec, rng_seed, quantum_index, thread_id)
+    # a sequential quantum without VM ops draws nothing, so needs no generator
+    draws = spec.pattern != "sequential" or spec.vm_ops_per_kilo_access > 0
+    rng = _rng(spec, rng_seed, quantum_index, thread_id) if draws else None
     n = spec.accesses_per_quantum_per_thread
     vpns = _draw_vpns(spec, rng, quantum_index, thread_id, n)
 
     vm_ops: List[Tuple[int, VmOp]] = []
     if spec.vm_ops_per_kilo_access > 0:
-        p = min(1.0, spec.vm_ops_per_kilo_access / 1000.0)
-        count = int(rng.binomial(n, p))
+        count = int(rng.binomial(n, spec.vm_ops_per_kilo_access / 1000.0))
         if count:
             fp = spec.footprint_pages
             slots = np.sort(rng.choice(n, size=count, replace=False))

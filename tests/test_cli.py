@@ -353,6 +353,13 @@ def test_validation_failures_name_the_offending_path(tmp_path, capsys):
         assert f"scenario.workloads[0]: {message}" \
             in capsys.readouterr().err, assignment
 
+    # above 1000 per kilo-access every slot holds an op, so larger rates ran
+    # exactly as 1000 does
+    assert cli.main(["run", path, "--set",
+                     "workloads.0.overrides.vm_ops_per_kilo_access=5000"]) == 1
+    assert "scenario.workloads[0]: vm_ops_per_kilo_access must be at most " \
+        "1000" in capsys.readouterr().err
+
     # 5**4 = 625 pages is all a four-level table of arity 5 maps
     assert cli.main(["run", path, "--set", "machine.arity=5", "--set",
                      "workloads.0.overrides.footprint_pages=626"]) == 1

@@ -97,6 +97,26 @@ def variant(kind, block, key, value):
     return raw
 
 
+def vm_heavy(kind):
+    """base_raw(kind) with wrmem_like at arity 4 and a remap/protect-heavy
+    mix over about three pages an op, so VM ops cross PTE tables."""
+    raw = variant(kind, "workloads", "preset", "wrmem_like")
+    raw["machine"]["arity"] = 4
+    raw["workloads"][0]["overrides"].update(
+        vm_ops_per_kilo_access=200, vm_range_mean_pages=3,
+        vm_op_mix={"remap": 3, "protect": 2, "map": 1, "unmap": 1})
+    return raw
+
+
+def assert_process_cores_kept(sim):
+    """Each process's cores are its tasks' cores, each once, in task order."""
+    for proc in sim.processes:
+        cores = tuple(dict.fromkeys(t.st.current_core for t in proc.tasks))
+        assert proc.cores == cores
+        assert proc.targets == {
+            core: tuple(c for c in cores if c != core) for core in cores}
+
+
 @st.composite
 def scenarios(draw):
     kind = draw(st.sampled_from(VALID[("policy", "kind")]))
@@ -116,6 +136,14 @@ def scenarios(draw):
 @example(variant("phoenix", "machine", "smt", True))
 @example(variant("linux", "policy", "alloc_policy", "interleave"))
 @example(variant("phoenix", "policy", "force_replicas", 4))
+# the VM-op path: the preset as it is, and remaps and protects that cross
+# PTE tables under each policy
+@example(variant("linux", "workloads", "preset", "wrmem_like"))
+@example(vm_heavy("linux"))
+@example(vm_heavy("mitosis"))
+@example(vm_heavy("phoenix"))
+# phoenix moves one of these six threads in _rebalance
+@example(variant("phoenix", "overrides", "thread_count", 6))
 @settings(derandomize=True, max_examples=300, deadline=None, database=None)
 @given(scenarios())
 def test_fuzzed_scenarios_are_refused_by_path_or_keep_the_invariants(raw):
@@ -126,6 +154,13 @@ def test_fuzzed_scenarios_are_refused_by_path_or_keep_the_invariants(raw):
         return
     sim = Simulation(scenario)
     oracle = WalkOracle(sim)
+    step = sim.step
+
+    def step_keeping_cores():
+        step()
+        assert_process_cores_kept(sim)
+
+    sim.step = step_keeping_cores
     report = metrics.finalize(sim.run(), scenario)
 
     # every walk, inline or through page_walk, is page_walk's walk
@@ -156,3 +191,15 @@ def test_fuzzed_scenarios_are_refused_by_path_or_keep_the_invariants(raw):
         assert len(space.paths) == len(ptes)
     again = run_scenario(cli.scenario_from_dict(copy.deepcopy(raw)))
     assert again.to_json() == report.to_json()
+
+
+def test_process_cores_follow_a_rebalanced_thread():
+    sim = Simulation(cli.scenario_from_dict(
+        variant("phoenix", "overrides", "thread_count", 6)))
+    moves = 0
+    for _ in range(sim.scenario.duration_quanta):
+        before = [t.st.current_core for t in sim.tasks]
+        sim.step()
+        moves += before != [t.st.current_core for t in sim.tasks]
+        assert_process_cores_kept(sim)
+    assert moves

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from numasim import workload
 from numasim.workload import (
     PRESETS,
     VmOp,
@@ -44,6 +45,30 @@ def test_sequential_strides_and_wraps():
     spec = spec_for("sequential")
     vpns = generate_quantum_events(spec, 0, 1, 0)
     assert vpns == [0, 1, 2, 3, 4, 5, 6, 7, 0, 1]
+
+
+def test_a_quantum_that_draws_nothing_builds_no_generator(monkeypatch):
+    built = []
+    real_rng = workload._rng
+
+    def counting_rng(*args):
+        built.append(args)
+        return real_rng(*args)
+
+    monkeypatch.setattr(workload, "_rng", counting_rng)
+    spec = spec_for("sequential")
+    # the streams of the same quanta from the last build that made a
+    # generator for every thread-quantum
+    assert generate_quantum_events(spec, 0, 5, 0) == \
+        [0, 1, 2, 3, 4, 5, 6, 7, 0, 1]
+    assert generate_quantum_events(spec, 3, 5, 7) == \
+        [4, 5, 6, 7, 0, 1, 2, 3, 4, 5]
+    assert built == []
+    # a random pattern, or VM ops, draw from the generator
+    generate_quantum_events(spec_for("uniform_random"), 0, 5, 0)
+    generate_quantum_events(spec_for("sequential", vm_ops_per_kilo_access=50.0,
+                                     vm_op_mix=(("map", 1.0),)), 0, 5, 0)
+    assert len(built) == 2
 
 
 def test_sequential_threads_offset_into_the_footprint():
@@ -200,6 +225,12 @@ def test_spec_validation_rejects_bad_values():
                  vm_op_mix=(("mremap", 1.0),)).validate()
     with pytest.raises(ValueError):
         spec_for("sequential", vm_range_mean_pages=0).validate()
+    # above 1000 every slot already holds an op, so the model ignores more
+    spec_for("sequential", vm_ops_per_kilo_access=1000.0,
+             vm_op_mix=(("map", 1.0),)).validate()
+    with pytest.raises(ValueError, match="at most 1000"):
+        spec_for("sequential", vm_ops_per_kilo_access=1000.5,
+                 vm_op_mix=(("map", 1.0),)).validate()
     with pytest.raises(ValueError):
         WorkloadSpec(name="t", thread_count=0, footprint_pages=8,
                      pattern="sequential").validate()
