@@ -42,7 +42,7 @@ class Mmu:
         self.pwcs = [({}, {}, {}) for _ in range(n)]
         self.tlb_limits = [topo.tlb_entries] * n
         self.pwc_limits = [self.pwc_entries] * n
-        # plans by tlb_shootdown's other arguments; caches are never rebound
+        # (initiator node, targets, initiator core) -> plan, holding the caches
         self._shootdowns: Dict[tuple, Tuple[int, List[tuple]]] = {}
 
     # -- TLB ------------------------------------------------------------------
@@ -134,7 +134,7 @@ class Mmu:
 
         Each vpn is one IPI to each of core_ids, priced from initiator_node
         and summed per vpn, rounded half up; the initiator's own core drops
-        its entries unpriced.  A request no larger than a TLB pops each
+        its entries unpriced.  A request no larger than a TLB deletes each
         vpn's entries; a larger one, such as a scan's sample, takes one pass
         over each core's caches.  The same entries go either way, and the
         survivors keep their order.
@@ -166,15 +166,16 @@ class Mmu:
                     if pmd in pmd_cache:
                         del pmd_cache[pmd]
         else:
-            # each level's prefixes from the level below: vpn // a**2 is
-            # (vpn // a) // a, so only the PMD set is built from every vpn;
             # the TLBs are far smaller than the request: intersect with them
-            pmd = set(map(a.__rfloordiv__, vpns))
-            pud = set(map(a.__rfloordiv__, pmd))
-            doomed = (set().union(*(core[0] for core in caches)).intersection(
-                vpns), set(map(a.__rfloordiv__, pud)), pud, pmd)
+            cached = set().union(*(core[0] for core in caches))
+            # each level's prefixes from the level below: vpn // a**2 is
+            # (vpn // a) // a, so only the PMD set is built from every vpn
+            pmd = {vpn // a for vpn in vpns}
+            pud = {prefix // a for prefix in pmd}
+            doomed = (cached.intersection(vpns),
+                      {prefix // a for prefix in pud}, pud, pmd)
             for core in caches:
                 for cache, keys in zip(core, doomed):
-                    for key in list(filter(keys.__contains__, cache)):
+                    for key in [k for k in cache if k in keys]:
                         del cache[key]
         return len(vpns) * price

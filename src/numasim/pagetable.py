@@ -284,15 +284,14 @@ def _mutate_leaf(space: AddressSpace, vpns: Sequence[int], updater_node: int,
     """
     touched: set = set()
     price = space.topo.cycles[updater_node]  # access_latency's row
-    a = space.arity
-    leaves: List[Tuple[Dict[int, object], int]] = []  # checked, to write
+    a, paths = space.arity, space.paths
     cycles = writes = 0
     grown = None  # the cost of the tables allocated, if any
     key = None
     for vpn in vpns:
         if vpn // a != key:  # a new PTE table: find and price it
             key = vpn // a
-            path = space.paths.get(key)
+            path = paths.get(key)
             if path is None:
                 if allocate:
                     grown = grown or PtOpCost()
@@ -306,17 +305,15 @@ def _mutate_leaf(space: AddressSpace, vpns: Sequence[int], updater_node: int,
             copies = len(pte.resident)
             table_price = sum(map(price.__getitem__, pte.resident.values()))
             touched.add(id(pte))
-        idx = vpn % a
-        if (idx in entries) == allocate:
+        if (vpn % a in entries) == allocate:
             if allocate:
                 raise MappingExistsError(f"vpn {vpn} already mapped")
             raise NotMappedError(f"vpn {vpn} is not mapped")
-        leaves.append((entries, idx))
         writes += copies
         cycles += table_price
 
-    for entries, idx in leaves:
-        write(entries, idx, arg)
+    for vpn in vpns:  # each vpn's PTE table is in paths by now
+        write(paths[vpn // a][_PTE].entries, vpn % a, arg)
     if grown is not None:
         cycles += grown.cycles
         writes += grown.writes_performed

@@ -108,6 +108,16 @@ def vm_heavy(kind):
     return raw
 
 
+def rebalanced():
+    """base_raw("linux") with four webserver threads, where _rebalance moves
+    a thread onto a core its process did not use."""
+    raw = base_raw("linux")
+    raw["workloads"][0]["overrides"]["thread_count"] = 4
+    raw["policy"]["rebalance_interval"] = 1
+    raw["run"]["duration"] = 8
+    return raw
+
+
 def assert_process_cores_kept(sim):
     """Each process's cores are its tasks' cores, each once, in task order."""
     for proc in sim.processes:
@@ -142,8 +152,7 @@ def scenarios(draw):
 @example(vm_heavy("linux"))
 @example(vm_heavy("mitosis"))
 @example(vm_heavy("phoenix"))
-# phoenix moves one of these six threads in _rebalance
-@example(variant("phoenix", "overrides", "thread_count", 6))
+@example(rebalanced())
 @settings(derandomize=True, max_examples=300, deadline=None, database=None)
 @given(scenarios())
 def test_fuzzed_scenarios_are_refused_by_path_or_keep_the_invariants(raw):
@@ -194,12 +203,12 @@ def test_fuzzed_scenarios_are_refused_by_path_or_keep_the_invariants(raw):
 
 
 def test_process_cores_follow_a_rebalanced_thread():
-    sim = Simulation(cli.scenario_from_dict(
-        variant("phoenix", "overrides", "thread_count", 6)))
-    moves = 0
+    sim = Simulation(cli.scenario_from_dict(rebalanced()))
+    changes = 0
     for _ in range(sim.scenario.duration_quanta):
-        before = [t.st.current_core for t in sim.tasks]
+        before = [proc.cores for proc in sim.processes]
         sim.step()
-        moves += before != [t.st.current_core for t in sim.tasks]
+        changes += sum(proc.cores != cores
+                       for proc, cores in zip(sim.processes, before))
         assert_process_cores_kept(sim)
-    assert moves
+    assert changes
