@@ -185,9 +185,11 @@ class AddressSpace:
             # the candidates up to the end of this PTE table, the wrap or the
             # last unchecked page, whichever comes first
             end = min(base + a, limit, vpn + left)
-            path = self.paths.get(base // a)  # which holds every PTE table
-            if path is None:
-                return vpn
+            path = self.paths.get(base // a)
+            if path is None:  # not indexed: descend, raising beyond the space
+                path = _path(self, vpn)
+                if len(path) < _DEPTH:
+                    return vpn
             # the first of the candidates' indices the table lacks
             free = next(filterfalse(path[_PTE].entries.__contains__,
                                     range(vpn - base, end - base)), None)
