@@ -9,7 +9,8 @@ every cache level) under linux, mitosis and phoenix, with:
 - LLC miss rates 0.0 and 0.3, the latter over interleaved data, so the
   traffic and stall differ between the two nodes;
 - no prefault, so fault walks interleave with walks of mapped pages;
-- SMT siblings both busy, so the TLB and page-walk caches run at half size;
+- SMT siblings both busy, so the TLB and page-walk caches run at half size,
+  with and without prefault;
 - VM ops drawn into the same batches as the walks.
 
 A change that moves one byte of any of these reports fails here.
@@ -50,6 +51,8 @@ VARIANTS = {
     "llc_0.3_interleave": dict(victim={"llc_miss_rate": 0.3,
                                        "data_policy": "interleave"}),
     "cold": dict(prefault=False),
+    # faults beside caches small enough to evict PGD and PUD prefixes
+    "cold_smt": dict(prefault=False, machine={"smt": True}),
     "smt": dict(machine={"smt": True}),
     "vm_ops": dict(victim={
         "vm_ops_per_kilo_access": 100, "vm_range_mean_pages": 2,
@@ -64,6 +67,8 @@ GRID = {f"{kind}-{name}": loop_raw(kind, **variant)
 DIGESTS = {
     "linux-cold":
         "dc9b532c683835983b7eb6739f57ba42517ca8e8d5e3ba2c3ff001054d127107",
+    "linux-cold_smt":
+        "0d0a7b37ae9226e75f1ec1414b5cdff6258823dc6497b8094a06e4daa420dfab",
     "linux-llc_0":
         "6ab658e5ea0528414ec24d07d9b0270f58569271c0d190bdded6e6f9af4b494c",
     "linux-llc_0.3_interleave":
@@ -74,6 +79,8 @@ DIGESTS = {
         "73bd62e0a63c542a7f7e091caecd2ac8941a39062f669f7f76c0e21103f039ba",
     "mitosis-cold":
         "2d18e55d605bdfdfc6e9f749e2129dbbfb34940165a27d2f33172a139b38f801",
+    "mitosis-cold_smt":
+        "13bc6c7cd1bed9a225070ac1e208ca76a9770b752e730f9194f69b67dee19243",
     "mitosis-llc_0":
         "fa957a0c8f789c9cbc9991dae510045d2ca0f5c282b258b66cd74047054fb8ca",
     "mitosis-llc_0.3_interleave":
@@ -84,6 +91,8 @@ DIGESTS = {
         "63b6c7f1c9b245a5296e78732d216d4d0c13708fd65199186506fb513e1838c1",
     "phoenix-cold":
         "b31ffa5a5368db2b8b181b7cb97abb8b522446142d1c9a754422892efa429be8",
+    "phoenix-cold_smt":
+        "38f98aa6f1b879b5f769ef5280ca9fb7a004be505602f9748668a68f8c8a9fc4",
     "phoenix-llc_0":
         "db191eb323e9c3d4b5b77316fb49401417998743535aa7104e57c26ccb42b41e",
     "phoenix-llc_0.3_interleave":
