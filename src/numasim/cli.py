@@ -23,7 +23,6 @@ import hashlib
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -245,6 +244,9 @@ def _run_all(raws: List[dict], jobs: int = 1
     scenarios = [scenario_from_dict(raw) for raw in raws]
     jobs = min(jobs, len(scenarios))
     if jobs > 1:
+        # imported here: multiprocessing is set-up time and memory a serial
+        # run never uses
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             return scenarios, list(pool.map(run_scenario, scenarios))
     return scenarios, [run_scenario(s) for s in scenarios]

@@ -15,8 +15,9 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from collections import Counter, deque
+from collections import Counter, defaultdict, deque
 from dataclasses import asdict, dataclass, field
+from itertools import chain
 from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -220,7 +221,7 @@ class SimProcess:
         self.data_rr = 0
         self.charge_rr = 0
         # with autonuma: node -> event -> times issued there since the scan
-        self.access_counts: Dict[int, Counter] = {}
+        self.access_counts: Dict[int, Counter] = defaultdict(Counter)
         self.cores: Tuple[int, ...] = ()  # its tasks' cores, each once
         self.targets: Dict[int, Tuple[int, ...]] = {}  # core -> the others
 
@@ -348,17 +349,15 @@ class Simulation:
         which allocates the table when pages are mapped one at a time.
         """
         space = proc.space
-        tasks = proc.tasks
+        nodes = [self.cores[t.st.current_core].node_id for t in proc.tasks]
+        n = len(nodes)
         fp = proc.spec.footprint_pages
         for first in range(0, fp, space.arity):
             vpns = range(first, min(first + space.arity, fp))
-            pfns, pfn_nodes = [], []
-            for vpn in vpns:
-                core = self.cores[tasks[vpn % len(tasks)].st.current_core]
-                pfn_nodes.append(self._data_node(proc, core.node_id))
-                pfns.append(self._alloc_pfn())
-            toucher = tasks[first % len(tasks)].st.current_core
-            map_pages(space, vpns, pfns, pfn_nodes, self.cores[toucher].node_id)
+            pfn_nodes = [self._data_node(proc, nodes[vpn % n]) for vpn in vpns]
+            pfns = range(self.next_pfn, self.next_pfn + len(vpns))
+            self.next_pfn = pfns.stop
+            map_pages(space, vpns, pfns, pfn_nodes, nodes[first % n])
         space.begin_quantum()
 
     def _alloc_pfn(self) -> int:
@@ -416,20 +415,21 @@ class Simulation:
     def _run_task(self, task: SimTask, core: CoreState) -> None:
         """Issue the task's events for this quantum in one loop.
 
-        Contention, and so every price, is fixed for the quantum: each
-        access reads its stall from the quantum's price row for the core's
-        node, and the counts, walk cycles and traffic gather in locals
-        added to the task once, after the loop.  Each access makes one
-        tlb_lookup.  A miss on a mapped page walks inline by page_walk's
-        rules; any other miss, a fault among them, calls page_walk.  A
-        hint fault is priced inline by clear_access_hint's rule, and its
-        cycles and lock waits gather in locals as well.
-        The stream holds each data access as its vpn, an int; a VmOp goes
-        to _do_vm_op but is counted, and charged its compute cycle, here.
-        With autonuma, one Counter update per batch adds it to the process's
-        counts for the core's node.  An LLC miss is a draw below
-        llc_miss_rate from the task-quantum's own generator, built only when
-        the rate is neither 0 nor 1.
+        Contention, and so every price, is fixed for the quantum: the loop
+        tallies data accesses, LLC misses and inline walk reads per node,
+        and prices them from the core's price row after it; those and the
+        other counts are added to the task once.  Each access makes one
+        tlb_lookup; hits are the accesses that did not miss.  A miss on a
+        mapped page walks inline by page_walk's rules, skipping the pop and
+        reinsert of a PGD or PUD prefix the loop last made newest, which
+        leaves the order unchanged; any other miss, a fault among them,
+        calls page_walk.  A hint fault is priced inline by
+        clear_access_hint's rule.  The stream holds each data access as its
+        vpn, an int; a VmOp goes to _do_vm_op but is counted, and charged
+        its compute cycle, here.  With autonuma, one Counter update per
+        batch adds it to the process's counts for the core's node.  An LLC
+        miss is a draw below llc_miss_rate from the task-quantum's own
+        generator, made only when the rate is neither 0 nor 1.
 
         A task with events queued behind its MBA cap defers its new quantum
         as an index; a deferred quantum is generated when its first event
@@ -453,10 +453,9 @@ class Simulation:
         issue = apply_mba(self.mba_caps.get((core.node_id, proc.pid), 1.0),
                           volume)
         llc_miss_rate = spec.llc_miss_rate
-        # float() is 0.0: below a rate of 1, never below a rate of 0
+        draws = 0.0 < llc_miss_rate < 1.0
         llc_random = random.Random(
-            f"{seed}:llc:{task.task_id}:{self.quantum}").random \
-            if 0.0 < llc_miss_rate < 1.0 else float
+            f"{seed}:llc:{task.task_id}:{self.quantum}").random if draws else None
 
         space = proc.space
         tlb_lookup = self.mmu.tlb_lookup
@@ -478,11 +477,16 @@ class Simulation:
         line_bytes = int(CACHELINE_BYTES * spec.bandwidth_intensity)
         bytes_to = [0] * len(self.topo.nodes)  # traffic by destination node
         reads_to = [0] * len(bytes_to)  # inline walks' table reads by node
-        issued = proc.access_counts.setdefault(node, Counter()) \
-            if self.policy.autonuma else None
-        events = accesses = hits = llc_misses = stall = 0
+        data_to = [0] * len(bytes_to)  # data accesses by the data's node
+        # LLC misses by the data's node
+        llc_to = data_to if llc_miss_rate == 1.0 else [0] * len(bytes_to)
+        issued = proc.access_counts[node] if self.policy.autonuma else None
+        events = misses = vm_ops = 0
         walk_cycles = walk_accesses = walk_remote = 0
         hint_own = hint_waits = 0  # hint faults' own cycles, lock waits
+        # the PGD and PUD prefixes this loop last made newest in their caches;
+        # a VM op or page_walk may drop or reorder entries, and resets them
+        newest_pgd = newest_pud = None
 
         while issue:
             if not backlog:
@@ -494,34 +498,36 @@ class Simulation:
             events += len(batch)
             if issued is not None:
                 issued.update(batch)
-            for event in batch:
-                if type(event) is VmOp:
-                    self._do_vm_op(task, core, event)
+            for vpn in batch:  # a data access's vpn, or a VmOp
+                if type(vpn) is VmOp:
+                    self._do_vm_op(task, core, vpn)
+                    vm_ops += 1
+                    newest_pgd = newest_pud = None
                     continue
-                vpn = event
-                accesses += 1
                 mapping = tlb_lookup(core_id, vpn)
-                if mapping is not None:
-                    hits += 1
-                else:
+                if mapping is None:
+                    misses += 1
                     pmd = vpn // a
                     path = paths.get(pmd)
                     if path is not None:
                         mapping = path[3].entries.get(vpn % a)
                     if mapping is not None:
-                        # page_walk's walk, unrolled: a read per PWC miss
+                        # page_walk's walk, unrolled: a read per PWC miss; the
+                        # newest prefix is a hit that keeps its cache's order
                         pud = pmd // a
-                        pgd = pud // a
-                        if pgd_cache.pop(pgd, None) is None:
-                            reads_to[path[0].resident[replica]] += 1
-                            if len(pgd_cache) >= pgd_limit:
-                                del pgd_cache[next(iter(pgd_cache))]
-                        pgd_cache[pgd] = True
-                        if pud_cache.pop(pud, None) is None:
-                            reads_to[path[1].resident[replica]] += 1
-                            if len(pud_cache) >= pud_limit:
-                                del pud_cache[next(iter(pud_cache))]
-                        pud_cache[pud] = True
+                        if pud != newest_pud:
+                            pgd = pud // a
+                            if pgd != newest_pgd:
+                                if pgd_cache.pop(pgd, None) is None:
+                                    reads_to[path[0].resident[replica]] += 1
+                                    if len(pgd_cache) >= pgd_limit:
+                                        del pgd_cache[next(iter(pgd_cache))]
+                                pgd_cache[newest_pgd := pgd] = True
+                            if pud_cache.pop(pud, None) is None:
+                                reads_to[path[1].resident[replica]] += 1
+                                if len(pud_cache) >= pud_limit:
+                                    del pud_cache[next(iter(pud_cache))]
+                            pud_cache[newest_pud := pud] = True
                         if pmd_cache.pop(pmd, None) is None:
                             reads_to[path[2].resident[replica]] += 1
                             if len(pmd_cache) >= pmd_limit:
@@ -532,20 +538,22 @@ class Simulation:
                         if len(tlb) >= tlb_limit:
                             del tlb[next(iter(tlb))]
                         tlb[vpn] = mapping
-                # any other miss walks through page_walk; a first touch
-                # faults, installs the page and walks again
-                while mapping is None:
-                    cycles, reads, remote, mapping, touched_nodes = \
-                        page_walk(space, vpn, core_id)
-                    walk_cycles += cycles
-                    walk_accesses += reads
-                    walk_remote += remote
-                    for touched in touched_nodes:
-                        bytes_to[touched] += CACHELINE_BYTES
-                    if mapping is None:
-                        pfn_node = self._data_node(proc, node)
-                        cost = map_page(space, vpn, self._alloc_pfn(), pfn_node, node)
-                        self._charge_pt_cost(task, cost)
+                    # any other miss walks through page_walk; a first
+                    # touch faults, installs the page and walks again
+                    while mapping is None:
+                        newest_pgd = newest_pud = None  # page_walk reorders
+                        cycles, reads, remote, mapping, touched_nodes = \
+                            page_walk(space, vpn, core_id)
+                        walk_cycles += cycles
+                        walk_accesses += reads
+                        walk_remote += remote
+                        for touched in touched_nodes:
+                            bytes_to[touched] += CACHELINE_BYTES
+                        if mapping is None:
+                            pfn_node = self._data_node(proc, node)
+                            cost = map_page(space, vpn, self._alloc_pfn(),
+                                            pfn_node, node)
+                            self._charge_pt_cost(task, cost)
 
                 if mapping.numa_hint:
                     # access-sampling fault, clear_access_hint inline: one
@@ -554,24 +562,25 @@ class Simulation:
                     # page's path always holds
                     mapping.numa_hint = False
                     pte = paths[vpn // a][3]
-                    own = 0
-                    for copy_node in pte.resident.values():
-                        own += price[copy_node]
+                    own = sum(map(price.__getitem__, pte.resident.values()))
                     hint_own += own
                     hint_waits += space._lock_wait({id(pte)}, own)
 
-                stall += price[mapping.pfn_node]
-                if llc_random() < llc_miss_rate:
-                    llc_misses += 1
-                    bytes_to[mapping.pfn_node] += line_bytes
+                data_to[mapping.pfn_node] += 1
+                if draws and llc_random() < llc_miss_rate:
+                    llc_to[mapping.pfn_node] += 1
 
-        # prices are fixed for the quantum: price the inline reads per node
+        # prices are fixed for the quantum: price the data accesses and the
+        # inline reads per node
+        stall = 0
         for to_node, reads in enumerate(reads_to):
             walk_cycles += reads * price[to_node]
             walk_accesses += reads
             if to_node != node:
                 walk_remote += reads
-            bytes_to[to_node] += reads * CACHELINE_BYTES
+            stall += data_to[to_node] * price[to_node]
+            bytes_to[to_node] += reads * CACHELINE_BYTES \
+                + llc_to[to_node] * line_bytes
 
         c = task.counters
         c.events_issued += events
@@ -584,9 +593,9 @@ class Simulation:
         c.pagewalk_cycles += walk_cycles
         c.walk_mem_accesses += walk_accesses
         c.walk_remote_accesses += walk_remote
-        c.tlb_hits += hits
-        c.dtlb_misses += accesses - hits
-        c.llc_misses += llc_misses
+        c.tlb_hits += events - vm_ops - misses
+        c.dtlb_misses += misses
+        c.llc_misses += sum(llc_to)
         for to_node, nbytes in enumerate(bytes_to):
             if nbytes:
                 self._traffic(task, node, to_node, nbytes)
@@ -651,8 +660,8 @@ class Simulation:
     def _numa_scan(self, proc: SimProcess) -> None:
         space = proc.space
         # every mapped vpn, from the index of PTE tables
-        mapped = sorted(m.vpn for path in space.paths.values()
-                        for m in path[-1].entries.values())
+        mapped = sorted(map(attrgetter("vpn"), chain.from_iterable(
+            path[-1].entries.values() for path in space.paths.values())))
         count = int(self.policy.scan_share * len(mapped))
         if count:
             rng = random.Random(

@@ -270,7 +270,7 @@ def _path(space: AddressSpace, vpn: int,
 
 
 def _mutate_leaf(space: AddressSpace, vpns: Sequence[int], updater_node: int,
-                 write: Callable[[Dict[int, object], int, object], None],
+                 write: Callable[[Dict[int, object], List[int], object], None],
                  arg: object = None, allocate: bool = False) -> PtOpCost:
     """The one leaf-mutation path: write each vpn's leaf in every replica.
 
@@ -279,19 +279,20 @@ def _mutate_leaf(space: AddressSpace, vpns: Sequence[int], updater_node: int,
     per run of its vpns.  Every vpn is charged that price and one write per
     copy.  All vpns are checked before anything is written: with allocate
     each must be unmapped (MappingExistsError), otherwise mapped
-    (NotMappedError).  Then write(entries, idx, arg) is applied to each
-    vpn's leaf, which every replica shares, in vpns order.  A single lock
-    wait covers every table the operation touched.  TLB shootdowns are the
-    caller's.
+    (NotMappedError).  Then write(entries, idxs, arg) is applied once per
+    run, in vpns order, to the run's PTE table entries, which every replica
+    shares, and the run's indices in that table.  A single lock wait covers
+    every table the operation touched.  TLB shootdowns are the caller's.
     """
     touched: set = set()
     price = space.topo.cycles[updater_node]  # access_latency's row
     a, paths = space.arity, space.paths
     cycles = writes = 0
     grown = None  # the cost of the tables allocated, if any
+    runs = []  # (PTE table, indices) per run of vpns in one table
     key = None
     for vpn in vpns:
-        if vpn // a != key:  # a new PTE table: find and price it
+        if vpn // a != key:  # a new PTE table: find it
             key = vpn // a
             path = paths.get(key)
             if path is None:
@@ -304,18 +305,19 @@ def _mutate_leaf(space: AddressSpace, vpns: Sequence[int], updater_node: int,
                     raise NotMappedError(f"vpn {vpn} is not mapped")
             pte = path[_PTE]
             entries = pte.entries
-            copies = len(pte.resident)
-            table_price = sum(map(price.__getitem__, pte.resident.values()))
-            touched.add(id(pte))
-        if (vpn % a in entries) == allocate:
+            runs.append((pte, idxs := []))
+        idx = vpn % a
+        if (idx in entries) == allocate:
             if allocate:
                 raise MappingExistsError(f"vpn {vpn} already mapped")
             raise NotMappedError(f"vpn {vpn} is not mapped")
-        writes += copies
-        cycles += table_price
+        idxs.append(idx)
 
-    for vpn in vpns:  # each vpn's PTE table is in paths by now
-        write(paths[vpn // a][_PTE].entries, vpn % a, arg)
+    for pte, idxs in runs:
+        writes += len(idxs) * len(pte.resident)
+        cycles += len(idxs) * sum(map(price.__getitem__, pte.resident.values()))
+        touched.add(id(pte))
+        write(pte.entries, idxs, arg)
     if grown is not None:
         cycles += grown.cycles
         writes += grown.writes_performed
@@ -323,13 +325,20 @@ def _mutate_leaf(space: AddressSpace, vpns: Sequence[int], updater_node: int,
     return PtOpCost(cycles + wait, writes, wait)
 
 
-def _install(entries: Dict[int, object], idx: int, leaves: Iterator) -> None:
-    entries[idx] = next(leaves)
+def _install(entries: Dict[int, object], idxs: List[int],
+             leaves: Iterator) -> None:
+    entries.update(zip(idxs, leaves))
 
 
-def _set_field(entries: Dict[int, object], idx: int,
+def _remove(entries: Dict[int, object], idxs: List[int], _: None) -> None:
+    for idx in idxs:
+        del entries[idx]
+
+
+def _set_field(entries: Dict[int, object], idxs: List[int],
                change: Tuple[str, object]) -> None:
-    setattr(entries[idx], *change)  # change is (field name, value)
+    for idx in idxs:
+        setattr(entries[idx], *change)  # change is (field name, value)
 
 
 # -- public operations --------------------------------------------------------
@@ -360,7 +369,7 @@ def map_page(space: AddressSpace, vpn: int, pfn: int, pfn_node: int,
 
 def unmap_page(space: AddressSpace, vpn: int, requesting_node: int) -> PtOpCost:
     """Clear vpn in every replica."""
-    cost = _mutate_leaf(space, (vpn,), requesting_node, dict.pop)
+    cost = _mutate_leaf(space, (vpn,), requesting_node, _remove)
     space.mappings_count -= 1
     return cost
 

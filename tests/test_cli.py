@@ -5,7 +5,10 @@ import dataclasses
 import hashlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -571,3 +574,15 @@ def test_parallel_sweep_matches_serial_byte_for_byte(tmp_path):
         assert code == 0
     assert (tmp_path / "serial.sweep.csv").read_bytes() \
         == (tmp_path / "parallel.sweep.csv").read_bytes()
+
+
+def test_importing_the_cli_leaves_the_process_pool_unloaded():
+    # only --jobs above 1 needs it; a serial run skips its set-up and memory
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, numasim.cli; "
+         "print(sorted(m for m in sys.modules if m.startswith("
+         "('concurrent.futures.process', 'multiprocessing'))))"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"

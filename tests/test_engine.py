@@ -236,6 +236,33 @@ def test_walk_counters_sum_the_walks_each_task_made(seed):
     assert sum(row[2] for row in oracle.sums.values()) > 0
 
 
+def test_hit_and_miss_counts_are_the_lookups_and_the_rest_are_vm_ops():
+    # the loop counts misses and VM ops; hits are what is left, so each
+    # access must make exactly one lookup and each VM op none
+    spec = preset("wrmem_like", thread_count=3, footprint_pages=200,
+                  vm_ops_per_kilo_access=100, vm_range_mean_pages=2)
+    sim = Simulation(build([spec], policy=PolicyKind("mitosis"), duration=12))
+    calls = {"lookup": 0, "vm_op": 0}
+    lookup, do_vm_op = sim.mmu.tlb_lookup, sim._do_vm_op
+
+    def tlb_lookup(core_id, vpn):
+        calls["lookup"] += 1
+        return lookup(core_id, vpn)
+
+    def vm_op(*args):
+        calls["vm_op"] += 1
+        return do_vm_op(*args)
+
+    sim.mmu.tlb_lookup, sim._do_vm_op = tlb_lookup, vm_op
+    sim.run()
+    hits = total(sim, field="tlb_hits")
+    misses = total(sim, field="dtlb_misses")
+    assert hits and misses and calls["vm_op"]
+    assert calls["lookup"] == hits + misses
+    assert total(sim, field="events_issued") - (hits + misses) \
+        == calls["vm_op"]
+
+
 def test_inline_walks_follow_a_shootdown_in_the_same_batch_and_hint_faults():
     # a VM op shoots down the running core's own entries mid-quantum, and a
     # scan arms hints each quantum, so mapped walks follow both

@@ -118,6 +118,16 @@ def rebalanced():
     return raw
 
 
+def llc_drawn_cold():
+    """base_raw("mitosis") at arity 4 without prefault, its first workload's
+    LLC misses drawn at 0.3 over data interleaved on both nodes."""
+    raw = variant("mitosis", "machine", "arity", 4)
+    raw["run"]["prefault"] = False
+    raw["workloads"][0]["overrides"].update(llc_miss_rate=0.3,
+                                            data_policy="interleave")
+    return raw
+
+
 def assert_process_cores_kept(sim):
     """Each process's cores are its tasks' cores, each once, in task order."""
     for proc in sim.processes:
@@ -153,6 +163,10 @@ def scenarios(draw):
 @example(vm_heavy("mitosis"))
 @example(vm_heavy("phoenix"))
 @example(rebalanced())
+# the access loop's drawn LLC misses over interleaved data, with faults
+# interleaving with walks of mapped pages across changing PGD and PUD
+# prefixes
+@example(llc_drawn_cold())
 @settings(derandomize=True, max_examples=300, deadline=None, database=None)
 @given(scenarios())
 def test_fuzzed_scenarios_are_refused_by_path_or_keep_the_invariants(raw):
