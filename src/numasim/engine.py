@@ -30,7 +30,7 @@ from .pagetable import (AddressSpace, PROT_READ, add_replica,
                         clear_access_hint, map_page, map_pages, migrate_tables,
                         protect_range, set_access_hint, set_frame_node,
                         unmap_page)
-from .sched import Action, CoreSlot, NodeLoad, PolicyKind, TaskState
+from .sched import Action, Core, NodeLoad, PolicyKind, TaskState
 from .topology import Topology, access_latency, build_topology, latency_table
 from .workload import VmOp
 
@@ -124,14 +124,6 @@ class CounterSet:
     def snapshot(self) -> Tuple[int, ...]:
         return _window_counters(self)
 
-    def delta_since(self, snap: Tuple[int, ...]) -> Dict[str, int]:
-        return {name: now - then for name, now, then
-                in zip(WINDOW_COUNTERS, self.snapshot(), snap)}
-
-    def add_delta(self, delta: Dict[str, int]) -> None:
-        for name, value in delta.items():
-            setattr(self, name, getattr(self, name) + value)
-
 
 @dataclass
 class WorkloadEntry:
@@ -182,11 +174,12 @@ class Scenario:
         return hashlib.sha256(blob).hexdigest()
 
 
-class SimTask:
+class SimTask(TaskState):
     """One schedulable thread plus its engine-side bookkeeping."""
 
-    def __init__(self, st: TaskState, thread_index: int):
-        self.st = st
+    def __init__(self, task_id: int, process_id: int, thread_index: int,
+                 allowed_nodes: List[int]):
+        super().__init__(task_id, process_id, allowed_nodes)
         self.thread_index = thread_index
         self.counters = CounterSet()
         # MBA's queue: generated, unissued events (at most one quantum's),
@@ -200,10 +193,6 @@ class SimTask:
         self.last_window: Optional[Dict[str, int]] = None
         # one row per window, kept only for a timeseries
         self.window_history: List[Dict[str, float]] = []
-
-    @property
-    def task_id(self) -> int:
-        return self.st.task_id
 
     def window(self) -> Dict[str, int]:
         """This window's counters so far: the flushed change since it began."""
@@ -227,19 +216,9 @@ class SimProcess:
 
     def keep_cores(self) -> None:
         """Record where the tasks run; called whenever one moves."""
-        cores = self.cores = tuple(dict.fromkeys(t.st.current_core
+        cores = self.cores = tuple(dict.fromkeys(t.current_core
                                                  for t in self.tasks))
         self.targets = {c: tuple(o for o in cores if o != c) for c in cores}
-
-
-class CoreState:
-    def __init__(self, core_id: int, node_id: int, physical_core_id: int):
-        self.core_id = core_id
-        self.node_id = node_id
-        self.physical_core_id = physical_core_id
-        self.runqueue: List[SimTask] = []
-        self.last_task_id: Optional[int] = None
-        self.partition_active = False
 
 
 class Simulation:
@@ -249,7 +228,7 @@ class Simulation:
         self.topo = build_topology(scenario.machine)
         self.mmu = Mmu(self.topo)
         self.contention = ContentionState()
-        self.cores = [CoreState(c.core_id, c.node_id, c.physical_core_id)
+        self.cores = [Core(c.core_id, c.node_id, c.physical_core_id)
                       for c in self.topo.cores]
         self.tasks: List[SimTask] = []
         self.processes: List[SimProcess] = []
@@ -268,40 +247,30 @@ class Simulation:
 
     def _node_loads(self) -> Dict[int, NodeLoad]:
         loads = {n.node_id: NodeLoad(n.node_id) for n in self.topo.nodes}
-        for core in self.cores:
-            load = loads[core.node_id]
-            if core.runqueue:
-                load.running_tasks += len(core.runqueue)
-            else:
-                load.idle_cores += 1
         for node_id, load in loads.items():
             load.bandwidth_bytes_this_epoch = self._prev_node_bytes.get(node_id, 0)
             load.utilization = self.contention.u_node.get(node_id, 0.0)
         for (node_id, pid), cap in self.mba_caps.items():
             loads[node_id].mba_caps[pid] = cap
         for task in self.tasks:
-            node_id = self.cores[task.st.current_core].node_id
+            node_id = self.cores[task.current_core].node_id
             # bandwidth from the last complete window's cache misses, or the
             # partial window before the first completes
             window = task.last_window or task.window()
             bw = window["llc_misses"] * CACHELINE_BYTES
             stats = loads[node_id].process_stats
-            proc = self.processes[task.st.process_id]
+            proc = self.processes[task.process_id]
             prev = stats.get(proc.pid, (0, proc.priority))
             stats[proc.pid] = (prev[0] + bw, proc.priority)
         return loads
-
-    def _slots(self) -> List[CoreSlot]:
-        return [CoreSlot(c.core_id, c.node_id, c.physical_core_id,
-                         len(c.runqueue)) for c in self.cores]
 
     # -- spawning ---------------------------------------------------------------
 
     def _spawn(self, entry: WorkloadEntry) -> None:
         pid = len(self.processes)
-        main_st = sched.on_fork(None, len(self.tasks), pid)
+        main = SimTask(len(self.tasks), pid, 0, [])
         loads = self._node_loads()
-        home = sched.place_process(main_st, self.policy, loads)
+        home = sched.place_process(main, self.policy, loads, self.cores)
 
         alloc = self.policy.alloc_policy or \
             (pagetable.HOME_NODE if self.policy.kind == "phoenix"
@@ -312,19 +281,13 @@ class Simulation:
         proc = SimProcess(pid, entry, space)
         self.processes.append(proc)
 
-        slots = self._slots()
-        main = SimTask(main_st, 0)
-        self.tasks.append(main)
-        proc.tasks.append(main)
-        sched.place_thread(main_st, self.policy, loads, slots, self.topo)
-        self.cores[main_st.current_core].runqueue.append(main)
-        for i in range(1, entry.spec.thread_count):
-            st = sched.on_fork(main_st, len(self.tasks), pid)
-            task = SimTask(st, i)
+        # the threads share the main thread's allowed nodes, one list
+        proc.tasks = [main] + [
+            SimTask(main.task_id + i, pid, i, main.allowed_nodes)
+            for i in range(1, entry.spec.thread_count)]
+        for task in proc.tasks:
             self.tasks.append(task)
-            proc.tasks.append(task)
-            sched.place_thread(st, self.policy, loads, slots, self.topo)
-            self.cores[st.current_core].runqueue.append(task)
+            sched.place_thread(task, self.policy, loads, self.cores, self.topo)
         proc.keep_cores()
 
         replicate_on: List[int] = []
@@ -349,7 +312,7 @@ class Simulation:
         which allocates the table when pages are mapped one at a time.
         """
         space = proc.space
-        nodes = [self.cores[t.st.current_core].node_id for t in proc.tasks]
+        nodes = [self.cores[t.current_core].node_id for t in proc.tasks]
         n = len(nodes)
         fp = proc.spec.footprint_pages
         for first in range(0, fp, space.arity):
@@ -412,7 +375,7 @@ class Simulation:
 
     # -- event execution -----------------------------------------------------------
 
-    def _run_task(self, task: SimTask, core: CoreState) -> None:
+    def _run_task(self, task: SimTask, core: Core) -> None:
         """Issue the task's events for this quantum in one loop.
 
         Contention, and so every price, is fixed for the quantum: the loop
@@ -437,7 +400,7 @@ class Simulation:
         order is that of generating every quantum at once, and the cap
         budgets against this quantum's volume alone.
         """
-        proc = self.processes[task.st.process_id]
+        proc = self.processes[task.process_id]
         spec = proc.spec
         seed = self.scenario.rng_seed
         thread_index = task.thread_index
@@ -600,8 +563,8 @@ class Simulation:
             if nbytes:
                 self._traffic(task, node, to_node, nbytes)
 
-    def _do_vm_op(self, task: SimTask, core: CoreState, op: VmOp) -> None:
-        proc = self.processes[task.st.process_id]
+    def _do_vm_op(self, task: SimTask, core: Core, op: VmOp) -> None:
+        proc = self.processes[task.process_id]
         space = proc.space
         fp = proc.spec.footprint_pages
         node, core_id = core.node_id, core.core_id
@@ -674,7 +637,7 @@ class Simulation:
             n = len(tasks)
             for k in range(min(count, n)):
                 task = tasks[(proc.charge_rr + k) % n]
-                node = self.cores[task.st.current_core].node_id
+                node = self.cores[task.current_core].node_id
                 vpns = sorted(sample[k::n])  # so each PTE table is priced once
                 space.begin_quantum()
                 self._shoot_down(proc, task, set_access_hint(space, vpns, node),
@@ -692,7 +655,7 @@ class Simulation:
         mapping = space.lookup(vpn)
         from_node = mapping.pfn_node
         task = self._charge_task(proc)
-        node = self.cores[task.st.current_core].node_id
+        node = self.cores[task.current_core].node_id
         copy_cycles = access_latency(self.topo, to_node, from_node) \
             + access_latency(self.topo, to_node, to_node)
         task.counters.total_cycles += copy_cycles
@@ -708,24 +671,25 @@ class Simulation:
         if action.kind == "throttle":
             self.mba_caps[(action.node, action.process_id)] = action.cap
         elif action.kind == "replicate":
-            space = self.processes[task.st.process_id].space
+            space = self.processes[task.process_id].space
             if action.node not in space.replicas:
                 cost = add_replica(space, action.node)
                 self._charge_pt_cost(task, cost)
         if action.kind in ("throttle", "replicate"):
             self.actions.append({
                 "quantum": self.quantum, "task_id": task.task_id,
-                "process_id": task.st.process_id, "kind": action.kind,
+                "process_id": task.process_id, "kind": action.kind,
                 "node": action.node, "target_process": action.process_id,
                 "cap": action.cap})
 
     def _flush(self, task: SimTask) -> None:
         """Add task's counters since its last flush to its node."""
-        delta = task.counters.delta_since(task._snap)
-        node_id = self.cores[task.st.current_core].node_id
-        delta.pop("bandwidth_bytes")  # nodes account traffic by destination
-        self.node_counters[node_id].add_delta(delta)
-        task._snap = task.counters.snapshot()
+        snap = task.counters.snapshot()
+        node = self.node_counters[self.cores[task.current_core].node_id]
+        for name, now, then in zip(WINDOW_COUNTERS, snap, task._snap):
+            if name != "bandwidth_bytes":  # nodes count traffic by destination
+                setattr(node, name, getattr(node, name) + now - then)
+        task._snap = snap
 
     def _tick(self, task: SimTask) -> None:
         self._flush(task)
@@ -739,9 +703,9 @@ class Simulation:
         if self.policy.kind == "phoenix":
             loads = self._node_loads()
             action = sched.phoenix_evaluate(
-                task.st, pw_ratio, loads,
-                self.processes[task.st.process_id].space, self.policy,
-                CONTENTION_KNEE, self.cores[task.st.current_core].node_id)
+                task, pw_ratio, loads,
+                self.processes[task.process_id].space, self.policy,
+                CONTENTION_KNEE, self.cores[task.current_core].node_id)
             self._execute_action(task, action)
         task.last_window = window
         task.window_start = task._snap
@@ -762,18 +726,9 @@ class Simulation:
     # -- rebalancing ------------------------------------------------------------------
 
     def _rebalance(self) -> None:
-        slots = self._slots()
-        old_core = {t.task_id: t.st.current_core for t in self.tasks}
-        moves = sched.rebalance(self.policy, [t.st for t in self.tasks], slots)
-        by_id = {t.task_id: t for t in self.tasks}
-        for task_id, new_core in moves:
-            task = by_id[task_id]
-            source = self.cores[old_core[task_id]]
-            source.runqueue.remove(task)
-            self.cores[new_core].runqueue.append(task)
-            if source.node_id != self.cores[new_core].node_id:
+        for task, left in sched.rebalance(self.policy, self.tasks, self.cores):
+            if left.node_id != self.cores[task.current_core].node_id:
                 task.counters.thread_migrations += 1
-            old_core[task_id] = new_core
         for proc in self.processes:
             proc.keep_cores()
         if self.policy.kind == "phoenix":
@@ -783,7 +738,7 @@ class Simulation:
         # page tables chase a process whose threads have all left the home node
         for proc in self.processes:
             space = proc.space
-            counts = Counter(self.cores[t.st.current_core].node_id
+            counts = Counter(self.cores[t.current_core].node_id
                              for t in proc.tasks)
             if space.home_node in counts:
                 continue
@@ -804,7 +759,7 @@ class Simulation:
         for proc in self.processes:
             proc.space.begin_quantum()
 
-        running: List[Tuple[CoreState, SimTask]] = []
+        running: List[Tuple[Core, SimTask]] = []
         for core in self.cores:
             if not core.runqueue:
                 core.last_task_id = None
@@ -860,7 +815,9 @@ class Simulation:
                 window = task.window()
                 self._record_window(task, window, _pw_ratio(window))
             self._flush(task)  # charged since it last ran
-            task.st.current_core = None  # exit detaches the core; counters stay
+            task.current_core = None  # exit detaches the core; counters stay
+        for core in self.cores:
+            core.runqueue.clear()
         return self
 
 

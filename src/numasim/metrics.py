@@ -103,12 +103,12 @@ def finalize(result, scenario) -> MetricsReport:
         actions=list(result.actions))
 
     for task in result.tasks:
-        proc = result.processes[task.st.process_id]
+        proc = result.processes[task.process_id]
         row = {"task_id": task.task_id, "process_id": proc.pid,
                "workload": proc.spec.name,
                "priority": proc.priority,
                "home_node": proc.space.home_node,
-               "final_core": task.st.current_core,
+               "final_core": task.current_core,
                **_counter_row([task.counters]),
                "replica_count": proc.space.replica_count}
         report.per_task.append(row)

@@ -1,5 +1,10 @@
 """Scheduling policies: thread placement, balancing, and phoenix decisions.
 
+The scheduler owns the run queues.  A core's run queue is the only record of
+the tasks it runs, and a task's current_core names the core whose queue holds
+it: placement appends a task to a queue, balancing moves it to another, and
+per-node task and idle-core counts are read from the queues.
+
 Three policy kinds are modeled.  "linux" spreads threads for balance and
 relies on lazy data migration.  "mitosis" schedules like linux but the engine
 eagerly replicates page tables on every node.  "phoenix" consolidates each
@@ -61,11 +66,11 @@ class PolicyKind:
             raise ValueError(f"alloc_policy must be one of {ALLOC_POLICIES}")
 
 
-@dataclass
+@dataclass(eq=False)  # run queues find a task by identity
 class TaskState:
     task_id: int
     process_id: int
-    allowed_nodes: List[int] = field(default_factory=list)
+    allowed_nodes: List[int] = field(default_factory=list)  # one per process
     current_core: Optional[int] = None
     last_phoenix_action: Optional[str] = None
 
@@ -73,8 +78,6 @@ class TaskState:
 @dataclass
 class NodeLoad:
     node_id: int
-    running_tasks: int = 0
-    idle_cores: int = 0
     bandwidth_bytes_this_epoch: int = 0
     utilization: float = 0.0
     mba_caps: Dict[int, float] = field(default_factory=dict)
@@ -83,11 +86,14 @@ class NodeLoad:
 
 
 @dataclass
-class CoreSlot:
+class Core:
+    """A hardware thread; the head of its run queue runs each quantum."""
     core_id: int
     node_id: int
     physical_core_id: int
-    occupancy: int = 0
+    runqueue: List[TaskState] = field(default_factory=list)
+    last_task_id: Optional[int] = None  # the task that ran last quantum
+    partition_active: bool = False      # its TLB and caches are halved
 
 
 @dataclass
@@ -98,117 +104,110 @@ class Action:
     cap: Optional[float] = None
 
 
-def on_fork(parent: Optional[TaskState], task_id: int,
-            process_id: int) -> TaskState:
-    """Threads share the parent's allowed nodes; new processes wait for
-    placement."""
-    task = TaskState(task_id, process_id)
-    if parent is not None:
-        task.allowed_nodes = parent.allowed_nodes  # shared per process
-    return task
+def _tasks_on(cores: Sequence[Core], node_id: int) -> int:
+    return sum(len(c.runqueue) for c in cores if c.node_id == node_id)
+
+
+def _idle_cores_on(cores: Sequence[Core], node_id: int) -> int:
+    return sum(not c.runqueue for c in cores if c.node_id == node_id)
 
 
 def place_process(task: TaskState, policy: PolicyKind,
-                  loads: Dict[int, NodeLoad]) -> int:
+                  loads: Dict[int, NodeLoad], cores: Sequence[Core]) -> int:
     """Pick the home node for a newly exec'd process and allow it only there."""
     if policy.kind == "phoenix":
         # quietest memory first, then the most idle cores, then lowest id
-        node = min(loads.values(),
-                   key=lambda l: (l.bandwidth_bytes_this_epoch, -l.idle_cores,
-                                  l.node_id)).node_id
+        node = min(loads, key=lambda n: (loads[n].bandwidth_bytes_this_epoch,
+                                         -_idle_cores_on(cores, n), n))
     else:
-        node = min(loads.values(),
-                   key=lambda l: (l.running_tasks, l.node_id)).node_id
+        node = min(loads, key=lambda n: (_tasks_on(cores, n), n))
     task.allowed_nodes = [node]
     return node
 
 
-def _sibling_occupancy(slots: Sequence[CoreSlot]) -> Dict[int, int]:
+def _sibling_occupancy(cores: Sequence[Core]) -> Dict[int, int]:
     by_phys: Dict[int, int] = {}
-    for slot in slots:
-        by_phys[slot.physical_core_id] = by_phys.get(slot.physical_core_id, 0) \
-            + slot.occupancy
+    for core in cores:
+        by_phys[core.physical_core_id] = by_phys.get(core.physical_core_id, 0) \
+            + len(core.runqueue)
     return by_phys
 
 
-def _idle_slot_on(slots: Sequence[CoreSlot], node_id: int) -> Optional[CoreSlot]:
-    by_phys = _sibling_occupancy(slots)
+def _idle_core_on(cores: Sequence[Core], node_id: int) -> Optional[Core]:
+    by_phys = _sibling_occupancy(cores)
     best = None
-    for slot in slots:
-        if slot.node_id != node_id or slot.occupancy:
+    for core in cores:
+        if core.node_id != node_id or core.runqueue:
             continue
         # prefer a core whose physical sibling is also free
-        key = (by_phys[slot.physical_core_id] > 0, slot.core_id)
+        key = (by_phys[core.physical_core_id] > 0, core.core_id)
         if best is None or key < best[0]:
-            best = (key, slot)
+            best = (key, core)
     return best[1] if best else None
 
 
-def _least_loaded_slot(slots: Sequence[CoreSlot],
-                       nodes: Sequence[int]) -> CoreSlot:
-    eligible = [s for s in slots if s.node_id in nodes]
-    return min(eligible, key=lambda s: (s.occupancy, s.core_id))
+def _least_loaded_core(cores: Sequence[Core], nodes: Sequence[int]) -> Core:
+    eligible = [c for c in cores if c.node_id in nodes]
+    return min(eligible, key=lambda c: (len(c.runqueue), c.core_id))
 
 
-def _take(task: TaskState, slot: CoreSlot, loads: Dict[int, NodeLoad]) -> int:
-    if slot.occupancy == 0:
-        loads[slot.node_id].idle_cores -= 1
-    slot.occupancy += 1
-    loads[slot.node_id].running_tasks += 1
-    task.current_core = slot.core_id
-    return slot.core_id
+def _take(task: TaskState, core: Core) -> int:
+    core.runqueue.append(task)
+    task.current_core = core.core_id
+    return core.core_id
 
 
 def place_thread(task: TaskState, policy: PolicyKind, loads: Dict[int, NodeLoad],
-                 slots: Sequence[CoreSlot], topo: Topology) -> int:
-    """Assign a core, growing a phoenix process's node set only when full.
+                 cores: Sequence[Core], topo: Topology) -> int:
+    """Queue the task on a core, growing a phoenix process's node set only
+    when full.
 
     Phoenix fills idle cores on the allowed nodes first; when none remain it
     annexes the closest outside node (ties: least bandwidth, most idle cores)
     and only time-shares once every node is busy.  The other policies place
-    each thread on the least-loaded node.
+    each thread on the node running the fewest tasks.
     """
     if policy.kind == "phoenix":
         for node in task.allowed_nodes:
-            slot = _idle_slot_on(slots, node)
-            if slot is not None:
-                return _take(task, slot, loads)
+            core = _idle_core_on(cores, node)
+            if core is not None:
+                return _take(task, core)
         home = task.allowed_nodes[0]
         candidates = []
         for node_id, load in loads.items():
             if node_id in task.allowed_nodes:
                 continue
-            if _idle_slot_on(slots, node_id) is None:
+            if _idle_core_on(cores, node_id) is None:
                 continue
             factor = topo.links[(home, node_id)].latency_factor
             candidates.append((factor, load.bandwidth_bytes_this_epoch,
-                               -load.idle_cores, node_id))
+                               -_idle_cores_on(cores, node_id), node_id))
         if candidates:
             node = min(candidates)[3]
             task.allowed_nodes.append(node)
-            return _take(task, _idle_slot_on(slots, node), loads)
-        slot = _least_loaded_slot(slots, task.allowed_nodes)
-        return _take(task, slot, loads)
+            return _take(task, _idle_core_on(cores, node))
+        return _take(task, _least_loaded_core(cores, task.allowed_nodes))
 
-    order = sorted(loads.values(), key=lambda l: (l.running_tasks, l.node_id))
-    for load in order:
-        slot = _idle_slot_on(slots, load.node_id)
-        if slot is not None:
-            return _take(task, slot, loads)
-    slot = _least_loaded_slot(slots, [l.node_id for l in order])
-    return _take(task, slot, loads)
+    order = sorted(loads, key=lambda n: (_tasks_on(cores, n), n))
+    for node in order:
+        core = _idle_core_on(cores, node)
+        if core is not None:
+            return _take(task, core)
+    return _take(task, _least_loaded_core(cores, order))
 
 
 def rebalance(policy: PolicyKind, tasks: Sequence[TaskState],
-              slots: Sequence[CoreSlot]) -> List[Tuple[int, int]]:
-    """Propose (task_id, new_core) moves to even out per-node task counts.
+              cores: Sequence[Core]) -> List[Tuple[TaskState, Core]]:
+    """Move queued tasks between nodes to even out per-node task counts;
+    return each move as (task, the core it left).
 
     linux and mitosis move any task until the busiest node is within the
     imbalance tolerance of the idlest.  phoenix balances each process only
-    across its own allowed nodes, so consolidation is never undone.
+    across its own allowed nodes, so consolidation is never undone.  A task
+    moves to an idle core on the idlest node, else to its least-loaded one.
+    cores[i] is core i.
     """
-    slot_by_core = {s.core_id: s for s in slots}
-    moves: List[Tuple[int, int]] = []
+    moves: List[Tuple[TaskState, Core]] = []
 
     def balance(group: List[TaskState], nodes: List[int]) -> None:
         if len(nodes) < 2:
@@ -216,9 +215,7 @@ def rebalance(policy: PolicyKind, tasks: Sequence[TaskState],
         counts = {n: 0 for n in nodes}
         on_node: Dict[int, List[TaskState]] = {n: [] for n in nodes}
         for task in group:
-            if task.current_core is None:
-                continue
-            node = slot_by_core[task.current_core].node_id
+            node = cores[task.current_core].node_id
             if node in counts:
                 counts[node] += 1
                 on_node[node].append(task)
@@ -230,18 +227,17 @@ def rebalance(policy: PolicyKind, tasks: Sequence[TaskState],
             if counts[hi] <= counts[lo] * (1.0 + policy.imbalance_tolerance):
                 break
             task = max(on_node[hi], key=lambda t: t.task_id)
-            target = _idle_slot_on(slots, lo)
+            target = _idle_core_on(cores, lo)
             if target is None:
-                target = _least_loaded_slot(slots, [lo])
-            old = slot_by_core[task.current_core]
-            old.occupancy -= 1
-            target.occupancy += 1
-            task.current_core = target.core_id
+                target = _least_loaded_core(cores, [lo])
+            left = cores[task.current_core]
+            left.runqueue.remove(task)
+            _take(task, target)
             on_node[hi].remove(task)
             on_node[lo].append(task)
             counts[hi] -= 1
             counts[lo] += 1
-            moves.append((task.task_id, target.core_id))
+            moves.append((task, left))
 
     if policy.kind == "phoenix":
         by_process: Dict[int, List[TaskState]] = {}
@@ -250,7 +246,7 @@ def rebalance(policy: PolicyKind, tasks: Sequence[TaskState],
         for group in by_process.values():
             balance(group, list(group[0].allowed_nodes))
     else:
-        nodes = sorted({s.node_id for s in slots})
+        nodes = sorted({c.node_id for c in cores})
         balance(list(tasks), nodes)
     return moves
 

@@ -124,7 +124,7 @@ class WalkOracle:
         shadow.tlb_limits[core_id] = live.tlb_limits[core_id]
         shadow.pwc_limits[core_id] = live.pwc_limits[core_id]
         task = self.sim.cores[core_id].runqueue[0]
-        space = self.sim.processes[task.st.process_id].space
+        space = self.sim.processes[task.process_id].space
         result = shadow.page_walk(space, vpn, core_id)
         if result[3] is not None:
             self._add(core_id, result)

@@ -339,7 +339,7 @@ def test_hint_faults_cost_what_clear_access_hint_prices():
     sim, space = after_one_quantum(armed)
     plain, _ = after_one_quantum(())
     reference, ref_space = after_one_quantum(armed)
-    node = sim.cores[sim.tasks[0].st.current_core].node_id
+    node = sim.cores[sim.tasks[0].current_core].node_id
     assert sorted(space.paths[0][3].resident.values()) == [0, 1]
     ref_space.begin_quantum()
     first, second = [pagetable.clear_access_hint(ref_space, vpn, node)
@@ -446,8 +446,8 @@ def test_antagonist_never_speeds_up_the_victim():
     alone = Simulation(build([victim], duration=30, quantum=1000)).run()
     paired = Simulation(build([victim, preset("stream_like", thread_count=2)],
                               duration=30, quantum=1000)).run()
-    victim_alone = total(alone, lambda t: t.st.process_id == 0)
-    victim_paired = total(paired, lambda t: t.st.process_id == 0)
+    victim_alone = total(alone, lambda t: t.process_id == 0)
+    victim_paired = total(paired, lambda t: t.process_id == 0)
     assert victim_paired > victim_alone
 
 
@@ -607,9 +607,9 @@ def test_late_starters_spawn_on_schedule():
     hog = preset("stream_like", thread_count=2)
     scenario = build([(victim, 0), (hog, 7)], nodes=2, cores=4, duration=12)
     result = Simulation(scenario).run()
-    hog_tasks = [t for t in result.tasks if t.st.process_id == 1]
+    hog_tasks = [t for t in result.tasks if t.process_id == 1]
     assert all(t.counters.events_issued == (12 - 7) * 256 for t in hog_tasks)
-    victim_tasks = [t for t in result.tasks if t.st.process_id == 0]
+    victim_tasks = [t for t in result.tasks if t.process_id == 0]
     assert all(t.counters.events_issued == 12 * 100 for t in victim_tasks)
 
 
@@ -674,10 +674,10 @@ def test_vm_op_shoots_down_each_page_on_the_other_cores(kind):
     sim.step()
     proc = sim.processes[0]
     task = proc.tasks[0]
-    core = sim.cores[task.st.current_core]
-    cores = {t.st.current_core for t in proc.tasks}
-    others = [t.st.current_core for t in proc.tasks
-              if t.st.current_core != core.core_id]
+    core = sim.cores[task.current_core]
+    cores = {t.current_core for t in proc.tasks}
+    others = [t.current_core for t in proc.tasks
+              if t.current_core != core.core_id]
     assert len({sim.cores[c].node_id for c in cores}) == 2
     start, k = 8, 5
     doomed = range(start, start + k)
@@ -722,7 +722,7 @@ def test_a_scan_charges_each_vpn_what_a_vm_op_charges():
     assert per_vpn > 0
     compared = 0
     for i, task in enumerate(tasks):
-        if sim.cores[task.st.current_core].node_id != spare.node_id:
+        if sim.cores[task.current_core].node_id != spare.node_id:
             continue  # its scan share is priced from another node
         share = len(range((i - rr) % n, count, n))  # sample[k::n]
         assert share > 0

@@ -131,10 +131,22 @@ def llc_drawn_cold():
 def assert_process_cores_kept(sim):
     """Each process's cores are its tasks' cores, each once, in task order."""
     for proc in sim.processes:
-        cores = tuple(dict.fromkeys(t.st.current_core for t in proc.tasks))
+        cores = tuple(dict.fromkeys(t.current_core for t in proc.tasks))
         assert proc.cores == cores
         assert proc.targets == {
             core: tuple(c for c in cores if c != core) for core in cores}
+
+
+def assert_run_queues_kept(sim):
+    """Each task sits on exactly one run queue, its current core's, and the
+    tasks of a process share one allowed_nodes list."""
+    queued = [t for core in sim.cores for t in core.runqueue]
+    assert len(queued) == len({id(t) for t in queued}) == len(sim.tasks)
+    for task in sim.tasks:
+        assert any(t is task for t in sim.cores[task.current_core].runqueue)
+    for proc in sim.processes:
+        shared = proc.tasks[0].allowed_nodes
+        assert all(t.allowed_nodes is shared for t in proc.tasks)
 
 
 @st.composite
@@ -182,9 +194,11 @@ def test_fuzzed_scenarios_are_refused_by_path_or_keep_the_invariants(raw):
     def step_keeping_cores():
         step()
         assert_process_cores_kept(sim)
+        assert_run_queues_kept(sim)
 
     sim.step = step_keeping_cores
     report = metrics.finalize(sim.run(), scenario)
+    assert not any(core.runqueue for core in sim.cores)  # exit empties them
 
     # every walk, inline or through page_walk, is page_walk's walk
     oracle.check()

@@ -9,12 +9,11 @@ from numasim.engine import (WINDOW_COUNTERS, Scenario, SimTask, Simulation,
                             WorkloadEntry, _pw_ratio)
 from numasim.pagetable import AddressSpace, add_replica, map_page
 from numasim.sched import (
-    CoreSlot,
+    Core,
     NodeLoad,
     PolicyKind,
     TaskState,
     autonuma_step,
-    on_fork,
     phoenix_evaluate,
     place_process,
     place_thread,
@@ -29,14 +28,27 @@ def cores_on(topo, node_id):
     return [c.core_id for c in topo.cores if c.node_id == node_id]
 
 
-def loads_for(**per_node):
-    return {n: NodeLoad(node_id=n, **kw) for n, kw in per_node.items()}
-
-
-def slots_for(topo, occupancy=None):
+def cores_for(topo, occupancy=None):
+    """The machine's cores, core i queueing occupancy[i] placeholder tasks."""
     occupancy = occupancy or {}
-    return [CoreSlot(c.core_id, c.node_id, c.physical_core_id,
-                     occupancy.get(c.core_id, 0)) for c in topo.cores]
+    return [Core(c.core_id, c.node_id, c.physical_core_id,
+                 [TaskState(-1, -1) for _ in range(occupancy.get(c.core_id, 0))])
+            for c in topo.cores]
+
+
+def loads_on(topo, bandwidth=None):
+    """A NodeLoad per node, node n's last-epoch bytes bandwidth[n] or 0."""
+    bandwidth = bandwidth or {}
+    return {n.node_id: NodeLoad(n.node_id, bandwidth.get(n.node_id, 0))
+            for n in topo.nodes}
+
+
+def assert_queued(cores, tasks):
+    """Each task sits on exactly one run queue, its current core's."""
+    for task in tasks:
+        holders = [c.core_id for c in cores
+                   if any(t is task for t in c.runqueue)]
+        assert holders == [task.current_core], task.task_id
 
 
 def test_policy_kind_validation():
@@ -62,7 +74,7 @@ def test_policy_kind_validation():
 def test_pmc_window_arithmetic():
     # a window is the change in a task's counters between the snapshot taken
     # when it began and the one taken at its last flush
-    task = SimTask(TaskState(0, 1), 0)
+    task = SimTask(0, 1, 0, [])
     empty = dict.fromkeys(WINDOW_COUNTERS, 0)
     assert task.window() == empty
     assert _pw_ratio(empty) == 0.0
@@ -80,62 +92,73 @@ def test_pmc_window_arithmetic():
 
 
 def test_fork_inherits_home_and_shares_the_allowed_set():
-    # a thread's home is its process's allowed set
-    parent = on_fork(None, task_id=0, process_id=1)
-    assert parent.allowed_nodes == []
-    parent.allowed_nodes = [1]
-    child = on_fork(parent, task_id=1, process_id=1)
-    assert child.allowed_nodes == [1]
-    assert child.allowed_nodes is parent.allowed_nodes
+    # a thread's home is its process's allowed set: one list, so a node a
+    # phoenix thread annexes is allowed to every thread of the process
+    spec = preset("gups_like", thread_count=3, footprint_pages=64)
+    sim = Simulation(Scenario(
+        machine={"nodes": 2, "cores_per_node": 2},
+        workloads=[WorkloadEntry(spec)], policy=PolicyKind("phoenix"),
+        duration_quanta=1))
+    sim.step()
+    main, *threads = sim.processes[0].tasks
+    home = sim.processes[0].space.home_node
+    assert main.allowed_nodes == [home, 1 - home]  # the third thread annexed
+    for thread in threads:
+        assert thread.allowed_nodes is main.allowed_nodes
+    assert_queued(sim.cores, sim.tasks)
 
 
 def test_place_process_phoenix_prefers_quiet_memory():
-    task = on_fork(None, 0, 1)
-    loads = {
-        0: NodeLoad(0, bandwidth_bytes_this_epoch=10_000_000, idle_cores=8),
-        1: NodeLoad(1, bandwidth_bytes_this_epoch=2_000_000, idle_cores=1),
-    }
-    assert place_process(task, PolicyKind("phoenix"), loads) == 1
+    topo = make_topo(2, 8)
+    task = TaskState(0, 1)
+    cores = cores_for(topo, occupancy={c: 1 for c in cores_on(topo, 1)[1:]})
+    loads = loads_on(topo, {0: 10_000_000, 1: 2_000_000})
+    assert place_process(task, PolicyKind("phoenix"), loads, cores) == 1
     assert task.allowed_nodes == [1]
 
 
 def test_place_process_phoenix_breaks_bandwidth_ties_on_idle_cores():
-    loads = {0: NodeLoad(0, idle_cores=2), 1: NodeLoad(1, idle_cores=6)}
-    task = on_fork(None, 0, 1)
-    assert place_process(task, PolicyKind("phoenix"), loads) == 1
+    topo = make_topo(2, 6)
+    cores = cores_for(topo, occupancy={c: 1 for c in cores_on(topo, 0)[2:]})
+    task = TaskState(0, 1)
+    assert place_process(task, PolicyKind("phoenix"), loads_on(topo),
+                         cores) == 1
 
 
 def test_place_process_linux_picks_fewest_tasks():
-    loads = {0: NodeLoad(0, running_tasks=5), 1: NodeLoad(1, running_tasks=3)}
-    task = on_fork(None, 0, 1)
-    assert place_process(task, PolicyKind("linux"), loads) == 1
-    tie = {0: NodeLoad(0, running_tasks=2), 1: NodeLoad(1, running_tasks=2)}
-    assert place_process(on_fork(None, 1, 2),
-                         PolicyKind("linux"), tie) == 0
+    topo = make_topo(2, 2)
+    cores = cores_for(topo, occupancy={0: 3, 1: 2, 2: 3})
+    task = TaskState(0, 1)
+    assert place_process(task, PolicyKind("linux"), loads_on(topo),
+                         cores) == 1
+    tie = cores_for(topo, occupancy={0: 2, 2: 1, 3: 1})
+    assert place_process(TaskState(1, 2), PolicyKind("linux"), loads_on(topo),
+                         tie) == 0
 
 
 def test_place_thread_phoenix_fills_home_before_annexing():
     topo = make_topo(2, 2)
     policy = PolicyKind("phoenix")
-    loads = {0: NodeLoad(0, idle_cores=2), 1: NodeLoad(1, idle_cores=2)}
-    slots = slots_for(topo)
-    task = on_fork(None, 0, 1)
-    home = place_process(task, policy, loads)
-    core = place_thread(task, policy, loads, slots, topo)
+    loads = loads_on(topo)
+    cores = cores_for(topo)
+    task = TaskState(0, 1)
+    home = place_process(task, policy, loads, cores)
+    core = place_thread(task, policy, loads, cores, topo)
     assert topo.cores[core].node_id == home
     assert task.allowed_nodes == [home]
-    assert loads[home].running_tasks == 1
+    assert cores[core].runqueue == [task]
+    assert sum(len(c.runqueue) for c in cores if c.node_id == home) == 1
 
 
 def test_place_thread_phoenix_annexes_when_home_is_full():
     topo = make_topo(2, 1)
     policy = PolicyKind("phoenix")
-    loads = {0: NodeLoad(0, idle_cores=0), 1: NodeLoad(1, idle_cores=1)}
-    slots = slots_for(topo, occupancy={0: 1})
+    cores = cores_for(topo, occupancy={0: 1})
     task = TaskState(5, 1, allowed_nodes=[0])
-    core = place_thread(task, policy, loads, slots, topo)
+    core = place_thread(task, policy, loads_on(topo), cores, topo)
     assert topo.cores[core].node_id == 1
     assert task.allowed_nodes == [0, 1]
+    assert_queued(cores, [task])
 
 
 def test_place_thread_phoenix_annexes_the_closest_idle_node():
@@ -146,92 +169,103 @@ def test_place_thread_phoenix_annexes_the_closest_idle_node():
         [1.3, 1.3, 1.5, 1.0],
     ]
     topo = make_topo(4, 1, link_factors=factors)
-    loads = {n: NodeLoad(n, idle_cores=0 if n == 0 else 1,
-                         bandwidth_bytes_this_epoch=100 if n == 2 else 0)
-             for n in range(4)}
-    slots = slots_for(topo, occupancy={0: 1})
+    loads = loads_on(topo, {2: 100})
+    cores = cores_for(topo, occupancy={0: 1})
     task = TaskState(5, 1, allowed_nodes=[0])
-    place_thread(task, PolicyKind("phoenix"), loads, slots, topo)
+    place_thread(task, PolicyKind("phoenix"), loads, cores, topo)
     # nodes 2 and 3 tie on latency factor; quieter node 3 wins
     assert task.allowed_nodes == [0, 3]
+    assert_queued(cores, [task])
 
 
 def test_place_thread_phoenix_time_shares_once_everything_is_busy():
     topo = make_topo(2, 1)
-    loads = {0: NodeLoad(0, idle_cores=0), 1: NodeLoad(1, idle_cores=0)}
-    slots = slots_for(topo, occupancy={0: 2, 1: 1})
+    cores = cores_for(topo, occupancy={0: 2, 1: 1})
     task = TaskState(5, 1, allowed_nodes=[0, 1])
-    core = place_thread(task, PolicyKind("phoenix"), loads, slots, topo)
+    core = place_thread(task, PolicyKind("phoenix"), loads_on(topo), cores,
+                        topo)
     assert core == 1  # least-loaded allowed core; no new node annexed
     assert task.allowed_nodes == [0, 1]
+    assert len(cores[1].runqueue) == 2 and cores[1].runqueue[-1] is task
 
 
 def test_place_thread_linux_spreads_to_the_least_loaded_node():
-    topo = make_topo(2, 2)
-    loads = {0: NodeLoad(0, running_tasks=5, idle_cores=1),
-             1: NodeLoad(1, running_tasks=3, idle_cores=2)}
-    slots = slots_for(topo, occupancy={0: 1})
+    topo = make_topo(2, 4)
+    # node 0 runs 5 tasks with one core idle, node 1 runs 3 with two idle
+    cores = cores_for(topo, occupancy={0: 2, 1: 2, 2: 1, 4: 2, 5: 1})
     task = TaskState(9, 1, allowed_nodes=[0])
-    core = place_thread(task, PolicyKind("linux"), loads, slots, topo)
+    core = place_thread(task, PolicyKind("linux"), loads_on(topo), cores,
+                        topo)
     assert topo.cores[core].node_id == 1
+    assert_queued(cores, [task])
 
 
 def test_placement_prefers_cores_with_idle_smt_siblings():
     topo = make_topo(1, 4, smt=True)
-    loads = {0: NodeLoad(0, idle_cores=3)}
-    slots = slots_for(topo, occupancy={1: 1})  # phys 0 is half busy
+    cores = cores_for(topo, occupancy={1: 1})  # phys 0 is half busy
     task = TaskState(9, 1, allowed_nodes=[0])
-    core = place_thread(task, PolicyKind("linux"), loads, slots, topo)
+    core = place_thread(task, PolicyKind("linux"), loads_on(topo), cores,
+                        topo)
     assert core == 2  # both threads of phys 1 are free
+    assert cores[2].runqueue == [task]
+
+
+def queued_tasks(topo, cores, per_node):
+    """Tasks 0.. queued round-robin on each node's cores, per_node[n] there."""
+    tasks = []
+    for node, count in enumerate(per_node):
+        for _ in range(count):
+            i = len(tasks)
+            core = cores_on(topo, node)[i % len(cores_on(topo, node))]
+            task = TaskState(i, 1, allowed_nodes=[node], current_core=core)
+            cores[core].runqueue.append(task)
+            tasks.append(task)
+    return tasks
 
 
 def test_rebalance_moves_tasks_until_within_tolerance():
     topo = make_topo(2, 4)
-    slots = slots_for(topo)
-    tasks = []
-    for i in range(24):
-        node = 0 if i < 16 else 1
-        core = cores_on(topo, node)[i % 4]
-        slots[core].occupancy += 1
-        tasks.append(TaskState(i, 1, allowed_nodes=[node],
-                               current_core=core))
-    moves = rebalance(PolicyKind("linux"), tasks, slots)
-    assert len(moves) == 3  # 16/8 settles at 13/11 under 25% tolerance
+    cores = cores_for(topo)
+    tasks = queued_tasks(topo, cores, [16, 8])
+    moves = rebalance(PolicyKind("linux"), tasks, cores)
+    # 16/8 settles at 13/11 under 25% tolerance: the highest ids leave node
+    # 0 for node 1's least-loaded cores
+    assert [(t.task_id, left.core_id) for t, left in moves] \
+        == [(15, 3), (14, 2), (13, 1)]
+    assert [t.current_core for t, _ in moves] == [4, 5, 6]
+    assert [c.runqueue[-1].task_id for c in cores[4:7]] == [15, 14, 13]
+    assert_queued(cores, tasks)
     counts = {0: 0, 1: 0}
-    for t in tasks:
-        counts[topo.cores[t.current_core].node_id] += 1
+    for c in cores:
+        counts[c.node_id] += len(c.runqueue)
     assert counts == {0: 13, 1: 11}
 
 
 def test_rebalance_leaves_tolerable_imbalance_alone():
     topo = make_topo(2, 4)
-    slots = slots_for(topo)
-    tasks = []
-    for i in range(9):
-        node = 0 if i < 5 else 1
-        core = cores_on(topo, node)[i % 4]
-        slots[core].occupancy += 1
-        tasks.append(TaskState(i, 1, current_core=core))
-    assert rebalance(PolicyKind("linux"), tasks, slots) == []
+    cores = cores_for(topo)
+    tasks = queued_tasks(topo, cores, [5, 4])
+    queues = [list(c.runqueue) for c in cores]
+    assert rebalance(PolicyKind("linux"), tasks, cores) == []
+    assert [c.runqueue for c in cores] == queues
+    assert_queued(cores, tasks)
 
 
 def test_rebalance_phoenix_respects_allowed_nodes():
     topo = make_topo(2, 4)
-    slots = slots_for(topo)
-    tasks = []
-    for i in range(4):
-        core = cores_on(topo, 0)[i]
-        slots[core].occupancy += 1
-        tasks.append(TaskState(i, 1, allowed_nodes=[0],
-                               current_core=core))
+    cores = cores_for(topo)
+    tasks = queued_tasks(topo, cores, [4, 0])
     # node 1 is idle, but the process is consolidated on node 0
-    assert rebalance(PolicyKind("phoenix"), tasks, slots) == []
+    assert rebalance(PolicyKind("phoenix"), tasks, cores) == []
     for task in tasks:
         task.allowed_nodes = [0, 1]
-    moves = rebalance(PolicyKind("phoenix"), tasks, slots)
+    moves = rebalance(PolicyKind("phoenix"), tasks, cores)
     assert len(moves) == 2
+    assert all(left.node_id == 0 for _, left in moves)
     nodes = {topo.cores[t.current_core].node_id for t in tasks}
     assert nodes == {0, 1}
+    assert [len(c.runqueue) for c in cores] == [1, 1, 0, 0, 1, 1, 0, 0]
+    assert_queued(cores, tasks)
 
 
 def test_window_sampling_accumulates_and_resets():
@@ -247,7 +281,7 @@ def test_window_sampling_accumulates_and_resets():
     task = sim.tasks[0]
     first = task.window()
     assert task.ticks_in_window == 1
-    assert first == task.counters.delta_since((0,) * len(WINDOW_COUNTERS))
+    assert first == dict(zip(WINDOW_COUNTERS, task.counters.snapshot()))
     assert first["total_cycles"] > 0
     for ticks in (2, 3):
         task.counters.total_cycles += 100
@@ -434,5 +468,6 @@ def test_on_exit_detaches_the_core():
                         workloads=[WorkloadEntry(spec)],
                         policy=PolicyKind("linux"), duration_quanta=3)
     result = Simulation(scenario).run()
-    assert [t.st.current_core for t in result.tasks] == [None, None]
+    assert [t.current_core for t in result.tasks] == [None, None]
+    assert not any(c.runqueue for c in result.cores)
     assert all(t.counters.events_issued for t in result.tasks)
