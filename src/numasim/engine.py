@@ -379,20 +379,21 @@ class Simulation:
         """Issue the task's events for this quantum in one loop.
 
         Contention, and so every price, is fixed for the quantum: the loop
-        tallies data accesses, LLC misses and inline walk reads per node,
-        and prices them from the core's price row after it; those and the
-        other counts are added to the task once.  Each access makes one
-        tlb_lookup; hits are the accesses that did not miss.  A miss on a
-        mapped page walks inline by page_walk's rules, skipping the pop and
+        tallies data accesses, LLC misses and walk reads per node, and
+        prices them from the core's price row after it; those and the other
+        counts are added to the task once.  Each access makes one
+        tlb_lookup; hits are the accesses that did not miss.  Every miss
+        takes the one walk that fills, inline, skipping the pop and
         reinsert of a PGD or PUD prefix the loop last made newest, which
-        leaves the order unchanged; any other miss, a fault among them,
-        calls page_walk.  A hint fault is priced inline by
-        clear_access_hint's rule.  The stream holds each data access as its
-        vpn, an int; a VmOp goes to _do_vm_op but is counted, and charged
-        its compute cycle, here.  With autonuma, one Counter update per
-        batch adds it to the process's counts for the core's node.  An LLC
-        miss is a draw below llc_miss_rate from the task-quantum's own
-        generator, made only when the rate is neither 0 nor 1.
+        leaves the order unchanged.  A fault (a missing table or entry)
+        first tallies the reads of one page_walk, then installs the page.
+        A hint fault is priced inline by clear_access_hint's rule.  The
+        stream holds each data access as its vpn, an int; a VmOp goes to
+        _do_vm_op but is counted, and charged its compute cycle, here.
+        With autonuma, one Counter update per batch adds it to the
+        process's counts for the core's node.  An LLC miss is a draw below
+        llc_miss_rate from the task-quantum's own generator, made only when
+        the rate is neither 0 nor 1.
 
         A task with events queued behind its MBA cap defers its new quantum
         as an index; a deferred quantum is generated when its first event
@@ -439,13 +440,12 @@ class Simulation:
         replica = space.replica_for(node)
         line_bytes = int(CACHELINE_BYTES * spec.bandwidth_intensity)
         bytes_to = [0] * len(self.topo.nodes)  # traffic by destination node
-        reads_to = [0] * len(bytes_to)  # inline walks' table reads by node
+        reads_to = [0] * len(bytes_to)  # walks' table reads by node
         data_to = [0] * len(bytes_to)  # data accesses by the data's node
         # LLC misses by the data's node
         llc_to = data_to if llc_miss_rate == 1.0 else [0] * len(bytes_to)
         issued = proc.access_counts[node] if self.policy.autonuma else None
         events = misses = vm_ops = 0
-        walk_cycles = walk_accesses = walk_remote = 0
         hint_own = hint_waits = 0  # hint faults' own cycles, lock waits
         # the PGD and PUD prefixes this loop last made newest in their caches;
         # a VM op or page_walk may drop or reorder entries, and resets them
@@ -474,49 +474,43 @@ class Simulation:
                     path = paths.get(pmd)
                     if path is not None:
                         mapping = path[3].entries.get(vpn % a)
-                    if mapping is not None:
-                        # page_walk's walk, unrolled: a read per PWC miss; the
-                        # newest prefix is a hit that keeps its cache's order
-                        pud = pmd // a
-                        if pud != newest_pud:
-                            pgd = pud // a
-                            if pgd != newest_pgd:
-                                if pgd_cache.pop(pgd, None) is None:
-                                    reads_to[path[0].resident[replica]] += 1
-                                    if len(pgd_cache) >= pgd_limit:
-                                        del pgd_cache[next(iter(pgd_cache))]
-                                pgd_cache[newest_pgd := pgd] = True
-                            if pud_cache.pop(pud, None) is None:
-                                reads_to[path[1].resident[replica]] += 1
-                                if len(pud_cache) >= pud_limit:
-                                    del pud_cache[next(iter(pud_cache))]
-                            pud_cache[newest_pud := pud] = True
-                        if pmd_cache.pop(pmd, None) is None:
-                            reads_to[path[2].resident[replica]] += 1
-                            if len(pmd_cache) >= pmd_limit:
-                                del pmd_cache[next(iter(pmd_cache))]
-                        pmd_cache[pmd] = True
-                        reads_to[path[3].resident[replica]] += 1
-                        # the lookup just missed, so vpn is absent: no pop
-                        if len(tlb) >= tlb_limit:
-                            del tlb[next(iter(tlb))]
-                        tlb[vpn] = mapping
-                    # any other miss walks through page_walk; a first
-                    # touch faults, installs the page and walks again
-                    while mapping is None:
+                    if mapping is None:
+                        # a fault: page_walk's reads, which fill nothing, then
+                        # the page is installed and walked inline as mapped
+                        for touched in page_walk(space, vpn, core_id):
+                            reads_to[touched] += 1
                         newest_pgd = newest_pud = None  # page_walk reorders
-                        cycles, reads, remote, mapping, touched_nodes = \
-                            page_walk(space, vpn, core_id)
-                        walk_cycles += cycles
-                        walk_accesses += reads
-                        walk_remote += remote
-                        for touched in touched_nodes:
-                            bytes_to[touched] += CACHELINE_BYTES
-                        if mapping is None:
-                            pfn_node = self._data_node(proc, node)
-                            cost = map_page(space, vpn, self._alloc_pfn(),
-                                            pfn_node, node)
-                            self._charge_pt_cost(task, cost)
+                        cost = map_page(space, vpn, self._alloc_pfn(),
+                                        self._data_node(proc, node), node)
+                        self._charge_pt_cost(task, cost)
+                        path = paths[pmd]
+                        mapping = path[3].entries[vpn % a]
+                    # the walk, unrolled: a read per PWC miss; the newest
+                    # prefix is a hit that keeps its cache's order
+                    pud = pmd // a
+                    if pud != newest_pud:
+                        pgd = pud // a
+                        if pgd != newest_pgd:
+                            if pgd_cache.pop(pgd, None) is None:
+                                reads_to[path[0].resident[replica]] += 1
+                                if len(pgd_cache) >= pgd_limit:
+                                    del pgd_cache[next(iter(pgd_cache))]
+                            pgd_cache[newest_pgd := pgd] = True
+                        if pud_cache.pop(pud, None) is None:
+                            reads_to[path[1].resident[replica]] += 1
+                            if len(pud_cache) >= pud_limit:
+                                del pud_cache[next(iter(pud_cache))]
+                        pud_cache[newest_pud := pud] = True
+                    if pmd_cache.pop(pmd, None) is None:
+                        reads_to[path[2].resident[replica]] += 1
+                        if len(pmd_cache) >= pmd_limit:
+                            del pmd_cache[next(iter(pmd_cache))]
+                    pmd_cache[pmd] = True
+                    reads_to[path[3].resident[replica]] += 1
+                    # the lookup just missed, so vpn is absent: no pop
+                    if len(tlb) >= tlb_limit:
+                        del tlb[next(iter(tlb))]
+                    tlb[vpn] = mapping
 
                 if mapping.numa_hint:
                     # access-sampling fault, clear_access_hint inline: one
@@ -534,8 +528,8 @@ class Simulation:
                     llc_to[mapping.pfn_node] += 1
 
         # prices are fixed for the quantum: price the data accesses and the
-        # inline reads per node
-        stall = 0
+        # walks' reads per node
+        stall = walk_cycles = walk_accesses = walk_remote = 0
         for to_node, reads in enumerate(reads_to):
             walk_cycles += reads * price[to_node]
             walk_accesses += reads
@@ -796,7 +790,7 @@ class Simulation:
             if len(core.runqueue) > 1:
                 core.runqueue.append(core.runqueue.pop(0))
 
-        self._prev_node_bytes = dict(self._node_bytes)
+        self._prev_node_bytes = self._node_bytes
         self.contention = compute_contention(
             self.topo, self._node_bytes, self._link_bytes,
             self.scenario.quantum_cycles)

@@ -6,6 +6,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import pagetable
 from .pagetable import AddressSpace, Level, Mapping
+# access_latency is not called here; the binding stays because the
+# benchmark's tests require this module to bind the function its layer
+# trace patches
 from .topology import Topology, access_latency
 
 # PGD, PUD and PMD entry caches; the PTE level is never cached
@@ -24,14 +27,13 @@ class Mmu:
     """
 
     def __init__(self, topo: Topology,
-                 pwc_entries: Sequence[int] = DEFAULT_PWC_ENTRIES,
-                 ipi_cycles: int = DEFAULT_IPI_CYCLES):
+                 pwc_entries: Sequence[int] = DEFAULT_PWC_ENTRIES):
         self.topo = topo
         self.core_nodes = [core.node_id for core in topo.cores]  # by core id
         # initiator node -> target core -> IPI cycles: the base latency,
         # scaled by the link factor when the target sits on another node
         self.ipi_prices: Dict[int, Dict[int, float]] = {
-            node: {core.core_id: ipi_cycles * (
+            node: {core.core_id: DEFAULT_IPI_CYCLES * (
                 topo.links[(node, core.node_id)].latency_factor
                 if core.node_id != node else 1.0) for core in topo.cores}
             for node in topo.node_ids}
@@ -77,52 +79,30 @@ class Mmu:
     # -- walks ------------------------------------------------------------------
 
     def page_walk(self, space: AddressSpace, vpn: int, core_id: int
-                  ) -> Tuple[int, int, int, Optional[Mapping], List[int]]:
-        """Walk the nearest replica, skipping levels the PWC already caches.
+                  ) -> List[int]:
+        """A fault's walk of the nearest replica: it prices and fills nothing.
 
-        Returns (cycles, mem_accesses, remote_accesses, mapping,
-        touched_nodes): touched_nodes holds the node of each table read, in
-        walk order.  Each level not served by the PWC is one memory access
-        priced from the walker's node to the node holding that table page.
-        A hole in the tree is a fault: mapping is None, the cycles spent
-        reaching it are still charged and nothing is filled.  On success
-        the TLB and the PWC levels that missed are filled.  The engine walks
-        a mapped page inline by these same rules (Simulation._run_task).
+        Returns the node of each table the walk reads, in walk order: every
+        PGD, PUD and PMD level the tree holds whose prefix (the level's key)
+        misses the PWC, then the PTE table when it exists.  A PWC hit is
+        made most recent.  The engine prices the reads, then installs the
+        page and walks it inline, which fills (Simulation._run_task).
         """
-        topo = self.topo
-        core_node = self.core_nodes[core_id]
-        mapping, residents = pagetable.translate(space, vpn, core_node)
+        _, residents = pagetable.translate(space, vpn,
+                                           self.core_nodes[core_id])
         a = space.arity
         pmd = vpn // a
         pud = pmd // a
-        touched_nodes: List[int] = []
-        # the PWC levels the walk reached, PGD first; a level's key is vpn's
-        # prefix above it
-        for cache, limit, prefix, node in zip(
-                self.pwcs[core_id], self.pwc_limits[core_id],
-                (pud // a, pud, pmd), residents):
-            if cache.pop(prefix, None) is not None:
-                cache[prefix] = True  # a hit, made most recent
+        reads: List[int] = []
+        for cache, prefix, node in zip(
+                self.pwcs[core_id], (pud // a, pud, pmd), residents):
+            if cache.pop(prefix, None) is None:
+                reads.append(node)
             else:
-                touched_nodes.append(node)
-                if mapping is not None:  # a fill of an absent key
-                    if len(cache) >= limit:
-                        del cache[next(iter(cache))]
-                    cache[prefix] = True
+                cache[prefix] = True  # a hit, made most recent
         if len(residents) > _PTE:  # the PTE level is never cached
-            touched_nodes.append(residents[_PTE])
-        cycles = remote = 0
-        for node in touched_nodes:
-            cycles += access_latency(topo, core_node, node)
-            if node != core_node:
-                remote += 1
-        if mapping is not None:  # the TLB fill, by the same rule
-            tlb = self.tlbs[core_id]
-            if tlb.pop(vpn, None) is None \
-                    and len(tlb) >= self.tlb_limits[core_id]:
-                del tlb[next(iter(tlb))]
-            tlb[vpn] = mapping
-        return cycles, len(touched_nodes), remote, mapping, touched_nodes
+            reads.append(residents[_PTE])
+        return reads
 
     # -- shootdowns ---------------------------------------------------------------
 

@@ -5,6 +5,8 @@ import re
 from numasim.mmu import Mmu
 from numasim.topology import build_topology, latency_table
 
+import reference
+
 _acceptance_outcomes = {}
 
 
@@ -64,16 +66,17 @@ def core_caches(mmu, core_id):
 
 
 class WalkOracle:
-    """Checks every walk a simulation makes against Mmu.page_walk.
+    """Checks every walk a simulation makes against reference.walk.
 
-    The live Mmu's tlb_lookup is wrapped: on a miss, page_walk runs on a
-    shadow Mmu holding in-order copies of that core's TLB, its PGD, PUD and
-    PMD caches and their limits.  When the shadow walk finds the page
-    mapped, its cycles, reads and remote reads are added to the sums of the
-    task running on the core, and that core's live caches must equal the
-    shadow's, in order, before the Mmu is next called, and at check.  A
-    fault is left to the engine's own page_walk calls, which are wrapped and
-    summed as they are made.
+    The live Mmu's tlb_lookup is wrapped: on a miss, reference.walk runs on
+    a shadow Mmu holding in-order copies of that core's TLB, its PGD, PUD
+    and PMD caches and their limits, and its cycles, reads and remote reads
+    are added to the sums of the task running on the core.  A mapped walk
+    fills the shadow.  A fault's walk fills nothing; the engine's one
+    page_walk call for it must read the same nodes, and once the page is
+    installed the reference walks it again and fills, which is summed too.
+    The live caches must equal the shadow's, in order, at the next settle:
+    the next lookup or VM op, the end of the task's quantum, and check.
     """
 
     def __init__(self, sim):
@@ -82,8 +85,11 @@ class WalkOracle:
         self.shadow = Mmu(sim.topo, mmu.pwc_entries)
         self.sums = {}  # task id -> [cycles, reads, remote reads]
         self.mapped_walks = self.faults = 0
-        self.pending = None  # (core id, vpn) of a mapped walk not yet settled
+        self.pending = None  # (core id, vpn) of a walk not yet settled
+        self.fault = None  # (task id, space) when that walk faulted
+        self.fault_reads = None  # its nodes, until its page_walk reads them
         lookup, walk = mmu.tlb_lookup, mmu.page_walk
+        run_task, do_vm_op = sim._run_task, sim._do_vm_op
 
         def tlb_lookup(core_id, vpn):
             self.settle()
@@ -93,26 +99,29 @@ class WalkOracle:
             return mapping
 
         def page_walk(space, vpn, core_id):
+            reads = walk(space, vpn, core_id)
+            assert self.pending == (core_id, vpn)
+            assert reads == self.fault_reads, (core_id, vpn)
+            self.fault_reads = None  # one call per fault
+            return reads
+
+        def vm_op(*args):
             self.settle()
-            result = walk(space, vpn, core_id)
-            self._add(core_id, result)
-            self.faults += result[3] is None
-            return result
+            do_vm_op(*args)
 
-        def settling(method):
-            def settled(*args, **kwargs):
-                self.settle()
-                return method(*args, **kwargs)
-            return settled
+        def run_then_settle(*args):
+            run_task(*args)
+            self.settle()
 
+        # a VM op settles before it changes the tree, and every other Mmu
+        # call is made outside _run_task, after its quantum settled
         mmu.tlb_lookup = tlb_lookup
         mmu.page_walk = page_walk
-        for name in ("tlb_shootdown", "flush_core", "set_partition"):
-            setattr(mmu, name, settling(getattr(mmu, name)))
+        sim._do_vm_op = vm_op
+        sim._run_task = run_then_settle
 
-    def _add(self, core_id, result):
-        task = self.sim.cores[core_id].runqueue[0]  # the task running there
-        row = self.sums.setdefault(task.task_id, [0, 0, 0])
+    def _add(self, task_id, result):
+        row = self.sums.setdefault(task_id, [0, 0, 0])
         row[0] += result[0]
         row[1] += result[1]
         row[2] += result[2]
@@ -123,20 +132,32 @@ class WalkOracle:
         shadow.pwcs[core_id] = tuple(dict(c) for c in live.pwcs[core_id])
         shadow.tlb_limits[core_id] = live.tlb_limits[core_id]
         shadow.pwc_limits[core_id] = live.pwc_limits[core_id]
-        task = self.sim.cores[core_id].runqueue[0]
+        task = self.sim.cores[core_id].runqueue[0]  # the task running there
         space = self.sim.processes[task.process_id].space
-        result = shadow.page_walk(space, vpn, core_id)
-        if result[3] is not None:
-            self._add(core_id, result)
+        result = reference.walk(shadow, space, vpn, core_id)
+        self._add(task.task_id, result)
+        self.pending = (core_id, vpn)
+        if result[3] is None:
+            self.faults += 1
+            self.fault = (task.task_id, space)
+            self.fault_reads = result[4]
+        else:
             self.mapped_walks += 1
-            self.pending = (core_id, vpn)
 
     def settle(self):
-        """The live caches of the last mapped walk's core equal the shadow's."""
+        """Walk a settled fault's installed page on the shadow; then the live
+        caches of the last walk's core equal the shadow's."""
         if self.pending is None:
             return
         core_id, vpn = self.pending
         self.pending = None
+        if self.fault is not None:
+            task_id, space = self.fault
+            self.fault = None
+            assert self.fault_reads is None, ("no page_walk", core_id, vpn)
+            result = reference.walk(self.shadow, space, vpn, core_id)
+            assert result[3] is not None, (core_id, vpn)
+            self._add(task_id, result)
         for live, shadow in zip(core_caches(self.sim.mmu, core_id),
                                 core_caches(self.shadow, core_id)):
             assert list(live.items()) == list(shadow.items()), (core_id, vpn)

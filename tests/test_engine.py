@@ -30,6 +30,7 @@ from numasim.topology import access_latency, build_topology, latency_table
 from numasim.workload import (VmOp, WorkloadSpec, generate_quantum_events,
                               preset, quantum_volume)
 
+import reference
 from conftest import WalkOracle, core_caches, make_topo
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -236,6 +237,39 @@ def test_walk_counters_sum_the_walks_each_task_made(seed):
     assert sum(row[2] for row in oracle.sums.values()) > 0
 
 
+def test_a_fault_makes_one_page_walk_that_only_reorders(monkeypatch):
+    # a cold run with no VM ops: every page is mapped by its first touch,
+    # whose fault makes one page_walk, and so one translate; the walk may
+    # refresh cached prefixes but adds and drops no entry of any cache
+    spec = preset("gups_like", thread_count=4, footprint_pages=2048)
+    sim = Simulation(build([spec], policy=PolicyKind("mitosis"), duration=6))
+    mmu = sim.mmu
+    calls = {"page_walk": 0, "translate": 0}
+    reordered = 0
+    translate, page_walk = pagetable.translate, mmu.page_walk
+
+    def counted_translate(*args):
+        calls["translate"] += 1
+        return translate(*args)
+
+    def read_only_walk(space, vpn, core_id):
+        nonlocal reordered
+        calls["page_walk"] += 1
+        before = [list(cache) for cache in core_caches(mmu, core_id)]
+        reads = page_walk(space, vpn, core_id)
+        after = [list(cache) for cache in core_caches(mmu, core_id)]
+        assert list(map(set, after)) == list(map(set, before)), vpn
+        reordered += after != before
+        return reads
+
+    monkeypatch.setattr(pagetable, "translate", counted_translate)
+    mmu.page_walk = read_only_walk
+    sim.run()
+    mapped = sum(proc.space.mappings_count for proc in sim.processes)
+    assert calls["page_walk"] == calls["translate"] == mapped > 0
+    assert reordered
+
+
 def test_hit_and_miss_counts_are_the_lookups_and_the_rest_are_vm_ops():
     # the loop counts misses and VM ops; hits are what is left, so each
     # access must make exactly one lookup and each VM op none
@@ -294,7 +328,7 @@ def test_inline_walks_follow_a_shootdown_in_the_same_batch_and_hint_faults():
             hint_faults_after_walk += 1
         armed = None
         mapping = lookup(core_id, vpn)
-        if oracle.pending == (core_id, vpn):
+        if oracle.pending == (core_id, vpn) and oracle.fault is None:
             if shot.get(core_id) == sim.quantum:
                 walks_after_shootdown += 1
             leaf = sim.processes[0].space.lookup(vpn)
@@ -683,7 +717,7 @@ def test_vm_op_shoots_down_each_page_on_the_other_cores(kind):
     doomed = range(start, start + k)
     for c in cores:  # every core of the process caches every doomed page
         for vpn in doomed:
-            sim.mmu.page_walk(proc.space, vpn, c)
+            reference.walk(sim.mmu, proc.space, vpn, c)
     # one IPI to each other core, priced from the initiator's node
     prices = sim.mmu.ipi_prices[core.node_id]
     price = int(sum(prices[c] for c in others) + 0.5)

@@ -1,4 +1,7 @@
-"""TLB, page-walk cache, walk pricing, and shootdown behavior."""
+"""TLB, page-walk cache, walk pricing, and shootdown behavior.
+
+Walks that fill go through the tests' reference walker, by the rules the
+engine's access loop walks by; Mmu.page_walk is a fault's read-only walk."""
 
 import random
 from collections import OrderedDict
@@ -14,14 +17,21 @@ from numasim.pagetable import (
     map_page,
     set_frame_node,
 )
+from numasim.topology import access_latency
 
 from conftest import make_topo
+from reference import walk
 
 
 def accesses(mmu, space, vpn, core_id):
     """The memory accesses of one walk."""
-    _, mem_accesses, _, _, _ = mmu.page_walk(space, vpn, core_id)
+    _, mem_accesses, _, _, _ = walk(mmu, space, vpn, core_id)
     return mem_accesses
+
+
+def priced(topo, node, reads):
+    """The cycles of a walk's reads from a core on node."""
+    return sum(access_latency(topo, node, to) for to in reads)
 
 
 def mapped_space(topo, vpns, home=0):
@@ -35,7 +45,7 @@ def test_cold_local_walk_costs_four_local_accesses():
     topo = make_topo(2, 1)
     space = mapped_space(topo, [5])
     cycles, mem_accesses, remote, mapping, touched = \
-        Mmu(topo).page_walk(space, 5, core_id=0)
+        walk(Mmu(topo), space, 5, core_id=0)
     assert cycles == 400
     assert mem_accesses == 4
     assert remote == 0
@@ -47,7 +57,7 @@ def test_cold_remote_walk_pays_the_link_factor_per_level():
     topo = make_topo(2, 1)
     space = mapped_space(topo, [5])
     cycles, mem_accesses, remote, _, touched = \
-        Mmu(topo).page_walk(space, 5, core_id=1)
+        walk(Mmu(topo), space, 5, core_id=1)
     assert cycles == 520
     assert mem_accesses == 4
     assert remote == 4
@@ -58,7 +68,7 @@ def test_local_replica_turns_remote_walks_local():
     topo = make_topo(2, 1)
     space = mapped_space(topo, [5])
     add_replica(space, 1)
-    cycles, _, remote, _, touched = Mmu(topo).page_walk(space, 5, core_id=1)
+    cycles, _, remote, _, touched = walk(Mmu(topo), space, 5, core_id=1)
     assert cycles == 400
     assert remote == 0
     assert touched == [1, 1, 1, 1]
@@ -70,7 +80,7 @@ def test_pwc_serves_upper_levels_on_nearby_walks():
     mmu = Mmu(topo)
     assert accesses(mmu, space, 5, 0) == 4
     # same PMD region: only the PTE level reads memory
-    cycles, mem_accesses, _, _, _ = mmu.page_walk(space, 6, 0)
+    cycles, mem_accesses, _, _, _ = walk(mmu, space, 6, 0)
     assert mem_accesses == 1
     assert cycles == 100
     # sibling PMD region: PGD and PUD prefixes still apply
@@ -82,7 +92,7 @@ def test_walk_fills_the_tlb():
     space = mapped_space(topo, [5])
     mmu = Mmu(topo)
     assert mmu.tlb_lookup(0, 5) is None
-    mmu.page_walk(space, 5, 0)
+    walk(mmu, space, 5, 0)
     hit = mmu.tlb_lookup(0, 5)
     assert hit is not None and hit.pfn == 100
 
@@ -92,9 +102,9 @@ def test_tlb_evicts_least_recently_used():
     space = mapped_space(topo, range(5))
     mmu = Mmu(topo)
     for vpn in range(4):
-        mmu.page_walk(space, vpn, 0)
+        walk(mmu, space, vpn, 0)
     mmu.tlb_lookup(0, 0)  # refresh 0; vpn 1 becomes the eviction victim
-    mmu.page_walk(space, 4, 0)
+    walk(mmu, space, 4, 0)
     assert mmu.tlb_lookup(0, 1) is None
     assert mmu.tlb_lookup(0, 0) is not None
     assert mmu.tlb_lookup(0, 4) is not None
@@ -107,7 +117,7 @@ def test_partition_halves_capacity_and_sheds_entries_eagerly():
     space = mapped_space(topo, vpns)
     mmu = Mmu(topo, pwc_entries=(4, 16, 6))
     for vpn in vpns:
-        mmu.page_walk(space, vpn, 0)
+        walk(mmu, space, vpn, 0)
     assert [list(cache) for cache in mmu.pwcs[0]] == [[0], [0], [2, 3, 4, 5, 6, 7]]
     mmu.set_partition(0, True)
     assert mmu.tlb_limits[0] == 4
@@ -128,9 +138,9 @@ def test_fault_charges_the_walk_but_caches_nothing():
     space = mapped_space(topo, [0])
     mmu = Mmu(topo)
     # PTE table exists, entry absent
-    cycles, _, _, mapping, _ = mmu.page_walk(space, 1, 0)
-    assert mapping is None
-    assert cycles == 400
+    reads = mmu.page_walk(space, 1, 0)
+    assert reads == [0, 0, 0, 0]
+    assert priced(topo, 0, reads) == 400
     assert mmu.tlb_lookup(0, 1) is None
     # the fault primed no PWC levels, so a fresh walk pays in full
     assert accesses(mmu, space, 0, 0) == 4
@@ -139,12 +149,21 @@ def test_fault_charges_the_walk_but_caches_nothing():
 def test_fault_on_missing_subtree_stops_early():
     topo = make_topo(2, 1)
     space = mapped_space(topo, [0])
-    cycles, mem_accesses, _, mapping, touched = \
-        Mmu(topo).page_walk(space, 512 ** 2, 0)
-    assert mapping is None
-    assert mem_accesses == 2  # PGD and PUD reads reach the hole
-    assert touched == [0, 0]
-    assert cycles == 200
+    reads = Mmu(topo).page_walk(space, 512 ** 2, 0)
+    assert reads == [0, 0]  # PGD and PUD reads reach the hole
+    assert priced(topo, 0, reads) == 200
+
+
+def test_page_walk_reads_past_pwc_hits_and_fills_nothing():
+    topo = make_topo(2, 1)
+    space = mapped_space(topo, [5, 5 + 512])
+    mmu = Mmu(topo)
+    walk(mmu, space, 5, 0)
+    before = [list(cache) for cache in mmu.pwcs[0]]
+    # the PGD and PUD prefixes hit; the PMD level and the PTE table are read
+    assert mmu.page_walk(space, 5 + 512, 0) == [0, 0]
+    assert [list(cache) for cache in mmu.pwcs[0]] == before
+    assert list(mmu.tlbs[0]) == [5]
 
 
 def test_shootdown_costs_scale_with_distance():
@@ -153,7 +172,6 @@ def test_shootdown_costs_scale_with_distance():
     assert mmu.tlb_shootdown((0,), 0, [0, 1]) == 100        # two local IPIs
     assert mmu.tlb_shootdown((0,), 0, [2]) == 65            # remote pays 1.3x
     assert mmu.tlb_shootdown((0,), 0, [1, 2]) == 115
-    assert Mmu(topo, ipi_cycles=10).tlb_shootdown((0,), 0, [0, 1]) == 20
     # one IPI per vpn; the initiator's own core drops its entries unpriced
     assert mmu.tlb_shootdown((0, 1, 2), 0, [1, 2], 0) == 3 * 115
     # each vpn's price is rounded before the vpns are summed: 62.5 -> 63
@@ -165,7 +183,7 @@ def test_shootdown_drops_tlb_and_covering_pwc_entries():
     topo = make_topo(2, 1)
     space = mapped_space(topo, [5, 6])
     mmu = Mmu(topo)
-    mmu.page_walk(space, 5, 0)
+    walk(mmu, space, 5, 0)
     mmu.tlb_shootdown((5,), 0, [0])
     assert mmu.tlb_lookup(0, 5) is None
     # covering prefixes went too: the next walk is cold again
@@ -176,7 +194,7 @@ def test_flush_core_clears_all_translation_state():
     topo = make_topo(2, 1)
     space = mapped_space(topo, [5, 6])
     mmu = Mmu(topo)
-    mmu.page_walk(space, 5, 0)
+    walk(mmu, space, 5, 0)
     mmu.flush_core(0)
     assert mmu.tlb_lookup(0, 5) is None
     assert accesses(mmu, space, 6, 0) == 4
@@ -186,8 +204,8 @@ def test_pwc_capacity_is_per_level():
     topo = make_topo(1, 1)
     space = mapped_space(topo, [0, 512, 1])
     mmu = Mmu(topo, pwc_entries=(4, 4, 1))
-    mmu.page_walk(space, 0, 0)
-    mmu.page_walk(space, 512, 0)  # different PMD prefix evicts the first
+    walk(mmu, space, 0, 0)
+    walk(mmu, space, 512, 0)  # different PMD prefix evicts the first
     assert accesses(mmu, space, 1, 0) == 2
 
 
@@ -195,7 +213,7 @@ def test_tlb_entry_reflects_later_mapping_updates():
     topo = make_topo(2, 1)
     space = mapped_space(topo, [0])
     mmu = Mmu(topo)
-    mmu.page_walk(space, 0, 0)
+    walk(mmu, space, 0, 0)
     set_frame_node(space, 0, new_node=1, requesting_node=0)
     assert mmu.tlb_lookup(0, 0).pfn_node == 1
 
@@ -223,7 +241,7 @@ def test_walks_order_tlb_and_pwc_entries_as_lru_put_does():
                 cache.set_partition(True)
         vpn = rng.choice(pool)
         tlb_rewalks += vpn in tlb.entries
-        _, _, _, walked, _ = mmu.page_walk(space, vpn, 0)
+        _, _, _, walked, _ = walk(mmu, space, vpn, 0)
         mapping = space.lookup(vpn)
         assert walked is mapping
         depth = 1 if vpn == 3500 else 3  # the PWC levels the walk reached
@@ -302,7 +320,7 @@ def test_lru_cache_matches_the_ordered_dict_model(capacity, ops):
         if name == "get":
             assert mmu.tlb_lookup(0, *args) == model.get(*args)
         elif name == "put":
-            _, _, _, walked, _ = mmu.page_walk(space, *args, 0)
+            _, _, _, walked, _ = walk(mmu, space, *args, 0)
             assert walked is space.lookup(*args)
             model.put(*args, walked)
         elif name == "drop":
@@ -356,7 +374,7 @@ def test_batched_invalidation_matches_per_vpn_shootdowns(scan):
     batched, single = (Mmu(topo, pwc_entries=pwc) for _ in range(2))
     for mmu in (batched, single):
         for core, vpn in walks:  # faults included
-            mmu.page_walk(space, vpn, core)
+            walk(mmu, space, vpn, core)
     assert _cache_states(batched) == _cache_states(single)
 
     # one scan-sized request takes the batched pass, each single vpn the pops

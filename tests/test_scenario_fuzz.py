@@ -1,6 +1,7 @@
 """Scenario fuzzer: one scenario key set to an odd value either is refused
 before the run with a path-naming ConfigError, or runs and keeps the
-report's invariants and walks as page_walk does."""
+report's invariants and walks as the tests' reference walker does, with one
+read-only page_walk per fault."""
 
 import copy
 
@@ -200,7 +201,8 @@ def test_fuzzed_scenarios_are_refused_by_path_or_keep_the_invariants(raw):
     report = metrics.finalize(sim.run(), scenario)
     assert not any(core.runqueue for core in sim.cores)  # exit empties them
 
-    # every walk, inline or through page_walk, is page_walk's walk
+    # every walk is the reference's, and each fault's page_walk reads as its
+    # read-only walk does
     oracle.check()
 
     for name in WINDOW_COUNTERS:
