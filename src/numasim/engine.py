@@ -209,7 +209,8 @@ class SimProcess:
         self.tasks: List[SimTask] = []
         self.data_rr = 0
         self.charge_rr = 0
-        # with autonuma: node -> event -> times issued there since the scan
+        # with autonuma on more than one node: node -> event -> times issued
+        # there since the scan
         self.access_counts: Dict[int, Counter] = defaultdict(Counter)
         self.cores: Tuple[int, ...] = ()  # its tasks' cores, each once
         self.targets: Dict[int, Tuple[int, ...]] = {}  # core -> the others
@@ -242,6 +243,10 @@ class Simulation:
         self._node_bytes: Dict[int, int] = {}
         self._link_bytes: Dict[Tuple[int, int], int] = {}
         self._prev_node_bytes: Dict[int, int] = {}
+        # on one node every page is local to every access, so no page has a
+        # remote count and autonuma_step can return no migration: the scan
+        # still arms hints, but no access is counted
+        self.count_accesses = self.policy.autonuma and len(self.topo.nodes) > 1
 
     # -- load snapshots -------------------------------------------------------
 
@@ -317,7 +322,8 @@ class Simulation:
         fp = proc.spec.footprint_pages
         for first in range(0, fp, space.arity):
             vpns = range(first, min(first + space.arity, fp))
-            pfn_nodes = [self._data_node(proc, nodes[vpn % n]) for vpn in vpns]
+            pfn_nodes = self._data_nodes(proc,
+                                         [nodes[vpn % n] for vpn in vpns])
             pfns = range(self.next_pfn, self.next_pfn + len(vpns))
             self.next_pfn = pfns.stop
             map_pages(space, vpns, pfns, pfn_nodes, nodes[first % n])
@@ -328,12 +334,16 @@ class Simulation:
         self.next_pfn += 1
         return pfn
 
-    def _data_node(self, proc: SimProcess, toucher_node: int) -> int:
-        if proc.spec.data_policy == "interleave":
-            node = self.topo.node_ids[proc.data_rr % len(self.topo.node_ids)]
-            proc.data_rr += 1
-            return node
-        return toucher_node
+    def _data_nodes(self, proc: SimProcess, touchers: List[int]) -> List[int]:
+        """The nodes that back new pages first touched from the nodes in
+        touchers, in order: touchers itself, or under interleave the
+        process's next nodes round-robin."""
+        if proc.spec.data_policy != "interleave":
+            return touchers
+        ids = self.topo.node_ids
+        rr = proc.data_rr
+        proc.data_rr += len(touchers)
+        return [ids[i % len(ids)] for i in range(rr, proc.data_rr)]
 
     # -- charging helpers ---------------------------------------------------------
 
@@ -390,10 +400,10 @@ class Simulation:
         A hint fault is priced inline by clear_access_hint's rule.  The
         stream holds each data access as its vpn, an int; a VmOp goes to
         _do_vm_op but is counted, and charged its compute cycle, here.
-        With autonuma, one Counter update per batch adds it to the
-        process's counts for the core's node.  An LLC miss is a draw below
-        llc_miss_rate from the task-quantum's own generator, made only when
-        the rate is neither 0 nor 1.
+        With autonuma on more than one node, one Counter update per batch
+        adds it to the process's counts for the core's node.  An LLC miss
+        is a draw below llc_miss_rate from the task-quantum's own generator,
+        made only when the rate is neither 0 nor 1.
 
         A task with events queued behind its MBA cap defers its new quantum
         as an index; a deferred quantum is generated when its first event
@@ -444,11 +454,11 @@ class Simulation:
         data_to = [0] * len(bytes_to)  # data accesses by the data's node
         # LLC misses by the data's node
         llc_to = data_to if llc_miss_rate == 1.0 else [0] * len(bytes_to)
-        issued = proc.access_counts[node] if self.policy.autonuma else None
+        issued = proc.access_counts[node] if self.count_accesses else None
         events = misses = vm_ops = 0
         hint_own = hint_waits = 0  # hint faults' own cycles, lock waits
         # the PGD and PUD prefixes this loop last made newest in their caches;
-        # a VM op or page_walk may drop or reorder entries, and resets them
+        # a VM op may drop or reorder entries, and resets them
         newest_pgd = newest_pud = None
 
         while issue:
@@ -476,12 +486,14 @@ class Simulation:
                         mapping = path[3].entries.get(vpn % a)
                     if mapping is None:
                         # a fault: page_walk's reads, which fill nothing, then
-                        # the page is installed and walked inline as mapped
+                        # the page is installed and walked inline as mapped.
+                        # page_walk refreshes only vpn's own prefixes, which
+                        # that walk makes newest, so newest_pgd and newest_pud
+                        # stay valid
                         for touched in page_walk(space, vpn, core_id):
                             reads_to[touched] += 1
-                        newest_pgd = newest_pud = None  # page_walk reorders
                         cost = map_page(space, vpn, self._alloc_pfn(),
-                                        self._data_node(proc, node), node)
+                                        self._data_nodes(proc, [node])[0], node)
                         self._charge_pt_cost(task, cost)
                         path = paths[pmd]
                         mapping = path[3].entries[vpn % a]
@@ -597,7 +609,7 @@ class Simulation:
         elif kind == "map":
             for vpn in pages:
                 if space.lookup(vpn) is None:
-                    pfn_node = self._data_node(proc, node)
+                    pfn_node = self._data_nodes(proc, [node])[0]
                     cost = map_page(space, vpn, self._alloc_pfn(), pfn_node,
                                     node)
                     self._charge_pt_cost(task, cost)
@@ -639,10 +651,11 @@ class Simulation:
             proc.charge_rr += count
             space.begin_quantum()
 
-        for vpn, to_node in sched.autonuma_step(space, proc.access_counts,
-                                                self.policy):
-            self._migrate_page(proc, vpn, to_node)
-        proc.access_counts.clear()
+        if self.count_accesses:
+            for vpn, to_node in sched.autonuma_step(space, proc.access_counts,
+                                                    self.policy):
+                self._migrate_page(proc, vpn, to_node)
+            proc.access_counts.clear()
 
     def _migrate_page(self, proc: SimProcess, vpn: int, to_node: int) -> None:
         space = proc.space

@@ -132,6 +132,7 @@ def preset(name: str, /, **overrides) -> WorkloadSpec:
 _ZIPF_CACHE: Dict[Tuple[int, float], np.ndarray] = {}
 _PERM_CACHE: Dict[int, int] = {}
 _MIX_CACHE: Dict[tuple, Tuple[List[str], np.ndarray]] = {}
+_SEED_WORDS: Dict[Tuple[int, str], List[int]] = {}
 
 
 def _zipf_cdf(footprint: int, theta: float) -> np.ndarray:
@@ -168,10 +169,29 @@ def _rank_multiplier(footprint: int) -> int:
     return mult
 
 
+def _words(n: int) -> List[int]:
+    """n as SeedSequence coerces an int: its 32-bit words, least
+    significant first, at least one."""
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    words = [n & 0xFFFFFFFF]
+    while n := n >> 32:
+        words.append(n & 0xFFFFFFFF)
+    return words
+
+
 def _rng(spec: WorkloadSpec, rng_seed: int, quantum_index: int,
          thread_id: int) -> np.random.Generator:
-    name_tag = zlib.crc32(spec.name.encode())
-    seq = np.random.SeedSequence((rng_seed, name_tag, quantum_index, thread_id))
+    """The generator SeedSequence((rng_seed, crc32(name), quantum_index,
+    thread_id)) seeds, built from the same entropy words: the seed's and
+    the name tag's are coerced once per (seed, name)."""
+    key = (rng_seed, spec.name)
+    head = _SEED_WORDS.get(key)
+    if head is None:
+        head = _SEED_WORDS[key] = \
+            _words(rng_seed) + _words(zlib.crc32(spec.name.encode()))
+    words = head + _words(quantum_index) + _words(thread_id)
+    seq = np.random.SeedSequence(np.array(words, dtype=np.uint32))
     return np.random.Generator(np.random.PCG64(seq))
 
 

@@ -94,11 +94,16 @@ DIGESTS = {
 }
 
 
-def report_digest(path: Path, policy: str) -> str:
+def packaged_raw(path: Path, policy: str) -> dict:
+    """The scenario file under policy, with the timeseries on."""
     raw = load_scenario_file(str(path))
     raw["policy"]["kind"] = policy
     raw.setdefault("run", {})["timeseries"] = True
-    report = run_scenario(scenario_from_dict(raw))
+    return raw
+
+
+def report_digest(path: Path, policy: str) -> str:
+    report = run_scenario(scenario_from_dict(packaged_raw(path, policy)))
     return hashlib.sha256(report.to_json().encode()).hexdigest()
 
 

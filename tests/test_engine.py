@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from numasim import pagetable
+from numasim import pagetable, sched
 from numasim.cli import load_scenario_file, scenario_from_dict
 from numasim.engine import (
     CACHELINE_BYTES,
@@ -634,6 +634,32 @@ def test_locality_scan_respects_the_autonuma_switch():
     assert total(result, field="data_migrations") == 0
     space = result.processes[0].space
     assert {space.lookup(v).pfn_node for v in range(8)} == {0, 1}
+
+
+def test_one_node_scans_arm_hints_but_count_no_access(monkeypatch):
+    def no_step(*args):
+        raise AssertionError("autonuma_step ran on one node")
+
+    monkeypatch.setattr(sched, "autonuma_step", no_step)
+    spec = preset("gups_like", thread_count=2, footprint_pages=256)
+    policy = PolicyKind("linux", scan_period=3, scan_share=0.5)
+    sim = Simulation(build([spec], nodes=1, cores=2, policy=policy,
+                           duration=12, prefault=True))
+    sim.step()  # spawns and prefaults the process
+    proc = sim.processes[0]
+
+    def armed():
+        return sum(proc.space.lookup(vpn).numa_hint for vpn in range(256))
+
+    faults = 0
+    while sim.quantum < 12:
+        scans = sim.quantum % policy.scan_period == 0
+        before = armed()
+        sim.step()
+        if not scans:  # every hint cleared in a quantum without a scan
+            faults += before - armed()
+        assert proc.access_counts == {}
+    assert faults > 0
 
 
 def test_late_starters_spawn_on_schedule():

@@ -1,7 +1,8 @@
 """Scenario fuzzer: one scenario key set to an odd value either is refused
 before the run with a path-naming ConfigError, or runs and keeps the
 report's invariants and walks as the tests' reference walker does, with one
-read-only page_walk per fault."""
+read-only page_walk per fault, and steps as the reference's per-access loop
+does."""
 
 import copy
 
@@ -9,10 +10,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from numasim import cli, metrics
-from numasim.engine import WINDOW_COUNTERS, Simulation, run_scenario
+from numasim.engine import WINDOW_COUNTERS, Simulation
 from numasim.pagetable import Level
 from numasim.topology import ConfigError
 
+import reference
 from conftest import WalkOracle
 
 # values every key is tried with; UNKNOWN sets a key no block accepts
@@ -228,7 +230,9 @@ def test_fuzzed_scenarios_are_refused_by_path_or_keep_the_invariants(raw):
         assert {id(path[-1]) for path in space.paths.values()} \
             == {id(t) for t in ptes}
         assert len(space.paths) == len(ptes)
-    again = run_scenario(cli.scenario_from_dict(copy.deepcopy(raw)))
+    # a fresh engine stepped beside the per-access reference keeps its
+    # caches and report equal to the reference's, and writes this report
+    again = reference.lockstep(cli.scenario_from_dict(copy.deepcopy(raw)))
     assert again.to_json() == report.to_json()
 
 

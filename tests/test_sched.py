@@ -462,6 +462,17 @@ def test_autonuma_migrates_remote_heavy_pages():
                          policy) == [(0, 1)]
 
 
+def test_autonuma_moves_nothing_on_one_node():
+    # every page and every access is on node 0, so no count is remote
+    topo = make_topo(1, 4)
+    space = AddressSpace(topo, 0)
+    for vpn in range(4):
+        map_page(space, vpn, vpn, 0, requesting_node=0)
+    policy = PolicyKind("linux", migrate_threshold=1)
+    counts = {0: Counter({vpn: 10**9 for vpn in range(4)})}
+    assert autonuma_step(space, counts, policy) == []
+
+
 def test_on_exit_detaches_the_core():
     spec = preset("gups_like", thread_count=2, footprint_pages=64)
     scenario = Scenario(machine={"nodes": 2, "cores_per_node": 2},

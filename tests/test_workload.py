@@ -1,5 +1,6 @@
 """Synthetic access streams: determinism, patterns, VM-op mixing, presets."""
 
+import zlib
 from collections import Counter
 
 import numpy as np
@@ -39,6 +40,38 @@ def test_streams_differ_across_thread_quantum_and_seed():
     assert generate_quantum_events(spec, 1, 1, 0) != base
     assert generate_quantum_events(spec, 0, 1, 1) != base
     assert generate_quantum_events(spec, 0, 2, 0) != base
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**70])
+def test_entropy_words_seed_the_pool_the_tuple_does(seed):
+    spec = spec_for("uniform_random")
+    tag = zlib.crc32(spec.name.encode())
+    for quantum in (0, 1, 2**32 - 1):
+        for thread in (0, 1, 2**32 - 1):
+            rng = workload._rng(spec, seed, quantum, thread)
+            want = np.random.SeedSequence((seed, tag, quantum, thread))
+            assert rng.bit_generator.seed_seq.pool.tolist() \
+                == want.pool.tolist(), (quantum, thread)
+
+
+def test_a_seed_of_several_words_draws_the_tuple_seeded_events(monkeypatch):
+    spec = spec_for("zipfian", footprint=300, n=400,
+                    vm_ops_per_kilo_access=30.0,
+                    vm_op_mix=(("map", 1.0), ("remap", 2.0)))
+    seed = 2**40 + 3
+    events = [generate_quantum_events(spec, thread, seed, quantum)
+              for thread in (0, 3) for quantum in (0, 7)]
+
+    def tuple_rng(spec, rng_seed, quantum_index, thread_id):
+        entropy = (rng_seed, zlib.crc32(spec.name.encode()), quantum_index,
+                   thread_id)
+        return np.random.Generator(np.random.PCG64(
+            np.random.SeedSequence(entropy)))
+
+    monkeypatch.setattr(workload, "_rng", tuple_rng)
+    assert events == [generate_quantum_events(spec, thread, seed, quantum)
+                      for thread in (0, 3) for quantum in (0, 7)]
+    assert any(type(e) is VmOp for stream in events for e in stream)
 
 
 def test_sequential_strides_and_wraps():
